@@ -15,10 +15,9 @@
 //! `null` and the native speedup floor is skipped.
 //!
 //! Then times the §8 auto-shackle search (enumerate → grow → score →
-//! select) through both pipelines of `shackle_bench::searchperf` —
-//! asserting byte-identical results — and writes `BENCH_search.json`
-//! with the wall times, the speedup, and the `PolyStats` cache
-//! counters of the memoized run.
+//! select) of `shackle_bench::searchperf` from a cold polyhedral cache
+//! and writes `BENCH_search.json` with the wall times, the search
+//! outcome and the `PolyStats` counters of one cold run.
 //!
 //! Then times the multi-configuration cache sweep through both
 //! simulator pipelines — the pre-stack-engine flow (re-execute the
@@ -576,13 +575,12 @@ fn memsim_report() -> String {
 struct SearchRow {
     kernel: &'static str,
     outcome: SearchOutcome,
-    baseline_secs: f64,
     memoized_secs: f64,
     stats: shackle_polyhedra::PolyStats,
 }
 
-/// Time one kernel's auto-shackle search through both pipelines,
-/// asserting they select the same shackles with the same verdicts.
+/// Time one kernel's auto-shackle search, cold cache every rep so one
+/// rep's fills do not subsidize the next measurement.
 fn search_one(
     kernel: &'static str,
     program: &Program,
@@ -591,37 +589,17 @@ fn search_one(
     init: impl Fn(&str, &[usize]) -> f64 + Sync,
 ) -> SearchRow {
     let reps = 5;
-
-    // Uncached serial baseline: memoization off, pre-memoization
-    // pipeline. (Disabling also bypasses lookups, so entries cached by
-    // other kernels cannot leak into the baseline.)
-    let was = cache::set_cache_enabled(false);
-    let base = auto_search(program, cfg, probe_n, &init, Mode::Baseline);
-    let baseline_secs = best_secs(reps, || {
-        auto_search(program, cfg, probe_n, &init, Mode::Baseline);
-    });
-    cache::set_cache_enabled(was);
-
-    // Memoized parallel pipeline, cold cache every rep so one rep's
-    // fills do not subsidize the next measurement.
     cache::clear_cache();
     cache::reset_stats();
-    let memo = auto_search(program, cfg, probe_n, &init, Mode::Memoized);
+    let outcome = auto_search(program, cfg, probe_n, &init, Mode::Memoized);
     let stats = cache::stats();
     let memoized_secs = best_secs(reps, || {
         cache::clear_cache();
         auto_search(program, cfg, probe_n, &init, Mode::Memoized);
     });
-
-    assert_eq!(
-        base.report, memo.report,
-        "baseline and memoized searches must select identical shackles \
-         with identical verdicts on {kernel}"
-    );
     SearchRow {
         kernel,
-        outcome: memo,
-        baseline_secs,
+        outcome,
         memoized_secs,
         stats,
     }
@@ -632,13 +610,8 @@ fn search_report() -> String {
         width: 16,
         ..Default::default()
     };
-    // matmul used to be excluded from the aggregate ("score_bound"):
-    // its 6-candidate search was dominated by the mode-independent
-    // probe-cache scoring simulation. Two-phase scoring collapsed that
-    // floor — the analytical model ranks every product and only the
-    // top-K survivors are simulated — so it rejoined the aggregate.
-    // probe_n is the smallest size whose 3·n² working set exceeds the
-    // 8KB probe cache.
+    // matmul's probe_n is the smallest size whose 3·n² working set
+    // exceeds the 8KB probe cache.
     let rows = [
         search_one(
             "cholesky_right",
@@ -718,16 +691,8 @@ fn search_report() -> String {
     ];
 
     println!(
-        "\n{:<16} {:>5} {:>5} {:>8} {:>12} {:>12} {:>8} {:>9} {:>9}",
-        "search",
-        "cand",
-        "prod",
-        "queries",
-        "baseline s",
-        "memoized s",
-        "speedup",
-        "feas hit",
-        "proj hit"
+        "\n{:<16} {:>5} {:>5} {:>8} {:>12} {:>9} {:>9}",
+        "search", "cand", "prod", "queries", "memoized s", "feas hit", "proj hit"
     );
     let mut report = BenchReport::new();
     report.section("search");
@@ -735,25 +700,9 @@ fn search_report() -> String {
         print_search_row(r);
         report.row(search_row_json(r));
     }
-    let total_base: f64 = rows.iter().map(|r| r.baseline_secs).sum();
     let total_memo: f64 = rows.iter().map(|r| r.memoized_secs).sum();
-    let aggregate = total_base / total_memo;
-    println!(
-        "{:<16} {:>33} {:>12.4} {:>12.4} {:>7.2}x",
-        "aggregate", "", total_base, total_memo, aggregate
-    );
-    assert_speedup("memoized search (aggregate)", aggregate, 1.0);
-    report.field_str(
-        "score_bound_note",
-        "matmul_ijk rejoined the aggregate: two-phase scoring (analytical \
-         model ranks every product, exact simulation only for the top-K \
-         survivors) removed the mode-independent scoring floor that used \
-         to dominate its end-to-end time",
-    );
-    let aggregate_json = format!(
-        "{{\"baseline_secs\": {total_base:.6}, \
-         \"memoized_secs\": {total_memo:.6}, \"speedup\": {aggregate:.3}}}"
-    );
+    println!("{:<16} {:>20} {:>12.4}", "aggregate", "", total_memo);
+    let aggregate_json = format!("{{\"memoized_secs\": {total_memo:.6}}}");
     report.field_raw("aggregate", aggregate_json.clone());
     report
         .write("BENCH_search.json")
@@ -764,14 +713,12 @@ fn search_report() -> String {
 
 fn print_search_row(r: &SearchRow) {
     println!(
-        "{:<16} {:>5} {:>5} {:>8} {:>12.4} {:>12.4} {:>7.2}x {:>8.1}% {:>8.1}%",
+        "{:<16} {:>5} {:>5} {:>8} {:>12.4} {:>8.1}% {:>8.1}%",
         r.kernel,
         r.outcome.candidates,
         r.outcome.products,
         r.stats.feasibility_queries,
-        r.baseline_secs,
         r.memoized_secs,
-        r.baseline_secs / r.memoized_secs,
         100.0 * r.stats.feasibility_hit_rate(),
         100.0 * r.stats.projection_hit_rate(),
     );
@@ -781,8 +728,7 @@ fn search_row_json(r: &SearchRow) -> String {
     format!(
         "{{\"kernel\": \"{}\", \"candidates\": {}, \"legal\": {}, \
          \"products\": {}, \"rescored\": {}, \"winner_cycles\": {}, \
-         \"baseline_secs\": {:.6}, \"memoized_secs\": {:.6}, \
-         \"speedup\": {:.3}, \
+         \"memoized_secs\": {:.6}, \
          \"feasibility_queries\": {}, \"feasibility_hit_rate\": {:.4}, \
          \"projection_queries\": {}, \"projection_hit_rate\": {:.4}, \
          \"gist_queries\": {}, \"gist_hit_rate\": {:.4}, \
@@ -794,9 +740,7 @@ fn search_row_json(r: &SearchRow) -> String {
         r.outcome.products,
         r.outcome.rescored,
         r.outcome.winner_cycles,
-        r.baseline_secs,
         r.memoized_secs,
-        r.baseline_secs / r.memoized_secs,
         r.stats.feasibility_queries,
         r.stats.feasibility_hit_rate(),
         r.stats.projection_queries,

@@ -125,10 +125,9 @@ pub fn append(
 /// The aggregate metrics compared against the history trajectory
 /// (dotted paths into one history line's `aggregates` object). Higher
 /// is better for all of them.
-pub const TRAJECTORY_METRICS: [&str; 4] = [
+pub const TRAJECTORY_METRICS: [&str; 3] = [
     "exec.bytecode_speedup",
     "exec.native_speedup",
-    "search.speedup",
     "memsim.speedup",
 ];
 
@@ -383,10 +382,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    fn agg(search: f64, native: &str) -> String {
+    fn agg(memsim: f64, native: &str) -> String {
         format!(
             "{{\"exec\": {{\"bytecode_speedup\": 6.0, \"native_speedup\": {native}}}, \
-             \"search\": {{\"speedup\": {search:.3}}}, \"memsim\": {{\"speedup\": 7.0}}}}"
+             \"search\": {{\"memoized_secs\": 0.28}}, \"memsim\": {{\"speedup\": {memsim:.3}}}}}"
         )
     }
 
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn extract_number_walks_paths_and_handles_null() {
         let a = agg(7.0, "null");
-        assert_eq!(extract_number(&a, "search.speedup"), Some(7.0));
+        assert_eq!(extract_number(&a, "search.memoized_secs"), Some(0.28));
         assert_eq!(extract_number(&a, "memsim.speedup"), Some(7.0));
         assert_eq!(extract_number(&a, "exec.bytecode_speedup"), Some(6.0));
         assert_eq!(extract_number(&a, "exec.native_speedup"), None);
@@ -424,18 +423,18 @@ mod tests {
         let ok = check_trajectory(&hist, &fp(), &agg(6.9, "70.0"), 0.4, 3);
         assert!(ok.iter().all(|c| c.ok), "{ok:?}");
         assert!(ok.iter().all(|c| c.enforced));
-        let search = ok.iter().find(|c| c.metric == "search.speedup").unwrap();
-        assert_eq!(search.median, 7.0);
-        assert_eq!(search.samples, 3);
+        let memsim = ok.iter().find(|c| c.metric == "memsim.speedup").unwrap();
+        assert_eq!(memsim.median, 7.0);
+        assert_eq!(memsim.samples, 3);
 
-        // A 10x collapse of the search speedup trips the check; the
+        // A 10x collapse of the memsim speedup trips the check; the
         // untouched metrics still pass.
         let bad = check_trajectory(&hist, &fp(), &agg(0.7, "70.0"), 0.4, 3);
-        let search = bad.iter().find(|c| c.metric == "search.speedup").unwrap();
-        assert!(!search.ok && search.enforced);
+        let memsim = bad.iter().find(|c| c.metric == "memsim.speedup").unwrap();
+        assert!(!memsim.ok && memsim.enforced);
         assert!(bad
             .iter()
-            .filter(|c| c.metric != "search.speedup")
+            .filter(|c| c.metric != "memsim.speedup")
             .all(|c| c.ok));
     }
 
@@ -458,12 +457,12 @@ mod tests {
             (7.0, "release"),
         ]);
         let checks = check_trajectory(&hist, &fp(), &agg(7.0, "70.0"), 0.4, 3);
-        let search = checks
+        let memsim = checks
             .iter()
-            .find(|c| c.metric == "search.speedup")
+            .find(|c| c.metric == "memsim.speedup")
             .unwrap();
-        assert_eq!(search.samples, 1);
-        assert!(!search.enforced);
+        assert_eq!(memsim.samples, 1);
+        assert!(!memsim.enforced);
         // A current run without a native tier skips that metric
         // entirely rather than comparing null to numbers.
         let no_native = check_trajectory(&hist, &fp(), &agg(7.0, "null"), 0.4, 3);

@@ -383,8 +383,12 @@ pub fn run(opts: &LoadOptions) -> ServeReport {
     stop_server(addr, handle);
     let store_bytes = std::fs::metadata(&store).map(|m| m.len()).unwrap_or(0);
     cache::clear_cache();
-    let store_entries_before = cache::entry_count();
-    assert_eq!(store_entries_before, 0, "clear_cache left entries behind");
+    if opts.enforce {
+        // Like the floors below, only true in a single-tenant process:
+        // under `cargo test` the other tests of this binary keep
+        // filling the process-global maps.
+        assert_eq!(cache::entry_count(), 0, "clear_cache left entries behind");
+    }
     let (addr, handle) = start_server(opts.workers, Some(store.clone()));
     let store_entries = cache::entry_count();
     let (q2, h2) = poly_totals();

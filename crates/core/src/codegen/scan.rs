@@ -465,10 +465,10 @@ fn extract_bounds(dom: &System, d: &str) -> (Bound, Bound, Vec<Constraint>) {
         "loop dimension {d} is unbounded in {dom}"
     );
     // Canonical order: the emitted text must not depend on the internal
-    // row order of `dom`, which varies with the engine's redundant-row
-    // pruning (`shackle_polyhedra::cache::set_cache_enabled`). Sorting
-    // by rendered form (then deduping) makes the generated program a
-    // function of the polyhedron alone.
+    // row order of `dom`, which follows which rows `push_row`'s
+    // dominance pruning dropped or tightened in place along the way.
+    // Sorting by rendered form (then deduping) makes the generated
+    // program a function of the polyhedron alone.
     let canon = |terms: &mut Vec<BoundTerm>| {
         terms.sort_by_cached_key(|t| (t.div, t.expr.to_string()));
         terms.dedup();

@@ -175,72 +175,6 @@ pub fn is_legal_with_deps(program: &Program, factors: &[Shackle], deps: &[Depend
     LegalityContext::new(program, factors).is_legal(deps)
 }
 
-/// The pre-context-sharing Theorem-1 implementation: tie systems are
-/// rebuilt for every dependence and probes run in the fixed enumeration
-/// order with no early exit across dependences. Kept verbatim as the
-/// measured baseline for the memoized pipeline
-/// (`shackle-bench`'s `searchperf`) and as a differential-testing
-/// oracle; the verdict is identical to [`check_legality_with_deps`].
-pub fn check_legality_reference(
-    program: &Program,
-    factors: &[Shackle],
-    deps: &[Dependence],
-) -> LegalityReport {
-    let _phase = shackle_probe::span("legality");
-    count_legality_query();
-    let mut violations = Vec::new();
-    for dep in deps {
-        let src_vars: Vec<String> = program
-            .context(dep.src)
-            .iter_vars()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let tgt_vars: Vec<String> = program
-            .context(dep.dst)
-            .iter_vars()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-
-        // Tie block coordinates of source and target instances.
-        let mut ties = System::new();
-        let mut src_coords: Vec<LinExpr> = Vec::new();
-        let mut tgt_coords: Vec<LinExpr> = Vec::new();
-        for (f, shackle) in factors.iter().enumerate() {
-            let sz = shackle.coord_names("s", f);
-            let tz = shackle.coord_names("t", f);
-            ties.add_all(shackle.tie_for(dep.src, &sz, &prefix_renamer(&src_vars, SRC_PREFIX)));
-            ties.add_all(shackle.tie_for(dep.dst, &tz, &prefix_renamer(&tgt_vars, TGT_PREFIX)));
-            src_coords.extend(sz.iter().map(LinExpr::var));
-            tgt_coords.extend(tz.iter().map(LinExpr::var));
-        }
-
-        let bad_order = lex_lt(&tgt_coords, &src_coords, &[]);
-        'dep: for order_disjunct in &dep.systems {
-            let base = order_disjunct.and(&ties);
-            for bad in &bad_order {
-                let probe = base.and(bad);
-                if probe.is_integer_feasible() {
-                    violations.push(Violation {
-                        dependence: dep.clone(),
-                        witness: probe,
-                    });
-                    // one witness per dependence is enough
-                    break 'dep;
-                }
-            }
-        }
-    }
-    LegalityReport {
-        dependences_checked: deps.len(),
-        violations,
-        // the reference oracle predates the fallible solver and runs
-        // only on in-repo kernels, where every query is proven
-        unknown: Vec::new(),
-    }
-}
-
 /// How one dependence fared under the Theorem-1 probes.
 enum DepOutcome {
     /// Some probe is proven feasible: this witness violates the order.

@@ -168,7 +168,11 @@ mod tests {
 
     #[test]
     fn with_threads_overrides_and_restores() {
-        let before = thread_count();
+        // The outermost guard holds the process-wide override lock, so
+        // everything below is read under it: a count read before the
+        // first guard could be another test's override, gone again by
+        // the time this test compares against it.
+        let _outer = with_threads(5);
         {
             let _g = with_threads(3);
             assert_eq!(thread_count(), 3);
@@ -178,7 +182,7 @@ mod tests {
             }
             assert_eq!(thread_count(), 3);
         }
-        assert_eq!(thread_count(), before);
+        assert_eq!(thread_count(), 5);
     }
 
     /// Regression for the `SHACKLE_THREADS` override race: worker

@@ -23,8 +23,8 @@ pub use crate::search::{
     SearchConfig, TwoPhaseOutcome,
 };
 pub use crate::{
-    check_legality, check_legality_reference, check_legality_with_deps, is_legal_with_deps,
-    Blocking, CutSet, LegalityReport, Shackle, Violation,
+    check_legality, check_legality_with_deps, is_legal_with_deps, Blocking, CutSet, LegalityReport,
+    Shackle, Violation,
 };
 pub use shackle_ir::deps::{dependences, Dependence};
 pub use shackle_ir::{kernels, ArrayDecl, ArrayRef, Program, Statement, StmtId};

@@ -143,9 +143,9 @@ pub fn enumerate_legal_with_deps(
 /// The raw candidate worklist of [`enumerate_legal`], *before* the
 /// legality filter, in the search's deterministic enumeration order
 /// (array declaration order × dimension orders × per-statement
-/// reference cross product). Exposed so harnesses can drive the same
-/// space through a different legality strategy (e.g. the uncached
-/// serial baseline of the performance report).
+/// reference cross product). Exposed so the search pipeline
+/// (`shackle_serve::pipeline::auto_search`) can report a verdict for
+/// every candidate, legal or not.
 pub fn candidate_shackles(program: &Program, config: &SearchConfig) -> Vec<Shackle> {
     let arrays: Vec<String> = config.arrays.clone().unwrap_or_else(|| {
         program

@@ -93,30 +93,35 @@ fn refused_kernel_degrades_to_conservative_rejection() {
 
 #[test]
 fn hostile_coefficient_ceiling_is_unknown_not_wrong() {
-    // The same rescued kernel under a budget whose coefficient ceiling
+    // A rescued-style kernel under a budget whose coefficient ceiling
     // is below the subscripts: the solver may refuse (Unknown) but must
-    // never prove the opposite of the default-budget verdict. Proven
-    // verdicts are (correctly) replayed budget-independently from the
-    // memo cache — `dependences` has already proven these systems — so
-    // observe the raw solver with the cache off.
-    let p = parse(RESCUED_KERNEL).unwrap();
+    // never prove the opposite of the default-budget verdict.
+    //
+    // Proven verdicts are (correctly) replayed from the memo cache
+    // whatever the budget, so the order below matters: `dependences`
+    // has already proven these systems under the default budget, hence
+    // the `clear_cache`; then every system meets the raw solver under
+    // the tiny budget *first*, and only afterwards under the default
+    // one. The 2^52 scale is outside the range the proptests below
+    // sweep, so no concurrently running test re-proves these systems
+    // in between.
+    let p = parse(&scaled_kernel(52, false)).unwrap();
     let deps = dependences(&p);
     let tiny = Budget {
         max_coeff: 1 << 20,
         ..Budget::default()
     };
-    let was = shackle_polyhedra::cache::set_cache_enabled(false);
+    shackle_polyhedra::cache::clear_cache();
+    let systems: Vec<_> = deps.iter().flat_map(|d| &d.systems).collect();
+    let under_tiny: Vec<Verdict> = systems.iter().map(|s| s.decide(&tiny)).collect();
     let mut refusals = 0u32;
-    for d in &deps {
-        for s in &d.systems {
-            match s.decide(&tiny) {
-                Verdict::Unknown => refusals += 1,
-                v => assert_eq!(v, s.decide(&Budget::default()), "{s}"),
-            }
+    for (s, v) in systems.iter().zip(under_tiny) {
+        match v {
+            Verdict::Unknown => refusals += 1,
+            v => assert_eq!(v, s.decide(&Budget::default()), "{s}"),
         }
     }
-    shackle_polyhedra::cache::set_cache_enabled(was);
-    assert!(refusals > 0, "2^40 coefficients must trip a 2^20 ceiling");
+    assert!(refusals > 0, "2^52 coefficients must trip a 2^20 ceiling");
 }
 
 fn scaled_kernel(shift: u32, flip: bool) -> String {

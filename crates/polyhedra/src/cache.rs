@@ -27,8 +27,8 @@
 //!   insertion order of variables and rows exactly; only the `keep`
 //!   set is sorted (the computation never depends on `keep` order).
 //!   A hit returns byte-for-byte the system a fresh computation would
-//!   produce, which keeps codegen deterministic whether or not the
-//!   cache is enabled — and at any thread count.
+//!   produce, which keeps codegen deterministic whether the answer was
+//!   cached or not — and at any thread count.
 //!
 //! Shard locks are never held while a query runs: recursive queries
 //! (projection exactness checks re-enter the feasibility test) would
@@ -62,7 +62,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{LazyLock, Mutex};
 
 /// Number of independent lock shards per cache; a small power of two so
@@ -125,8 +125,6 @@ fn new_shards<V>() -> Vec<Shard<V>> {
         .map(|_| Mutex::new(HashMap::default()))
         .collect()
 }
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Global logical clock for approximate LRU: bumped on every hit and
 /// insert. Relaxed is fine — eviction only needs a rough recency order,
@@ -317,18 +315,6 @@ pub fn reset_stats() {
     ] {
         c.store(0, Ordering::Relaxed);
     }
-}
-
-/// Enable or disable memoization (it is on by default). Disabling does
-/// not clear existing entries; re-enabling reuses them. Returns the
-/// previous setting.
-pub fn set_cache_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::SeqCst)
-}
-
-/// Is memoization currently enabled?
-pub fn cache_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
 }
 
 /// Drop every cached verdict and projection (counters are untouched;
@@ -603,10 +589,6 @@ pub(crate) fn try_feasible(sys: &System, budget: &Budget) -> Result<bool, PolyEr
         return Ok(true);
     }
     FEAS_QUERIES.fetch_add(1, Ordering::Relaxed);
-    if !cache_enabled() {
-        let _phase = shackle_probe::span("omega");
-        return omega::try_is_integer_feasible(sys, budget).map_err(note_unknown);
-    }
     let key = feasibility_key(sys);
     if let Some(v) = lookup(&FEASIBILITY, &key) {
         FEAS_HITS.fetch_add(1, Ordering::Relaxed);
@@ -651,10 +633,6 @@ pub(crate) fn try_project(
     budget: &Budget,
 ) -> Result<(System, bool), PolyError> {
     PROJ_QUERIES.fetch_add(1, Ordering::Relaxed);
-    if !cache_enabled() {
-        let _phase = shackle_probe::span("fm");
-        return fm::try_project_onto(sys, keep, budget).map_err(note_unknown);
-    }
     let mut key = projection_key(sys, keep);
     key.extend_from_slice(&budget.fingerprint().to_le_bytes());
     if let Some(v) = lookup(&PROJECTION, &key) {
@@ -685,10 +663,6 @@ pub(crate) fn try_project(
 /// leverage entry of the three for the code generator.
 pub(crate) fn gist(sys: &System, context: &System) -> System {
     GIST_QUERIES.fetch_add(1, Ordering::Relaxed);
-    if !cache_enabled() {
-        let _phase = shackle_probe::span("gist");
-        return crate::simplify::gist(sys, context);
-    }
     let key = gist_key(sys, context);
     if let Some(v) = lookup(&GIST, &key) {
         GIST_HITS.fetch_add(1, Ordering::Relaxed);
@@ -830,17 +804,24 @@ fn write_section<V>(
     shards: &[Shard<V>],
     mut write_value: impl FnMut(&mut Vec<u8>, &V),
 ) {
-    out.push(tag);
-    let count: usize = count_shards(shards);
-    push_i64(out, count as i64);
+    // The maps stay live while a save runs (daemon workers keep
+    // inserting and evicting), so the count in the header must be the
+    // number of entries actually serialized, shard by shard under each
+    // shard's lock — never a separate pass over the shard lengths.
+    let mut body = Vec::new();
+    let mut count = 0usize;
     for shard in shards {
         let map = shard.lock().expect("cache shard poisoned");
         for (key, entry) in map.iter() {
-            push_i64(out, key.len() as i64);
-            out.extend_from_slice(key);
-            write_value(out, &entry.value);
+            push_i64(&mut body, key.len() as i64);
+            body.extend_from_slice(key);
+            write_value(&mut body, &entry.value);
         }
+        count += map.len();
     }
+    out.push(tag);
+    push_i64(out, count as i64);
+    out.extend_from_slice(&body);
 }
 
 /// Serialize the proven maps into the store's binary format.
@@ -950,8 +931,9 @@ mod tests {
         LinExpr::var(n)
     }
 
-    /// Tests that toggle the global enable flag or read hit counters
-    /// must not interleave (the test harness is multi-threaded).
+    /// Tests that clear the global maps, change their capacity or read
+    /// hit counters must not interleave (the test harness is
+    /// multi-threaded).
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -1080,17 +1062,6 @@ mod tests {
         }
         // the default budget must not see the tiny budget's failure
         assert_eq!(try_feasible(&s, &Budget::default()), Ok(true));
-    }
-
-    #[test]
-    fn disabling_bypasses_but_stays_correct() {
-        let mut s = System::new();
-        s.add(Constraint::eq(v("x") * 2, LinExpr::constant(3)));
-        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let was = set_cache_enabled(false);
-        assert!(!feasible(&s));
-        set_cache_enabled(was);
-        assert!(!feasible(&s));
     }
 
     fn tmp_store(name: &str) -> std::path::PathBuf {

@@ -269,14 +269,11 @@ pub(crate) fn eliminate_tracked(
             }
         }
     }
-    // With the engine on, leave the (all-zero) column in place: dropping
-    // it would copy the shared variable universe at every elimination
-    // level. Dead columns are invisible to the solver's used-variable
-    // scan, to canonical cache keys, and to `project_onto` (which drops
-    // unused columns as it encounters them).
-    if !crate::cache::cache_enabled() {
-        out.drop_var_column(idx);
-    }
+    // The (now all-zero) column stays in place: dropping it would copy
+    // the shared variable universe at every elimination level. Dead
+    // columns are invisible to the solver's used-variable scan, to
+    // canonical cache keys, and to `project_onto` (which drops unused
+    // columns as it encounters them).
     Ok((out, pairwise_exact))
 }
 
@@ -410,10 +407,6 @@ pub fn try_project_onto(
         }
         let (idx, _cost, ex) = best.expect("no candidate chosen");
         let (real, pairwise) = eliminate_tracked(&s, idx, Shadow::Real, budget)?;
-        // The pairwise-correction proof rides the engine flag so that
-        // baseline measurements (`cache::set_cache_enabled(false)`)
-        // exercise the pre-memoization semantic fallback.
-        let pairwise = pairwise && crate::cache::cache_enabled();
         if !ex && !pairwise {
             // The syntactic unit-coefficient and pairwise-correction
             // tests both failed, but the elimination may still be
@@ -467,8 +460,8 @@ mod tests {
         s.add(Constraint::le(v("y"), LinExpr::constant(10)));
         let idx = s.var_index("x").unwrap();
         let e = eliminate(&s, idx, Shadow::Real, &Budget::default()).unwrap();
-        // with the engine on the column survives (all-zero); either way
-        // the variable must no longer constrain anything
+        // the column survives (all-zero), but the variable must no
+        // longer constrain anything
         assert!(!e.used_vars().iter().any(|v| v == "x"));
         assert!(e.eval(&|_| 1));
         assert!(e.eval(&|_| 10));

@@ -72,12 +72,11 @@ pub fn try_is_integer_feasible(sys: &System, budget: &Budget) -> Result<bool, Po
 /// in the shared feasibility cache. Distinct top-level queries converge
 /// to common subsystems after a few eliminations, so this is where the
 /// cache earns most of its hits. Depth 0 is already memoized by
-/// [`crate::cache::try_feasible`]; the whole path rides the engine
-/// flag. Only proven (`Ok`) verdicts are stored — an `Err` propagates
-/// without touching the cache, so a failed query can never poison a
-/// later one with a different budget.
+/// [`crate::cache::try_feasible`]. Only proven (`Ok`) verdicts are
+/// stored — an `Err` propagates without touching the cache, so a failed
+/// query can never poison a later one with a different budget.
 fn solve(sys: System, fresh: &mut u64, depth: usize, gas: &mut Gas<'_>) -> Result<bool, PolyError> {
-    if depth == 0 || !crate::cache::cache_enabled() {
+    if depth == 0 {
         return solve_inner(sys, fresh, depth, gas);
     }
     if sys.is_contradictory() {
@@ -166,18 +165,9 @@ fn solve_inner(
     // zero dark-shadow correction (which subsumes the syntactic
     // `elimination_exact` test used for variable choice above), the
     // real and dark shadows coincide and one recursion decides the
-    // system — no dark shadow, no splinters. The fast path rides the
-    // engine flag (`cache::set_cache_enabled`): disabling it falls back
-    // to the pre-memoization syntactic test so baseline measurements
-    // exercise the old engine. Both tests are exactness proofs, so the
-    // verdict is identical either way.
+    // system — no dark shadow, no splinters.
     let (real, pairwise_exact) = eliminate_tracked(&sys, idx, Shadow::Real, gas.budget)?;
-    let exact = if crate::cache::cache_enabled() {
-        pairwise_exact
-    } else {
-        elimination_exact(&sys, idx)
-    };
-    if exact {
+    if pairwise_exact {
         return solve(real, fresh, depth + 1, gas);
     }
 
@@ -370,93 +360,43 @@ fn eliminate_equality(
     debug_assert_ne!(ak, 0);
     let ak_abs = ak.checked_abs().ok_or(OVF)?;
 
-    // Dense substitution (rides the engine flag): same rows in the same
-    // order as the sparse path below, minus the string-keyed round trip
-    // through `LinExpr` — the dominant constant factor of the solver.
-    if crate::cache::cache_enabled() {
-        if ak_abs == 1 {
-            // x_k = -sign(ak) * (rest)
-            let mut repl = Vec::with_capacity(row.coeffs.len());
-            for (i, &c) in row.coeffs.iter().enumerate() {
-                repl.push(if i == var_k {
-                    0
-                } else {
-                    c.checked_mul(-ak).ok_or(OVF)?
-                });
-            }
-            let repl_const = row.constant.checked_mul(-ak).ok_or(OVF)?;
-            *sys = sys.try_substitute_col(var_k, &repl, repl_const, None, budget.max_coeff)?;
-            return Ok(());
-        }
-        let m = ak_abs.checked_add(1).ok_or(OVF)?;
-        let sign = ak.signum();
-        *fresh += 1;
-        let sigma = format!("omega$sigma{fresh}");
-        debug_assert_eq!(mod_hat(ak, m), -sign);
-        // x_k = sign * ( Σ_{i≠k} mod̂(a_i,m)·x_i + mod̂(c,m) − m·sigma )
-        // mod̂ values lie in (-m/2, m/2], so sign*mod̂ never overflows.
-        let repl: Vec<i64> = row
-            .coeffs
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if i == var_k { 0 } else { sign * mod_hat(c, m) })
-            .collect();
-        *sys = sys.try_substitute_col(
-            var_k,
-            &repl,
-            sign * mod_hat(row.constant, m),
-            Some((&sigma, -sign * m)),
-            budget.max_coeff,
-        )?;
-        return Ok(());
-    }
-
-    let name_k = sys.vars()[var_k].to_string();
-
     if ak_abs == 1 {
         // x_k = -sign(ak) * (rest)
-        let mut e = crate::LinExpr::constant(row.constant);
+        let mut repl = Vec::with_capacity(row.coeffs.len());
         for (i, &c) in row.coeffs.iter().enumerate() {
-            if i != var_k {
-                e.add_term(&sys.vars()[i], c);
-            }
+            repl.push(if i == var_k {
+                0
+            } else {
+                c.checked_mul(-ak).ok_or(OVF)?
+            });
         }
-        let replacement = e.try_scale(-ak).map_err(|_| OVF)?;
-        let mut next = sys.try_substitute(&name_k, &replacement).map_err(|_| OVF)?;
-        if let Some(i) = next.var_index(&name_k) {
-            next.drop_var_column(i);
-        }
-        *sys = next;
+        let repl_const = row.constant.checked_mul(-ak).ok_or(OVF)?;
+        *sys = sys.try_substitute_col(var_k, &repl, repl_const, None, budget.max_coeff)?;
         return Ok(());
     }
-
     // m = |a_k| + 1; introduce sigma with
     //   m·sigma = Σ mod̂(a_i, m)·x_i + mod̂(c, m)
-    // and substitute
-    //   x_k = -sign(a_k)·m·sigma + sign(a_k)·( Σ_{i≠k} mod̂(a_i,m)·x_i + mod̂(c,m) )
-    // (using mod̂(a_k, m) = -sign(a_k)).
+    // and substitute (using mod̂(a_k, m) = -sign(a_k))
+    //   x_k = sign * ( Σ_{i≠k} mod̂(a_i,m)·x_i + mod̂(c,m) − m·sigma )
     let m = ak_abs.checked_add(1).ok_or(OVF)?;
     let sign = ak.signum();
     *fresh += 1;
     let sigma = format!("omega$sigma{fresh}");
-
-    let mut rhs = crate::LinExpr::constant(mod_hat(row.constant, m));
-    for (i, &c) in row.coeffs.iter().enumerate() {
-        if i != var_k {
-            rhs.add_term(&sys.vars()[i], mod_hat(c, m));
-        }
-    }
     debug_assert_eq!(mod_hat(ak, m), -sign);
-    // x_k = sign * ( rhs - m*sigma )
-    let replacement = (rhs - crate::LinExpr::term(&sigma, m))
-        .try_scale(sign)
-        .map_err(|_| OVF)?;
-
-    let mut next = sys.try_substitute(&name_k, &replacement).map_err(|_| OVF)?;
-    if let Some(i) = next.var_index(&name_k) {
-        next.drop_var_column(i);
-    }
-    *sys = next;
+    // mod̂ values lie in (-m/2, m/2], so sign*mod̂ never overflows.
+    let repl: Vec<i64> = row
+        .coeffs
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| if i == var_k { 0 } else { sign * mod_hat(c, m) })
+        .collect();
+    *sys = sys.try_substitute_col(
+        var_k,
+        &repl,
+        sign * mod_hat(row.constant, m),
+        Some((&sigma, -sign * m)),
+        budget.max_coeff,
+    )?;
     Ok(())
 }
 

@@ -36,10 +36,10 @@ pub fn implies(sys: &System, c: &Constraint) -> bool {
 /// exhausted the budget before being proven infeasible (while no branch
 /// was proven feasible). Never panics.
 pub fn try_implies(sys: &System, c: &Constraint, budget: &Budget) -> Verdict {
-    // Fast path (rides the engine flag, like the rest of the memoized
-    // query machinery): a single stored row syntactically dominating
-    // `c` proves the implication without an Omega query.
-    if crate::cache::cache_enabled() && (sys.dominates(c) || sys.dominates_pair(c)) {
+    // Fast path: one stored row (or a nonnegative combination of two)
+    // syntactically dominating `c` proves the implication without an
+    // Omega query.
+    if sys.dominates(c) || sys.dominates_pair(c) {
         return Verdict::Yes;
     }
     let mut unknown = false;
@@ -129,37 +129,11 @@ pub fn gist(sys: &System, context: &System) -> System {
         // `Unknown` falls through, like in [`remove_redundant`].
         return contradiction_like(sys);
     }
-    if crate::cache::cache_enabled() {
-        return gist_dense(sys, context);
-    }
-    let mut kept: Vec<Constraint> = sys.constraints();
-    let mut i = kept.len();
-    while i > 0 {
-        i -= 1;
-        let candidate = kept[i].clone();
-        let mut rest: System = kept
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, c)| c.clone())
-            .collect();
-        rest = rest.and(context);
-        if implies(&rest, &candidate) {
-            kept.remove(i);
-        }
-    }
-    let mut out = System::with_vars_arc(sys.vars_arc());
-    out.add_all(kept);
-    out
-}
-
-/// The engine-flag fast variant of the [`gist`] loop: identical removal
-/// decisions (and therefore an identical result), but `rest` is
-/// assembled from dense rows instead of re-parsed sparse constraints,
-/// and a candidate already dominated by a single `context` row is
-/// dropped without building `rest` at all (if `context` alone implies
-/// it, so does `rest ∧ context`).
-fn gist_dense(sys: &System, context: &System) -> System {
+    // Greedy like [`remove_redundant`]: candidates are considered in
+    // reverse insertion order against the rows still kept plus
+    // `context`. A candidate already dominated by a single `context`
+    // row is dropped without building `rest` at all (if `context` alone
+    // implies it, so does `rest ∧ context`).
     let all = sys.constraints();
     let mut keep = vec![true; all.len()];
     let mut i = all.len();

@@ -314,17 +314,8 @@ impl System {
         // whose coefficient vector matches an existing row — directly or
         // negated — is either redundant, tightens the existing row in
         // place, or exposes a contradiction. Keeping only the dominant
-        // row shrinks every later Fourier–Motzkin product. Pruning rides
-        // the engine flag (`cache::set_cache_enabled`) so baseline
-        // measurements see pre-memoization row growth; the represented
-        // set is identical either way.
-        if !crate::cache::cache_enabled() {
-            // Pre-memoization behavior: exact-duplicate elimination only.
-            if !self.rows.contains(&row) {
-                self.rows.push(row);
-            }
-            return;
-        }
+        // row shrinks every later Fourier–Motzkin product; the
+        // represented set is unchanged.
         enum Act {
             DropNew,
             Contradict,
@@ -430,18 +421,10 @@ impl System {
             out.contradiction = true;
             return out;
         }
-        if !crate::cache::cache_enabled() {
-            // Pre-memoization path: round-trip through sparse
-            // constraints (kept for baseline measurements).
-            for c in other.constraints() {
-                out.add(c);
-            }
-            return out;
-        }
-        // Dense conjunction: push the same rows in the same order as
-        // the sparse path — including its variable-universe growth
-        // order (within each row, unseen variables appear name-sorted)
-        // — without materializing string-keyed constraints.
+        // Push `other`'s rows in order, growing the variable universe
+        // exactly as adding its sparse constraints one by one would
+        // (within each row, unseen variables appear name-sorted) —
+        // generated code depends on that order.
         let mut order: Vec<usize> = (0..other.vars.len()).collect();
         order.sort_by(|&a, &b| other.vars[a].cmp(&other.vars[b]));
         let mut map: Vec<Option<usize>> = other.vars.iter().map(|v| out.var_index(v)).collect();
@@ -708,9 +691,9 @@ impl System {
         out
     }
 
-    /// Fallible [`Self::substitute`]: the string-keyed (sparse) variant
-    /// used by the engine-off Omega baseline, with every coefficient
-    /// product overflow-checked.
+    /// Fallible [`Self::substitute`] with every coefficient product
+    /// overflow-checked (witness extraction in
+    /// [`crate::omega::find_point`] pins variables through it).
     pub fn try_substitute(
         &self,
         name: &str,

@@ -1,6 +1,5 @@
-//! The canonical §8 auto-shackle search pipeline: the uncached serial
-//! baseline vs. the memoized parallel one, producing byte-comparable
-//! outputs.
+//! The canonical §8 auto-shackle search pipeline: enumerate, grow,
+//! score, select.
 //!
 //! This module is the single source of truth for the end-to-end search
 //! used both by the batch harness (`shackle_bench::searchperf`
@@ -8,30 +7,20 @@
 //! ([`crate::service`]) — one implementation, so a served response is
 //! byte-identical to a batch run by construction, not by test luck.
 //!
-//! Both modes run the same candidate space
-//! ([`shackle_core::search::candidate_shackles`]), the same greedy
-//! Theorem-2 product growth and the same two-phase scoring (the
-//! `shackle-model` analytical predictor ranks every product, the exact
-//! probe-cache simulator re-scores only the top [`TOP_K`]), and
-//! render an identical textual report — so the performance report can
-//! assert that memoization and parallelism change *nothing* about the
-//! search result, only its cost:
-//!
-//! * [`Mode::Baseline`] reproduces the pre-memoization pipeline:
-//!   per-dependence full-report legality
-//!   ([`shackle_core::check_legality_reference`]) for every candidate,
-//!   dependences recomputed for every product-growth call, every stage
-//!   serial. Run it with the polyhedral cache disabled
-//!   ([`shackle_polyhedra::cache::set_cache_enabled`]) to measure the
-//!   uncached baseline.
-//! * [`Mode::Memoized`] is the shipped path: shared dependences,
-//!   early-exit cheapest-first legality, memoized queries, and
-//!   [`shackle_core::par`] fan-out for enumeration, growth and scoring.
+//! The search runs the candidate space of
+//! [`shackle_core::search::candidate_shackles`] through early-exit
+//! cheapest-first legality over shared dependences, greedy Theorem-2
+//! product growth and two-phase scoring (the `shackle-model` analytical
+//! predictor ranks every product, the exact probe-cache simulator
+//! re-scores only the top [`TOP_K`]), with [`shackle_core::par`] fan-out
+//! for enumeration, growth and scoring, and renders a textual report
+//! that is byte-identical at any thread count and whatever the
+//! polyhedral cache already holds.
 
 use shackle_core::search::{
     candidate_shackles, complete_product_with_deps, two_phase, Candidate, SearchConfig,
 };
-use shackle_core::{check_legality_reference, is_legal_with_deps, par, scan, span, Shackle};
+use shackle_core::{is_legal_with_deps, par, scan, span, Shackle};
 use shackle_ir::deps::dependences;
 use shackle_ir::Program;
 use shackle_kernels::trace::trace_execution;
@@ -40,12 +29,10 @@ use shackle_model::{predict, KernelGeometry};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Which pipeline to run (see the module docs).
+/// The pipeline [`auto_search`] runs. There is one; the type survives
+/// because the frozen `benchmark/` crate names `Mode::Memoized`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
-    /// Uncached-era pipeline: serial, full-report legality, dependences
-    /// recomputed per growth call.
-    Baseline,
     /// Shared dependences + early-exit legality + memoized queries +
     /// parallel fan-out.
     Memoized,
@@ -66,8 +53,7 @@ pub struct SearchOutcome {
     /// Simulated memory cycles of the selected product.
     pub winner_cycles: u64,
     /// Full textual report: every verdict, product, score and the
-    /// winner's generated code. Byte-identical across modes and thread
-    /// counts.
+    /// winner's generated code. Byte-identical across thread counts.
     pub report: String,
 }
 
@@ -86,10 +72,9 @@ pub const PROBE_CACHE: CacheConfig = CacheConfig {
 /// sweep (`shackle_bench::modelperf`) uses a configurable K, default 8.
 pub const TOP_K: usize = 2;
 
-/// Run the full auto-shackle search — enumerate, grow, score, select —
-/// in the given mode. `probe_n` is the problem size scored on the probe
-/// cache; `init` seeds the workspace (use an SPD initializer for
-/// factorizations).
+/// Run the full auto-shackle search — enumerate, grow, score, select.
+/// `probe_n` is the problem size scored on the probe cache; `init`
+/// seeds the workspace (use an SPD initializer for factorizations).
 pub fn auto_search(
     program: &Program,
     cfg: &SearchConfig,
@@ -97,19 +82,15 @@ pub fn auto_search(
     init: impl Fn(&str, &[usize]) -> f64 + Sync,
     mode: Mode,
 ) -> SearchOutcome {
+    // Taken only because the frozen `benchmark/` crate passes it.
+    let Mode::Memoized = mode;
     let raw = candidate_shackles(program, cfg);
     let deps = dependences(program);
 
     // 1. legality verdict per raw candidate
-    let verdicts: Vec<bool> = match mode {
-        Mode::Memoized => par::map(&raw, |s| {
-            is_legal_with_deps(program, std::slice::from_ref(s), &deps)
-        }),
-        Mode::Baseline => raw
-            .iter()
-            .map(|s| check_legality_reference(program, std::slice::from_ref(s), &deps).is_legal())
-            .collect(),
-    };
+    let verdicts: Vec<bool> = par::map(&raw, |s| {
+        is_legal_with_deps(program, std::slice::from_ref(s), &deps)
+    });
 
     // legal candidates, deduped in enumeration order (exactly
     // `enumerate_legal`'s construction)
@@ -132,10 +113,7 @@ pub fn auto_search(
     let mut partial: Vec<Vec<Shackle>> = Vec::new();
     for c in &legal {
         let seed = vec![c.shackle.clone()];
-        let grown = match mode {
-            Mode::Memoized => complete_product_with_deps(program, seed, &legal, &deps),
-            Mode::Baseline => grow_baseline(program, seed, &legal),
-        };
+        let grown = complete_product_with_deps(program, seed, &legal, &deps);
         if span::unconstrained_refs(program, &grown).is_empty() {
             if !products.contains(&grown) {
                 products.push(grown);
@@ -149,7 +127,7 @@ pub fn auto_search(
     //     back-solve) have no legal forward traversal: when the forward
     //     space yields no fully-blocking product, rerun once with §8
     //     reversed cut sets enabled. The retry is a full re-entry so the
-    //     report stays the single source of truth for both modes.
+    //     report stays the single source of truth.
     if products.is_empty() && !cfg.reversed_directions {
         let cfg2 = SearchConfig {
             reversed_directions: true,
@@ -179,8 +157,7 @@ pub fn auto_search(
     // 3. two-phase scoring: the analytical model ranks every product,
     //    then only the top-K survivors get the exact probe-cache
     //    simulation. Both phases tie-break by product index, so the
-    //    outcome is deterministic; Baseline pins the fan-out to one
-    //    worker so it stays the serial pipeline end to end.
+    //    outcome is deterministic.
     let params = BTreeMap::from([("N".to_string(), probe_n)]);
     let geom = KernelGeometry::new(program, &params);
     let model_score = |product: &Vec<Shackle>| predict(&geom, product, &[PROBE_CACHE], 60).cycles;
@@ -191,13 +168,7 @@ pub fn auto_search(
         })
         .cycles
     };
-    let outcome = match mode {
-        Mode::Memoized => two_phase(&products, TOP_K, model_score, exact_score),
-        Mode::Baseline => {
-            let _serial = par::with_threads(1);
-            two_phase(&products, TOP_K, model_score, exact_score)
-        }
-    };
+    let outcome = two_phase(&products, TOP_K, model_score, exact_score);
 
     let mut report = String::new();
     let _ = writeln!(report, "candidates {}", raw.len());
@@ -244,57 +215,5 @@ pub fn auto_search(
         rescored,
         winner_cycles,
         report,
-    }
-}
-
-/// The pre-memoization greedy growth: dependences recomputed per call,
-/// full-report legality, serial scan. Selection rule (fewest remaining
-/// unconstrained refs, ties by enumeration order) matches
-/// [`complete_product_with_deps`], so both modes grow the same product.
-fn grow_baseline(program: &Program, seed: Vec<Shackle>, candidates: &[Candidate]) -> Vec<Shackle> {
-    let deps = dependences(program);
-    let mut product = seed;
-    loop {
-        let open = span::unconstrained_refs(program, &product);
-        if open.is_empty() {
-            return product;
-        }
-        let mut best: Option<(usize, usize)> = None;
-        for (i, c) in candidates.iter().enumerate() {
-            let mut trial = product.clone();
-            trial.push(c.shackle.clone());
-            if !check_legality_reference(program, &trial, &deps).is_legal() {
-                continue;
-            }
-            let remaining = span::unconstrained_refs(program, &trial).len();
-            if remaining < open.len() && best.is_none_or(|(b, _)| remaining < b) {
-                best = Some((remaining, i));
-            }
-        }
-        match best {
-            Some((_, i)) => product.push(candidates[i].shackle.clone()),
-            None => return product,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use shackle_ir::kernels;
-
-    #[test]
-    fn modes_agree_on_matmul() {
-        let p = kernels::matmul_ijk();
-        let cfg = SearchConfig {
-            width: 8,
-            ..Default::default()
-        };
-        let ones = |_: &str, _: &[usize]| 1.0;
-        let memo = auto_search(&p, &cfg, 24, ones, Mode::Memoized);
-        let base = auto_search(&p, &cfg, 24, ones, Mode::Baseline);
-        assert_eq!(memo.report, base.report);
-        assert!(memo.legal > 0 && memo.products > 0);
-        assert!(memo.winner_cycles > 0);
     }
 }
