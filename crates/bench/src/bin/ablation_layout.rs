@@ -12,27 +12,6 @@
 use shackle_bench::prelude::*;
 use std::collections::BTreeMap;
 
-struct BlockMajorAll<'a> {
-    n: usize,
-    b: usize,
-    hierarchy: &'a mut Hierarchy,
-}
-
-impl Observer for BlockMajorAll<'_> {
-    fn record(&mut self, acc: Access<'_>) {
-        // stack the three arrays' block-major regions 8 MB apart
-        let region: u64 = match acc.array {
-            "C" => 0,
-            "A" => 8 << 20,
-            _ => 16 << 20,
-        };
-        let i = acc.offset % self.n;
-        let j = acc.offset / self.n;
-        self.hierarchy
-            .access(region + block_major_address(self.n, self.b, i, j));
-    }
-}
-
 fn main() {
     let (n, b) = (256_i64, 32usize);
     let p = kernels::matmul_ijk();
@@ -44,16 +23,18 @@ fn main() {
     let mut h_col = Hierarchy::sp2_thin_node();
     trace_execution(&blocked, &params, &init, &mut h_col);
 
-    let mut h_blk = Hierarchy::sp2_thin_node();
-    {
-        let mut ws = Workspace::for_program(&blocked, &params, &init);
-        let mut obs = BlockMajorAll {
-            n: n as usize,
-            b,
-            hierarchy: &mut h_blk,
+    // stack the three arrays' block-major regions 8 MB apart
+    let block_major = |acc: &Access<'_>| {
+        let region: u64 = match acc.array {
+            "C" => 0,
+            "A" => 8 << 20,
+            _ => 16 << 20,
         };
-        execute_compiled(&blocked, &mut ws, &params, &mut obs);
-    }
+        let (i, j) = (acc.offset % n as usize, acc.offset / n as usize);
+        region + block_major_address(n as usize, b, i, j)
+    };
+    let mut h_blk = Hierarchy::sp2_thin_node();
+    trace_layout(&blocked, &params, &init, block_major, &mut h_blk);
 
     println!("{:<28} {:>12} {:>14}", "layout", "L1 misses", "mem cycles");
     println!(

@@ -390,39 +390,6 @@ fn main() {
     let aggregates =
         format!("{{\"exec\": {exec_agg}, \"search\": {search_agg}, \"memsim\": {memsim_agg}}}");
 
-    // `--check-history`: judge this run against the trajectory of
-    // comparable prior runs (median over the history, generous 0.4x
-    // tolerance) *before* appending it — the hardcoded speedup floors
-    // above only catch collapses; the trajectory catches slow drift.
-    if std::env::args().any(|a| a == "--check-history") {
-        let checks = history::check_file("BENCH_history.jsonl", &env, &aggregates, 0.4, 3)
-            .expect("read BENCH_history.jsonl");
-        let mut failed = Vec::new();
-        for c in &checks {
-            println!(
-                "history {:<22} current {:>8.3} vs median {:>8.3} of {} run(s): {}",
-                c.metric,
-                c.current,
-                c.median,
-                c.samples,
-                if !c.enforced {
-                    "thin history, not enforced"
-                } else if c.ok {
-                    "ok"
-                } else {
-                    "REGRESSION"
-                }
-            );
-            if !c.ok {
-                failed.push(c.metric);
-            }
-        }
-        assert!(
-            failed.is_empty(),
-            "perf regression against the BENCH_history.jsonl trajectory: {failed:?}"
-        );
-    }
-
     history::append("BENCH_history.jsonl", &env, &aggregates).expect("append BENCH_history.jsonl");
     println!("appended BENCH_history.jsonl ({})", env.to_json());
 

@@ -3,7 +3,7 @@
 //!
 //! Each `figure*` function runs the relevant programs — input code and
 //! shackled code through the IR interpreter with traced memory accesses,
-//! hand-written baselines through their traced duplicates — against the
+//! hand-written baselines through their traced entry points — against the
 //! simulated SP-2-like memory hierarchy, and converts (flops, memory
 //! cycles) to MFLOPS with the calibrated [`model`]. The `src/bin/figure*`
 //! binaries print the series; `EXPERIMENTS.md` records paper-vs-measured
@@ -19,7 +19,7 @@
 use shackle_exec::ExecStats;
 use shackle_ir::Program;
 use shackle_kernels::shackles;
-use shackle_kernels::trace::trace_execution;
+use shackle_kernels::trace::{band_layout, trace_execution, trace_layout, AddressMap};
 use shackle_memsim::{Hierarchy, PerfModel};
 use std::collections::BTreeMap;
 
@@ -297,15 +297,9 @@ pub fn figure13_adi(n: i64) -> f64 {
     let p = shackle_ir::kernels::adi();
     let factors = shackles::adi_storage_order(&p);
     let blocked = shackle_core::scan::generate_scanned(&p, &factors);
-    let init = |name: &str, idx: &[usize]| {
-        if name == "B" {
-            2.0 + ((idx[0] * 31 + idx[1] * 7) % 97) as f64 / 97.0
-        } else {
-            ((idx[0] * 13 + idx[1] * 3) % 89) as f64 / 89.0
-        }
-    };
-    let (si, ci) = run_traced(&p, &params_n(n), init);
-    let (sb, cb) = run_traced(&blocked, &params_n(n), init);
+    let init = shackle_exec::verify::adi_init();
+    let (si, ci) = run_traced(&p, &params_n(n), &init);
+    let (sb, cb) = run_traced(&blocked, &params_n(n), &init);
     let m = model::perf(model::SCALAR_CYCLES_PER_FLOP);
     let cyc = |s: ExecStats, c: u64| s.flops as f64 * m.flop_cycles + c as f64;
     cyc(si, ci) / cyc(sb, cb)
@@ -343,10 +337,9 @@ pub fn figure15(n: i64, bands: &[i64], width: i64) -> Vec<Series> {
         // compiler code through band storage
         let (sb, cb) = {
             let mut h = Hierarchy::sp2_thin_node();
-            let mut ws = shackle_exec::Workspace::for_program(&blocked, &params, &init);
-            let mut obs =
-                shackle_kernels::trace::BandObserver::new("A", n as usize, bw as usize, &mut h);
-            let stats = shackle_exec::execute_compiled(&blocked, &mut ws, &params, &mut obs);
+            let dense = AddressMap::for_program(&blocked, &params, 128);
+            let layout = band_layout("A", n as usize, bw as usize, dense);
+            let stats = trace_layout(&blocked, &params, &init, layout, &mut h);
             (stats, h.cycles())
         };
         // LAPACK on band storage

@@ -9,13 +9,13 @@
 pub use shackle_core::prelude::*;
 
 pub use shackle_exec::{
-    compile, execute, execute_auto, execute_auto_traced, execute_compiled, verify, Access,
-    CompiledProgram, ExecStats, NativeKernel, NullObserver, Observer, Tier, Workspace,
+    compile, execute, execute_compiled, verify, Access, CompiledProgram, ExecStats, NativeKernel,
+    NullObserver, Observer, Workspace,
 };
-pub use shackle_kernels::compact::{CaptureObserver, CompactTrace};
+pub use shackle_kernels::compact::CompactTrace;
 pub use shackle_kernels::trace::{
-    block_major_address, trace_execution, AddressMap, BandObserver, BlockMajorObserver,
-    MemObserver, ELEM_BYTES,
+    band_layout, block_major_address, trace_execution, trace_layout, AddressMap, Layout, Traced,
+    ELEM_BYTES,
 };
 pub use shackle_kernels::{gen, shackles, traced};
 pub use shackle_memsim::{

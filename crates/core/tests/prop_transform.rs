@@ -9,7 +9,7 @@ use shackle_core::{
     check_legality_with_deps, naive::generate_naive, scan::generate_scanned, Blocking, CutSet,
     Shackle,
 };
-use shackle_exec::verify::{check_equivalence, hash_init, spd_init};
+use shackle_exec::verify::{backsolve_init, check_equivalence, hash_init, spd_init};
 use shackle_ir::deps::dependences;
 use shackle_ir::{kernels, ArrayRef};
 use std::collections::BTreeMap;
@@ -195,21 +195,7 @@ fn backsolve_requires_reversed_traversal() {
     assert!(check_legality_with_deps(&p, std::slice::from_ref(&rev), &deps).is_legal());
     let scanned = generate_scanned(&p, &[rev]);
     for n in [1i64, 3, 7, 12] {
-        // well-conditioned upper-triangular system
-        let init = move |name: &str, idx: &[usize]| -> f64 {
-            if name == "U" {
-                if idx[0] == idx[1] {
-                    4.0
-                } else if idx[0] < idx[1] {
-                    1.0 / ((idx[0] * 7 + idx[1]) % 9 + 2) as f64
-                } else {
-                    0.0
-                }
-            } else {
-                1.0 + (idx[0] % 5) as f64
-            }
-        };
-        let eq = check_equivalence(&p, &scanned, &params(n), init);
+        let eq = check_equivalence(&p, &scanned, &params(n), backsolve_init());
         assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
     }
 }

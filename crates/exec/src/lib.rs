@@ -44,7 +44,7 @@ pub mod verify;
 pub use array::{DenseArray, Workspace};
 pub use compile::{compile, execute_compiled, CompiledProgram, InstanceRunner};
 pub use interp::{execute, Access, ExecStats, NullObserver, Observer};
-pub use native::{execute_auto, execute_auto_traced, NativeError, NativeKernel, Tier};
+pub use native::{NativeError, NativeKernel};
 
 use std::sync::LazyLock;
 

@@ -16,19 +16,13 @@
 //! Request (host → runner), all integers little-endian:
 //!
 //! ```text
-//! u8  mode            0 = plain, 1 = traced
 //! u64 nparams         then nparams × i64 (program.params() order)
 //! u64 narrays         then per array (declaration order):
 //!                       u64 len, len × f64
 //! ```
 //!
-//! Response (runner → host), a sequence of `u8 tag + u64 len + payload`
-//! frames:
+//! Response (runner → host), two `u8 tag + u64 len + payload` frames:
 //!
-//! * tag 1 — trace chunk: `len` packed `u64` access codes
-//!   (`(offset << 8) | (array_index << 1) | is_write`, arrays in
-//!   declaration order), streamed whenever the in-kernel buffer reaches
-//!   [`shackle_ir::emit::TRACE_FLUSH_CODES`]; traced mode only;
 //! * tag 2 — per-statement instance counters: `len` = statement count,
 //!   payload `len × u64`;
 //! * tag 3 — array data: `len` = total element count, payload is every
@@ -44,14 +38,12 @@
 //! are reconstructed from the per-statement counters (`instances` and
 //! `stores` are the counter sum; `loads`/`flops` weight each counter by
 //! the statement's static load/flop count — the same accounting the
-//! tree interpreter does incrementally). Traced mode reproduces the
-//! interpreter's exact per-element access sequence (loads in
-//! left-to-right depth-first order, then the store), so memory
-//! simulation and probe observability are preserved bit-for-bit.
+//! tree interpreter does incrementally). The tier only runs: every
+//! access trace in the workspace comes from the bytecode engine
+//! ([`crate::execute_compiled`] with an [`crate::Observer`]).
 
-use crate::compile::execute_compiled;
 use crate::interp::count_flops;
-use crate::{Access, ExecStats, Observer, Workspace};
+use crate::{ExecStats, Workspace};
 use shackle_ir::emit::{emit_with, Dialect, EmitOptions};
 use shackle_ir::{Program, ScalarExpr};
 use std::collections::{BTreeMap, BTreeSet};
@@ -60,10 +52,6 @@ use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::LazyLock;
-
-/// Accesses delivered per [`Observer::record_many`] batch when
-/// replaying a native trace — matches the compiled engine's batching.
-const BATCH: usize = 4096;
 
 static RUSTC_VERSION: LazyLock<Option<String>> = LazyLock::new(|| {
     Command::new("rustc")
@@ -170,22 +158,14 @@ fn count_loads(e: &ScalarExpr) -> u64 {
 }
 
 /// Render the complete self-contained runner program for `program`:
-/// both kernel variants (plain-with-counters and traced) plus a `main`
-/// that serves run requests over the stdio frame protocol until EOF.
+/// the kernel with per-statement counters plus a `main` that serves run
+/// requests over the stdio frame protocol until EOF.
 pub fn runner_source(program: &Program) -> String {
     let plain = emit_with(
         program,
         Dialect::Rust,
         EmitOptions {
             trace: false,
-            counters: true,
-        },
-    );
-    let traced = emit_with(
-        program,
-        Dialect::Rust,
-        EmitOptions {
-            trace: true,
             counters: true,
         },
     );
@@ -200,19 +180,8 @@ pub fn runner_source(program: &Program) -> String {
         program.name()
     );
     let _ = writeln!(src, "mod plain {{\n{plain}}}\n");
-    let _ = writeln!(src, "mod traced {{\nuse super::flush_trace;\n{traced}}}\n");
     src.push_str(
-        "fn flush_trace(tr_: &mut Vec<u64>) {\n\
-         \x20   let so = std::io::stdout();\n\
-         \x20   let mut o = so.lock();\n\
-         \x20   o.write_all(&[1u8]).unwrap();\n\
-         \x20   o.write_all(&(tr_.len() as u64).to_le_bytes()).unwrap();\n\
-         \x20   let mut bytes = Vec::with_capacity(tr_.len() * 8);\n\
-         \x20   for &c in tr_.iter() { bytes.extend_from_slice(&c.to_le_bytes()); }\n\
-         \x20   o.write_all(&bytes).unwrap();\n\
-         \x20   tr_.clear();\n\
-         }\n\n\
-         fn read_u64(r: &mut impl Read) -> u64 {\n\
+        "fn read_u64(r: &mut impl Read) -> u64 {\n\
          \x20   let mut b = [0u8; 8];\n\
          \x20   r.read_exact(&mut b).unwrap();\n\
          \x20   u64::from_le_bytes(b)\n\
@@ -223,19 +192,14 @@ pub fn runner_source(program: &Program) -> String {
     );
     let nstmts = program.stmts().len();
     let _ = writeln!(src, "    let mut cnt = vec![0u64; {nstmts}];");
-    let _ = writeln!(
-        src,
-        "    let mut tr: Vec<u64> = Vec::with_capacity({});",
-        shackle_ir::emit::TRACE_FLUSH_CODES
-    );
     for i in 0..program.arrays().len() {
         let _ = writeln!(src, "    let mut arr{i}: Vec<f64> = Vec::new();");
     }
     src.push_str(
         "    loop {\n\
-         \x20       let mut mode = [0u8; 1];\n\
-         \x20       if inp.read_exact(&mut mode).is_err() { return; }\n\
-         \x20       let np = read_u64(&mut inp) as usize;\n\
+         \x20       let mut np = [0u8; 8];\n\
+         \x20       if inp.read_exact(&mut np).is_err() { return; }\n\
+         \x20       let np = u64::from_le_bytes(np) as usize;\n\
          \x20       let mut ps = vec![0i64; np];\n\
          \x20       for p in ps.iter_mut() {\n\
          \x20           let mut b = [0u8; 8];\n\
@@ -271,16 +235,7 @@ pub fn runner_source(program: &Program) -> String {
         }
     }
     let args = call_args.join(", ");
-    let _ = writeln!(
-        src,
-        "        if mode[0] == 1 {{\n\
-         \x20           tr.clear();\n\
-         \x20           traced::{fn_name}({args}, &mut cnt, &mut tr);\n\
-         \x20           if !tr.is_empty() {{ flush_trace(&mut tr); }}\n\
-         \x20       }} else {{\n\
-         \x20           plain::{fn_name}({args}, &mut cnt);\n\
-         \x20       }}"
-    );
+    let _ = writeln!(src, "        plain::{fn_name}({args}, &mut cnt);");
     src.push_str(
         "        {\n\
          \x20           let so = std::io::stdout();\n\
@@ -456,7 +411,6 @@ impl NativeKernel {
 
     fn send_request(
         &mut self,
-        mode: u8,
         workspace: &Workspace,
         params: &BTreeMap<String, i64>,
     ) -> Result<(), NativeError> {
@@ -464,7 +418,6 @@ impl NativeKernel {
             .stdin
             .as_mut()
             .ok_or_else(|| NativeError::Protocol("runner stdin already closed".into()))?;
-        w.write_all(&[mode])?;
         w.write_all(&(self.params.len() as u64).to_le_bytes())?;
         for p in &self.params {
             let v = *params
@@ -501,18 +454,10 @@ impl NativeKernel {
 
     /// Read response frames until tag 3.
     fn read_response(&mut self) -> Result<Response, NativeError> {
-        let mut codes = Vec::new();
         let mut counters = Vec::new();
         loop {
             let (tag, payload) = self.read_frame()?;
             match tag {
-                1 => {
-                    codes.extend(
-                        payload
-                            .chunks_exact(8)
-                            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-                    );
-                }
                 2 => {
                     counters = payload
                         .chunks_exact(8)
@@ -528,7 +473,6 @@ impl NativeKernel {
                         )));
                     }
                     return Ok(Response {
-                        codes,
                         counters,
                         arrays: payload,
                     });
@@ -581,8 +525,8 @@ impl NativeKernel {
         Ok(())
     }
 
-    /// Execute once, without tracing. Matches the tree interpreter
-    /// bit-for-bit on array contents and exactly on [`ExecStats`].
+    /// Execute once. Matches the tree interpreter bit-for-bit on array
+    /// contents and exactly on [`ExecStats`].
     ///
     /// # Panics
     ///
@@ -593,61 +537,18 @@ impl NativeKernel {
         params: &BTreeMap<String, i64>,
     ) -> Result<ExecStats, NativeError> {
         let _phase = shackle_probe::span("native.run");
-        self.send_request(0, workspace, params)?;
+        self.send_request(workspace, params)?;
         let r = self.read_response()?;
         self.apply_arrays(&r.arrays, workspace)?;
-        let stats = self.stats_from_counters(&r.counters);
-        crate::publish_exec_stats(&stats);
-        Ok(stats)
-    }
-
-    /// Execute once with full access tracing: the interpreter's exact
-    /// per-element access sequence is replayed into `observer` in
-    /// batches after the run completes successfully.
-    ///
-    /// # Panics
-    ///
-    /// Panics on missing parameters or arrays, like the interpreters.
-    pub fn run_traced(
-        &mut self,
-        workspace: &mut Workspace,
-        params: &BTreeMap<String, i64>,
-        observer: &mut dyn Observer,
-    ) -> Result<ExecStats, NativeError> {
-        let _phase = shackle_probe::span("native.run_traced");
-        self.send_request(1, workspace, params)?;
-        let r = self.read_response()?;
-        self.apply_arrays(&r.arrays, workspace)?;
-        let mut batch: Vec<Access<'_>> = Vec::with_capacity(BATCH);
-        for &code in &r.codes {
-            let idx = ((code & 0xff) >> 1) as usize;
-            let array = self
-                .arrays
-                .get(idx)
-                .ok_or_else(|| NativeError::Protocol(format!("trace names array {idx}")))?;
-            batch.push(Access {
-                array,
-                offset: (code >> 8) as usize,
-                write: code & 1 == 1,
-            });
-            if batch.len() >= BATCH {
-                observer.record_many(&batch);
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            observer.record_many(&batch);
-        }
         let stats = self.stats_from_counters(&r.counters);
         crate::publish_exec_stats(&stats);
         Ok(stats)
     }
 }
 
-/// One complete runner response: trace codes (traced mode only),
-/// per-statement instance counters, and the raw array payload.
+/// One complete runner response: per-statement instance counters and
+/// the raw array payload.
 struct Response {
-    codes: Vec<u64>,
     counters: Vec<u64>,
     arrays: Vec<u8>,
 }
@@ -658,62 +559,4 @@ impl Drop for NativeKernel {
         self.stdin.take();
         let _ = self.child.wait();
     }
-}
-
-/// Execution tiers, slowest to fastest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tier {
-    /// The tree-walking reference interpreter ([`crate::execute`]).
-    Tree,
-    /// The compiled bytecode engine ([`crate::compile()`]).
-    Bytecode,
-    /// `rustc`-compiled kernels in a runner process (this module).
-    Native,
-}
-
-/// Execute on the fastest available tier (native when `rustc` works,
-/// bytecode otherwise), returning the stats and the tier that ran.
-///
-/// Tier-selection policy: native is tried first; *any* native failure
-/// (no rustc, build error, runner fault) falls back to the bytecode
-/// engine, which shares the interpreter's exact semantics. The
-/// workspace is only mutated by whichever tier completes, so the
-/// fallback never observes partial native writes.
-pub fn execute_auto(
-    program: &Program,
-    workspace: &mut Workspace,
-    params: &BTreeMap<String, i64>,
-) -> (ExecStats, Tier) {
-    if rustc_available() {
-        if let Ok(mut k) = NativeKernel::spawn(program) {
-            if let Ok(stats) = k.run(workspace, params) {
-                return (stats, Tier::Native);
-            }
-        }
-    }
-    (
-        execute_compiled(program, workspace, params, &mut crate::NullObserver),
-        Tier::Bytecode,
-    )
-}
-
-/// [`execute_auto`] with access tracing: the observer receives the
-/// interpreter's exact access sequence from whichever tier runs.
-pub fn execute_auto_traced(
-    program: &Program,
-    workspace: &mut Workspace,
-    params: &BTreeMap<String, i64>,
-    observer: &mut dyn Observer,
-) -> (ExecStats, Tier) {
-    if rustc_available() {
-        if let Ok(mut k) = NativeKernel::spawn(program) {
-            if let Ok(stats) = k.run_traced(workspace, params, observer) {
-                return (stats, Tier::Native);
-            }
-        }
-    }
-    (
-        execute_compiled(program, workspace, params, observer),
-        Tier::Bytecode,
-    )
 }

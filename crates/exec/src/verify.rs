@@ -54,6 +54,37 @@ pub fn spd_init(array: &str, n: usize, seed: u64) -> impl Fn(&str, &[usize]) -> 
     }
 }
 
+/// The ADI initializer: `B`, which the kernel divides by, bounded away
+/// from zero; everything else in `[0, 1)`.
+pub fn adi_init() -> impl Fn(&str, &[usize]) -> f64 {
+    |name: &str, idx: &[usize]| {
+        if name == "B" {
+            2.0 + ((idx[0] * 31 + idx[1] * 7) % 97) as f64 / 97.0
+        } else {
+            ((idx[0] * 13 + idx[1] * 3) % 89) as f64 / 89.0
+        }
+    }
+}
+
+/// A well-conditioned upper-triangular system for the back-solve: `U`
+/// has a dominant diagonal and a zero strict lower triangle, the
+/// right-hand sides are small positive integers.
+pub fn backsolve_init() -> impl Fn(&str, &[usize]) -> f64 {
+    |name: &str, idx: &[usize]| {
+        if name == "U" {
+            if idx[0] == idx[1] {
+                4.0
+            } else if idx[0] < idx[1] {
+                1.0 / ((idx[0] * 7 + idx[1]) % 9 + 2) as f64
+            } else {
+                0.0
+            }
+        } else {
+            1.0 + (idx[0] % 5) as f64
+        }
+    }
+}
+
 /// The outcome of an equivalence run.
 #[derive(Clone, Copy, Debug)]
 pub struct Equivalence {

@@ -97,3 +97,15 @@ fn distinct_programs_get_distinct_cache_entries() {
         kernel_hash(&runner_source(&shackle_ir::kernels::matmul_ijk()))
     );
 }
+
+/// The runner holds one kernel: each `rustc -O` build compiles the
+/// program once, not once per mode.
+#[test]
+fn runner_holds_one_untraced_kernel() {
+    let program = shackle_ir::kernels::cholesky_right();
+    let src = runner_source(&program);
+    assert_eq!(src.matches("pub fn cholesky_right").count(), 1);
+    for gone in ["mod traced", "flush_trace", "mode"] {
+        assert!(!src.contains(gone), "runner still mentions `{gone}`");
+    }
+}

@@ -1,32 +1,21 @@
 //! Differential tests for the native execution tier: a rustc-compiled
 //! kernel must be indistinguishable from the tree interpreter and the
-//! bytecode engine — bit-identical workspaces, identical [`ExecStats`],
-//! and (in traced mode) the identical ordered access sequence — on
-//! every in-repo kernel and on compiler-generated shackled programs.
+//! bytecode engine — bit-identical workspaces and identical
+//! [`ExecStats`](shackle_exec::ExecStats) — on every in-repo kernel and
+//! on compiler-generated shackled programs. (The tier only runs; access
+//! traces come from the bytecode engine.)
 //!
 //! Every test skips gracefully when `rustc` is unavailable in the
 //! sandbox.
 
 use proptest::prelude::*;
 use shackle_exec::native::rustc_available;
-use shackle_exec::{
-    compile, execute, execute_auto, execute_auto_traced, verify, Access, NativeKernel, Observer,
-    Tier, Workspace,
-};
+use shackle_exec::{compile, execute, verify, NativeKernel, NullObserver, Workspace};
 use shackle_ir::Program;
 use std::collections::BTreeMap;
 
 fn params(n: i64) -> BTreeMap<String, i64> {
     BTreeMap::from([("N".to_string(), n)])
-}
-
-#[derive(Default)]
-struct Collect(Vec<(String, usize, bool)>);
-
-impl Observer for Collect {
-    fn record(&mut self, a: Access) {
-        self.0.push((a.array.to_string(), a.offset, a.write));
-    }
 }
 
 type Init = Box<dyn Fn(&str, &[usize]) -> f64>;
@@ -54,43 +43,27 @@ fn assert_bit_identical(a: &Workspace, b: &Workspace, what: &str) {
 }
 
 /// Runs `program` through the tree interpreter, the bytecode engine and
-/// the native tier (plain *and* traced, on one persistent runner) and
-/// asserts all four executions are indistinguishable.
+/// the native tier and asserts all three executions are
+/// indistinguishable.
 fn assert_native_agrees(
     program: &Program,
     p: &BTreeMap<String, i64>,
     init: &dyn Fn(&str, &[usize]) -> f64,
 ) {
     let mut tree_ws = Workspace::for_program(program, p, init);
-    let mut tree_trace = Collect::default();
-    let tree_stats = execute(program, &mut tree_ws, p, &mut tree_trace);
+    let tree_stats = execute(program, &mut tree_ws, p, &mut NullObserver);
 
     let mut byte_ws = Workspace::for_program(program, p, init);
-    let byte_stats = compile(program).execute(&mut byte_ws, p, &mut shackle_exec::NullObserver);
+    let byte_stats = compile(program).execute(&mut byte_ws, p, &mut NullObserver);
     assert_eq!(tree_stats, byte_stats);
     assert_bit_identical(&tree_ws, &byte_ws, "bytecode vs tree");
 
+    // Stats reconstructed from counters, arrays bit-identical.
     let mut kernel = NativeKernel::spawn(program).expect("native build");
-
-    // Plain run: stats reconstructed from counters, arrays bit-identical.
     let mut nat_ws = Workspace::for_program(program, p, init);
     let nat_stats = kernel.run(&mut nat_ws, p).expect("native run");
     assert_eq!(tree_stats, nat_stats, "native stats vs tree");
     assert_bit_identical(&tree_ws, &nat_ws, "native vs tree");
-
-    // Traced run on the same runner process: the exact interpreter
-    // access sequence comes back over the pipe.
-    let mut nat_ws2 = Workspace::for_program(program, p, init);
-    let mut nat_trace = Collect::default();
-    let nat_stats2 = kernel
-        .run_traced(&mut nat_ws2, p, &mut nat_trace)
-        .expect("native traced run");
-    assert_eq!(tree_stats, nat_stats2, "native traced stats vs tree");
-    assert_eq!(
-        tree_trace.0, nat_trace.0,
-        "native trace must equal the interpreter's access sequence"
-    );
-    assert_bit_identical(&tree_ws, &nat_ws2, "native traced vs tree");
 }
 
 type KernelEntry = (&'static str, fn() -> Program);
@@ -154,36 +127,6 @@ fn native_matches_scanned_cholesky() {
     assert_native_agrees(&scanned, &params(8), &init);
 }
 
-/// Tier selection: `execute_auto` lands on the native tier when rustc
-/// exists and produces the interpreter's exact result.
-#[test]
-fn execute_auto_selects_native() {
-    let program = shackle_ir::kernels::matmul_ijk();
-    let p = params(6);
-    let init = verify::hash_init(1);
-
-    let mut tree_ws = Workspace::for_program(&program, &p, &init);
-    let mut tree_trace = Collect::default();
-    let tree_stats = execute(&program, &mut tree_ws, &p, &mut tree_trace);
-
-    let mut ws = Workspace::for_program(&program, &p, &init);
-    let (stats, tier) = execute_auto(&program, &mut ws, &p);
-    if rustc_available() {
-        assert_eq!(tier, Tier::Native);
-    } else {
-        assert_eq!(tier, Tier::Bytecode);
-    }
-    assert_eq!(stats, tree_stats);
-    assert_bit_identical(&tree_ws, &ws, "execute_auto vs tree");
-
-    let mut ws2 = Workspace::for_program(&program, &p, &init);
-    let mut trace = Collect::default();
-    let (stats2, _tier2) = execute_auto_traced(&program, &mut ws2, &p, &mut trace);
-    assert_eq!(stats2, tree_stats);
-    assert_eq!(trace.0, tree_trace.0);
-    assert_bit_identical(&tree_ws, &ws2, "execute_auto_traced vs tree");
-}
-
 /// A persistent runner survives many runs with varying parameters —
 /// the property the bench harness leans on for its ≥5 timed runs.
 #[test]
@@ -198,7 +141,7 @@ fn persistent_runner_many_runs() {
         let p = params(n);
         let init = verify::hash_init(n as u64);
         let mut tree_ws = Workspace::for_program(&program, &p, &init);
-        let tree_stats = execute(&program, &mut tree_ws, &p, &mut shackle_exec::NullObserver);
+        let tree_stats = execute(&program, &mut tree_ws, &p, &mut NullObserver);
         let mut ws = Workspace::for_program(&program, &p, &init);
         let stats = kernel.run(&mut ws, &p).expect("native run");
         assert_eq!(stats, tree_stats, "n={n}");

@@ -11,6 +11,7 @@
 //! * [`pbtrf_shackled`] — the compiler-blocked code on band storage;
 //! * [`pbtrf_lapack`] — LAPACK `dpbtrf`-style blocked factorization.
 
+use crate::traced::Meter;
 use crate::Mat;
 
 /// Lower band storage: element `(i, j)` with `j ≤ i ≤ j + p` lives at
@@ -250,54 +251,81 @@ pub fn pbtrf_shackled(a: &mut BandMat, nb: usize) {
 ///
 /// Panics if `nb == 0` or not positive definite.
 pub fn pbtrf_lapack(a: &mut BandMat, nb: usize) {
+    pbtrf_lapack_metered(a, nb, &mut ());
+}
+
+/// The one body of [`pbtrf_lapack`] and
+/// [`crate::traced::pbtrf_lapack_traced`]: every element access and
+/// flop is reported to `m`, band storage at address 0.
+pub(crate) fn pbtrf_lapack_metered<M: Meter>(a: &mut BandMat, nb: usize, m: &mut M) {
     assert!(nb > 0, "block size must be positive");
     let (n, p) = (a.n(), a.p());
+    macro_rules! rd {
+        ($i:expr, $j:expr) => {{
+            m.touch(8 * a.offset($i, $j) as u64);
+            a.at($i, $j)
+        }};
+    }
+    macro_rules! wr {
+        ($i:expr, $j:expr, $v:expr) => {{
+            let v = $v;
+            m.touch(8 * a.offset($i, $j) as u64);
+            a.set($i, $j, v);
+        }};
+    }
     let mut j0 = 0;
     while j0 < n {
         let j1 = (j0 + nb).min(n);
         // dpotf2 on the diagonal block (band-clipped)
         for j in j0..j1 {
-            let mut d = a.at(j, j);
+            let mut d = rd!(j, j);
             for k in j.saturating_sub(p).max(j0)..j {
-                let v = a.at(j, k);
+                let v = rd!(j, k);
                 d -= v * v;
+                m.flops(2);
             }
             assert!(d > 0.0, "not positive definite at pivot {j}");
             let d = d.sqrt();
-            a.set(j, j, d);
+            m.flops(1);
+            wr!(j, j, d);
             for i in (j + 1)..j1.min(j + p + 1) {
-                let mut v = a.at(i, j);
+                let mut v = rd!(i, j);
                 for k in i.saturating_sub(p).max(j0)..j {
-                    v -= a.at(i, k) * a.at(j, k);
+                    v -= rd!(i, k) * rd!(j, k);
+                    m.flops(2);
                 }
-                a.set(i, j, v / d);
+                wr!(i, j, v / d);
+                m.flops(1);
             }
         }
         let band_end = (j1 - 1 + p + 1).min(n).max(j1);
         if j1 < band_end {
             // dtrsm: rows j1..band_end of the panel against L(j0..j1)
             for j in j0..j1 {
-                let d = a.at(j, j);
+                let d = rd!(j, j);
                 let hi = (j + p + 1).min(band_end);
                 for i in j1..hi {
-                    let mut v = a.at(i, j);
+                    let mut v = rd!(i, j);
                     for k in i.saturating_sub(p).max(j0)..j {
-                        v -= a.at(i, k) * a.at(j, k);
+                        v -= rd!(i, k) * rd!(j, k);
+                        m.flops(2);
                     }
-                    a.set(i, j, v / d);
+                    wr!(i, j, v / d);
+                    m.flops(1);
                 }
             }
             // dsyrk: trailing window (j1..band_end)² -= panel·panelᵀ
             for c in j1..band_end {
                 for r in c..(c + p + 1).min(band_end) {
-                    let mut v = a.at(r, c);
+                    let mut v = rd!(r, c);
                     let klo = r.saturating_sub(p).max(j0);
                     for k in klo..j1 {
                         if c <= k + p {
-                            v -= a.at(r, k) * a.at(c, k);
+                            v -= rd!(r, k) * rd!(c, k);
+                            m.flops(2);
                         }
                     }
-                    a.set(r, c, v);
+                    wr!(r, c, v);
                 }
             }
         }

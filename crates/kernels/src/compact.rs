@@ -17,8 +17,8 @@
 //! workspace's traces; a trace of `N` accesses occupies `4N` bytes
 //! instead of `8N` for raw addresses.
 
-use crate::trace::{AddressMap, ELEM_BYTES};
-use shackle_exec::{Access, ExecStats, Observer, Workspace};
+use crate::trace::{trace_execution, ELEM_BYTES};
+use shackle_exec::ExecStats;
 use shackle_ir::Program;
 #[cfg(test)]
 use shackle_memsim::{Cache, Hierarchy, StackSim};
@@ -130,23 +130,17 @@ impl CompactTrace {
     }
 
     /// Execute `program` once through the compiled engine, capturing
-    /// its full access stream (via the standard [`AddressMap`] layout,
-    /// 128-byte aligned). Returns the execution stats alongside the
-    /// trace — capture once, replay against as many configurations as
-    /// the sweep wants.
+    /// its full access stream: [`trace_execution`] with the trace as
+    /// the sink. Returns the execution stats alongside the trace —
+    /// capture once, replay against as many configurations as the
+    /// sweep wants.
     pub fn capture(
         program: &Program,
         params: &BTreeMap<String, i64>,
         init: impl Fn(&str, &[usize]) -> f64,
     ) -> (ExecStats, Self) {
-        let map = AddressMap::for_program(program, params, 128);
-        let mut ws = Workspace::for_program(program, params, init);
         let mut trace = Self::new();
-        let mut obs = CaptureObserver {
-            map,
-            trace: &mut trace,
-        };
-        let stats = shackle_exec::execute_compiled(program, &mut ws, params, &mut obs);
+        let stats = trace_execution(program, params, init, &mut trace);
         (stats, trace)
     }
 }
@@ -173,37 +167,9 @@ impl AccessSink for CompactTrace {
     }
 }
 
-/// An [`Observer`] that records translated addresses into a
-/// [`CompactTrace`] instead of simulating them.
-#[derive(Debug)]
-pub struct CaptureObserver<'a> {
-    map: AddressMap,
-    trace: &'a mut CompactTrace,
-}
-
-impl<'a> CaptureObserver<'a> {
-    /// Build a capturing observer over an address map.
-    pub fn new(map: AddressMap, trace: &'a mut CompactTrace) -> Self {
-        Self { map, trace }
-    }
-}
-
-impl Observer for CaptureObserver<'_> {
-    fn record(&mut self, a: Access<'_>) {
-        self.trace.push(self.map.address(a.array, a.offset));
-    }
-
-    fn record_many(&mut self, accesses: &[Access<'_>]) {
-        for a in accesses {
-            self.trace.push(self.map.address(a.array, a.offset));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::trace_execution;
     use shackle_ir::kernels;
     use shackle_memsim::CacheConfig;
 

@@ -90,12 +90,6 @@ pub fn banded_ws_init(
     }
 }
 
-/// Initializer for matmul-style programs: `C` zero, inputs pseudo-random
-/// (deterministic, index-hashed so it is cheap and order-independent).
-pub fn matmul_ws_init(seed: u64) -> impl Fn(&str, &[usize]) -> f64 {
-    shackle_exec::verify::hash_init(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,8 +4,7 @@
 //! Blocking" reproduction). This crate supplies everything the paper's
 //! §7 experiments need beyond the transformation framework itself:
 //!
-//! * [`Mat`] / [`TracedMat`] — column-major matrices, optionally traced
-//!   into the cache simulator;
+//! * [`Mat`] — column-major matrices;
 //! * [`blas`] — the DGEMM/BLAS-3 substrate standing in for ESSL;
 //! * [`cholesky`], [`matmul`], [`qr`], [`gauss`], [`adi`], [`banded`] —
 //!   native implementations of each benchmark in all the variants the
@@ -15,12 +14,14 @@
 //!   diversity wave: triangular back-solve (§8 reversed traversal),
 //!   symmetric rank-k update, 2-D Jacobi relaxation and a rank-3
 //!   tensor contraction, each with a rectangular-blocked variant;
-//! * [`trace`] — adapters that replay IR interpreter executions into
-//!   `shackle-memsim` hierarchies (dense and band storage);
+//! * [`trace`] — the one path from an IR interpreter execution to the
+//!   simulator: a [`trace::Layout`] (dense, band storage, block-major)
+//!   × any `shackle-memsim` `AccessSink`, joined by [`trace::Traced`];
 //! * [`compact`] — capture-once/replay-many [`compact::CompactTrace`]
 //!   streams feeding the multi-configuration stack engine;
-//! * [`traced`] — traced duplicates of the two baselines whose
-//!   algorithms exist only natively (WY QR, LAPACK banded Cholesky);
+//! * [`traced`] — traced entry points of the two baselines whose
+//!   algorithms exist only natively (WY QR, LAPACK banded Cholesky),
+//!   each written once over a meter that is a no-op when untraced;
 //! * [`gen`] — deterministic workload generators.
 //!
 //! The IR forms of the kernels live in [`shackle_ir::kernels`]; this
@@ -50,4 +51,4 @@ pub mod trace;
 pub mod traced;
 pub mod trisolve;
 
-pub use matrix::{Mat, TracedMat};
+pub use matrix::Mat;

@@ -1,7 +1,5 @@
-//! Column-major matrices for the native kernels, plus a traced variant
-//! that replays every element access into a cache hierarchy.
+//! Column-major matrices for the native kernels.
 
-use shackle_memsim::Hierarchy;
 use std::fmt;
 
 /// A dense column-major `f64` matrix with 0-based indexing (the native
@@ -120,67 +118,6 @@ impl fmt::Display for Mat {
     }
 }
 
-/// A matrix whose every element access is replayed into a
-/// [`Hierarchy`] at a given base address (8 bytes per element).
-///
-/// This is how the "hand-written" baseline algorithms (LAPACK-style
-/// blocked factorizations, the DGEMM microkernel) produce honest memory
-/// traces for the simulator without routing through the IR interpreter.
-#[derive(Debug)]
-pub struct TracedMat<'a> {
-    mat: Mat,
-    base: u64,
-    hierarchy: &'a mut Hierarchy,
-}
-
-impl<'a> TracedMat<'a> {
-    /// Wrap a matrix at the given base address.
-    pub fn new(mat: Mat, base: u64, hierarchy: &'a mut Hierarchy) -> Self {
-        Self {
-            mat,
-            base,
-            hierarchy,
-        }
-    }
-
-    /// Rows.
-    pub fn rows(&self) -> usize {
-        self.mat.rows()
-    }
-
-    /// Columns.
-    pub fn cols(&self) -> usize {
-        self.mat.cols()
-    }
-
-    fn touch(&mut self, i: usize, j: usize) {
-        let addr = self.base + 8 * self.mat.offset(i, j) as u64;
-        self.hierarchy.access(addr);
-    }
-
-    /// Traced load.
-    pub fn at(&mut self, i: usize, j: usize) -> f64 {
-        self.touch(i, j);
-        self.mat.at(i, j)
-    }
-
-    /// Traced store.
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        self.touch(i, j);
-        self.mat.set(i, j, v);
-    }
-
-    /// Unwrap the matrix.
-    pub fn into_inner(self) -> Mat {
-        self.mat
-    }
-
-    /// Peek at the untraced matrix.
-    pub fn inner(&self) -> &Mat {
-        &self.mat
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,18 +139,5 @@ mod tests {
         b.set(0, 2, 100.0); // strict upper triangle
         assert!(a.max_rel_diff(&b) > 0.9);
         assert_eq!(a.max_rel_diff_lower(&b), 0.0);
-    }
-
-    #[test]
-    fn traced_accesses_reach_hierarchy() {
-        let mut h = Hierarchy::sp2_thin_node();
-        let m = Mat::zeros(4, 4);
-        let mut t = TracedMat::new(m, 0, &mut h);
-        let _ = t.at(0, 0);
-        t.set(1, 0, 5.0);
-        assert_eq!(t.inner().at(1, 0), 5.0);
-        let m = t.into_inner();
-        assert_eq!(m.at(1, 0), 5.0);
-        assert_eq!(h.accesses(), 2);
     }
 }

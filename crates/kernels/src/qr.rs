@@ -19,7 +19,7 @@
 //! returned vector holds `vᵀv` per column. All variants produce the same
 //! factorization (identical sign conventions).
 
-use crate::blas::{dgemm_nn, Block};
+use crate::traced::Meter;
 use crate::Mat;
 
 /// Per-column scalars produced by the QR routines: `vᵀv` for each
@@ -198,54 +198,102 @@ pub fn qr_col_blocked_dgemm(a: &mut Mat, nb: usize) -> QrScalars {
 
 /// LAPACK-style blocked QR with the compact-WY representation:
 /// factor a panel pointwise, accumulate `T` such that
-/// `H₁…H_b = I − V·T·Vᵀ`, then update the trailing matrix with two
-/// DGEMMs. Uses the algebraic associativity of reflections (the
-/// `dgeqrf` approach the paper contrasts with compiler blocking).
+/// `H₁…H_b = I − V·T·Vᵀ`, then update the trailing matrix
+/// `C := C − V·Tᵀ·(Vᵀ·C)` strip by strip, as `dlarfb` does. Uses the
+/// algebraic associativity of reflections (the `dgeqrf` approach the
+/// paper contrasts with compiler blocking).
 ///
 /// # Panics
 ///
 /// Panics if `nb == 0` or the matrix is not square.
 pub fn qr_wy(a: &mut Mat, nb: usize) -> QrScalars {
+    qr_wy_metered(a, nb, &mut ())
+}
+
+/// The one body of [`qr_wy`] and [`crate::traced::qr_wy_traced`]:
+/// every element access and flop is reported to `m`, with `A` at
+/// address 0 and the `T`/`W` workspace after it.
+#[allow(clippy::needless_range_loop)] // index loops mirror the BLAS formulation
+pub(crate) fn qr_wy_metered<M: Meter>(a: &mut Mat, nb: usize, m: &mut M) -> QrScalars {
     assert!(nb > 0, "block size must be positive");
     assert_eq!(a.rows(), a.cols(), "benchmark QR is square");
     let n = a.rows();
+    let a_len = (n * n) as u64 * 8;
+    let ws_base = a_len.div_ceil(128) * 128;
     let mut out = QrScalars {
         vtv: vec![0.0; n],
         rdiag: vec![0.0; n],
     };
+
+    macro_rules! rd {
+        ($i:expr, $j:expr) => {{
+            m.touch(8 * a.offset($i, $j) as u64);
+            a.at($i, $j)
+        }};
+    }
+    macro_rules! wr {
+        ($i:expr, $j:expr, $v:expr) => {{
+            let v = $v;
+            m.touch(8 * a.offset($i, $j) as u64);
+            a.set($i, $j, v);
+        }};
+    }
+
     let mut j0 = 0;
     while j0 < n {
         let j1 = (j0 + nb).min(n);
         let b = j1 - j0;
         // factor the panel pointwise (updates only within the panel)
         for k in j0..j1 {
-            let mut t = a.at(k, k) * a.at(k, k);
+            let mut t = rd!(k, k) * rd!(k, k);
+            m.flops(1);
             for i in (k + 1)..n {
-                t += a.at(i, k) * a.at(i, k);
+                let v = rd!(i, k);
+                t += v * v;
+                m.flops(2);
             }
-            let sgn = if a.at(k, k) < 0.0 { -1.0 } else { 1.0 };
+            let piv = rd!(k, k);
+            let sgn = if piv < 0.0 { -1.0 } else { 1.0 };
             out.rdiag[k] = -sgn * t.sqrt();
-            a.set(k, k, a.at(k, k) + sgn * t.sqrt());
-            let mut tv = a.at(k, k) * a.at(k, k);
+            wr!(k, k, piv + sgn * t.sqrt());
+            m.flops(3);
+            let mut tv = rd!(k, k) * rd!(k, k);
+            m.flops(1);
             for i in (k + 1)..n {
-                tv += a.at(i, k) * a.at(i, k);
+                let v = rd!(i, k);
+                tv += v * v;
+                m.flops(2);
             }
             out.vtv[k] = tv;
             for j in (k + 1)..j1 {
-                apply_reflector(a, n, k, tv, j);
+                let mut w = 0.0;
+                for i in k..n {
+                    w += rd!(i, k) * rd!(i, j);
+                    m.flops(2);
+                }
+                let s = 2.0 * w / tv;
+                m.flops(2);
+                for i in k..n {
+                    let v = rd!(i, j) - s * rd!(i, k);
+                    wr!(i, j, v);
+                    m.flops(2);
+                }
             }
         }
         if j1 == n {
             break;
         }
-        // form T (b×b upper triangular): H_{j0}…H_{j1-1} = I − V·T·Vᵀ
-        // with V = columns j0..j1 of A from row j0 down (implicit unit
-        // structure is NOT used: our vectors store v fully, upper part
-        // is zero because rows above the diagonal belong to R — so we
-        // treat v_k as zero above row k).
+        // form T (b×b upper triangular) in the workspace:
+        // H_{j0}…H_{j1-1} = I − V·T·Vᵀ with V = columns j0..j1 of A
+        // (implicit unit structure is NOT used: our vectors store v
+        // fully, and rows above the diagonal belong to R — so v_k is
+        // treated as zero above row k).
         let mut tmat = Mat::zeros(b, b);
+        let t_addr = |r: usize, c: usize| ws_base + 8 * (c * b + r) as u64;
         for (kk, k) in (j0..j1).enumerate() {
             let tau = 2.0 / out.vtv[k];
+            m.flops(1);
+            m.touch(t_addr(kk, kk));
             tmat.set(kk, kk, tau);
             if kk > 0 {
                 // w = Vᵀ(:,0..kk) · v_k  (rows k..n)
@@ -253,7 +301,8 @@ pub fn qr_wy(a: &mut Mat, nb: usize) -> QrScalars {
                 for (pp, p) in (j0..k).enumerate() {
                     let mut s = 0.0;
                     for i in k..n {
-                        s += a.at(i, p) * a.at(i, k);
+                        s += rd!(i, p) * rd!(i, k);
+                        m.flops(2);
                     }
                     w[pp] = s;
                 }
@@ -261,64 +310,70 @@ pub fn qr_wy(a: &mut Mat, nb: usize) -> QrScalars {
                 for r in 0..kk {
                     let mut s = 0.0;
                     for (c, &wc) in w.iter().enumerate().take(kk).skip(r) {
+                        m.touch(t_addr(r, c));
                         s += tmat.at(r, c) * wc;
+                        m.flops(2);
                     }
+                    m.touch(t_addr(r, kk));
                     tmat.set(r, kk, -tau * s);
+                    m.flops(1);
                 }
             }
         }
-        // trailing update: C := C − V·Tᵀ·(Vᵀ·C) for C = A[j0.., j1..]
-        let rows = n - j0;
-        let cols = n - j1;
-        // W = Vᵀ·C  (b × cols)
-        let mut w = Mat::zeros(b, cols);
-        {
-            // V as an explicit (rows × b) matrix: column k zero above
-            // its diagonal entry
-            let mut v = Mat::zeros(rows, b);
-            for (kk, k) in (j0..j1).enumerate() {
-                for i in k..n {
-                    v.set(i - j0, kk, a.at(i, k));
+        // trailing update: C := C − V·Tᵀ·(Vᵀ·C), strip-mined over
+        // column strips of width b so the W workspace stays resident
+        // (as dlarfb does)
+        let w_base = ws_base + 8 * (b * b) as u64;
+        let w_addr = |r: usize, c: usize| w_base + 8 * (c * b + r) as u64;
+        let mut c0 = j1;
+        while c0 < n {
+            let c1 = (c0 + b).min(n);
+            let cols = c1 - c0;
+            // W = Vᵀ·C_strip
+            let mut wmat = Mat::zeros(b, cols);
+            for j in 0..cols {
+                for (kk, k) in (j0..j1).enumerate() {
+                    let mut s = 0.0;
+                    for i in k..n {
+                        s += rd!(i, k) * rd!(i, c0 + j);
+                        m.flops(2);
+                    }
+                    m.touch(w_addr(kk, j));
+                    wmat.set(kk, j, s);
                 }
             }
-            // W += Vᵀ·C: use dgemm by materializing Vᵀ
-            let mut vt = Mat::zeros(b, rows);
-            for i in 0..rows {
-                for k in 0..b {
-                    vt.set(k, i, v.at(i, k));
+            // Y = Tᵀ·W
+            let mut ymat = Mat::zeros(b, cols);
+            for j in 0..cols {
+                for r in 0..b {
+                    let mut s = 0.0;
+                    for c in 0..b {
+                        // Tᵀ[r,c] = T[c,r]; only c <= r are non-zero
+                        if c <= r {
+                            m.touch(t_addr(c, r));
+                            m.touch(w_addr(c, j));
+                            s += tmat.at(c, r) * wmat.at(c, j);
+                            m.flops(2);
+                        }
+                    }
+                    ymat.set(r, j, s);
                 }
             }
-            let csub = {
-                let mut c = Mat::zeros(rows, cols);
-                for j in 0..cols {
-                    for i in 0..rows {
-                        c.set(i, j, a.at(j0 + i, j1 + j));
+            // C_strip -= V·Y
+            for j in 0..cols {
+                for (kk, k) in (j0..j1).enumerate() {
+                    let y = ymat.at(kk, j);
+                    if y == 0.0 {
+                        continue;
+                    }
+                    for i in k..n {
+                        let v = rd!(i, c0 + j) - rd!(i, k) * y;
+                        wr!(i, c0 + j, v);
+                        m.flops(2);
                     }
                 }
-                c
-            };
-            let wb = Block::full(&w);
-            dgemm_nn(&mut w, wb, &vt, Block::full(&vt), &csub, Block::full(&csub));
-            // Y = Tᵀ·W  (b × cols)
-            let mut tt = Mat::zeros(b, b);
-            for i in 0..b {
-                for j in 0..b {
-                    tt.set(i, j, tmat.at(j, i));
-                }
             }
-            let mut y = Mat::zeros(b, cols);
-            let yb = Block::full(&y);
-            dgemm_nn(&mut y, yb, &tt, Block::full(&tt), &w, Block::full(&w));
-            // C -= V·Y
-            let mut upd = Mat::zeros(rows, cols);
-            let ub = Block::full(&upd);
-            dgemm_nn(&mut upd, ub, &v, Block::full(&v), &y, Block::full(&y));
-            for j in 0..cols {
-                for i in 0..rows {
-                    let val = a.at(j0 + i, j1 + j) - upd.at(i, j);
-                    a.set(j0 + i, j1 + j, val);
-                }
-            }
+            c0 = c1;
         }
         j0 = j1;
     }

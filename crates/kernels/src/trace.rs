@@ -1,20 +1,39 @@
 //! Bridging interpreter executions into the cache simulator.
 //!
-//! [`AddressMap`] assigns every array of a program a base address (lines
-//! never shared between arrays); [`MemObserver`] implements the
-//! interpreter's [`Observer`] hook and replays each element access into
-//! a [`Hierarchy`].
+//! Two independent decisions, one trait each: a [`Layout`] says *where*
+//! an element access lands (a byte address), a
+//! [`shackle_memsim::AccessSink`] says *who consumes* the address (a
+//! cache, a hierarchy, a stack simulator, a trace being captured).
+//! [`Traced`] is the one [`Observer`] joining them. The paper keeps
+//! what is blocked apart from where the data physically lives (§5.3,
+//! §7's band-storage post-pass); so does this module: [`AddressMap`] is
+//! the dense column-major layout, [`band_layout`] and
+//! [`block_major_address`] are the two non-dense formulas, and any
+//! `Fn(&Access) -> u64` is a layout too.
 
-use shackle_exec::{Access, Observer};
+use shackle_exec::{Access, ExecStats, Observer, Workspace};
 use shackle_ir::Program;
-use shackle_memsim::{AccessSink, Hierarchy};
+use shackle_memsim::AccessSink;
 use std::collections::BTreeMap;
 
 /// Element size in bytes (`f64`).
 pub const ELEM_BYTES: u64 = 8;
 
+/// Where an element access lands: the byte address of `(array, offset)`.
+pub trait Layout {
+    /// Global byte address of an element access.
+    fn address(&self, a: &Access<'_>) -> u64;
+}
+
+impl<F: Fn(&Access<'_>) -> u64> Layout for F {
+    fn address(&self, a: &Access<'_>) -> u64 {
+        self(a)
+    }
+}
+
 /// Assigns base addresses to a program's arrays, in declaration order,
-/// aligned to `align` bytes (use the largest cache line size).
+/// aligned to `align` bytes (use the largest cache line size). As a
+/// [`Layout`] it is dense column-major storage: `base + 8·offset`.
 #[derive(Clone, Debug)]
 pub struct AddressMap {
     bases: BTreeMap<String, u64>,
@@ -55,168 +74,67 @@ impl AddressMap {
     /// # Panics
     ///
     /// Panics for unknown arrays.
+    #[inline]
     pub fn base(&self, array: &str) -> u64 {
         *self
             .bases
             .get(array)
             .unwrap_or_else(|| panic!("no base address for array {array}"))
     }
+}
 
-    /// Global byte address of an element access.
-    pub fn address(&self, array: &str, offset: usize) -> u64 {
-        self.base(array) + offset as u64 * ELEM_BYTES
+impl Layout for AddressMap {
+    // `Traced<AddressMap, _>` is instantiated in the calling crate; without
+    // the hints each access pays a cross-crate call on the simulation hot path
+    #[inline]
+    fn address(&self, a: &Access<'_>) -> u64 {
+        self.base(a.array) + a.offset as u64 * ELEM_BYTES
     }
 }
 
-/// An interpreter [`Observer`] that feeds a [`Hierarchy`].
-#[derive(Debug)]
-pub struct MemObserver<'a> {
-    map: AddressMap,
-    hierarchy: &'a mut Hierarchy,
-    /// Reusable scratch for batched deliveries — translated addresses
-    /// are staged here and handed to the hierarchy in one call.
-    addrs: Vec<u64>,
-}
-
-impl<'a> MemObserver<'a> {
-    /// Build an observer over a hierarchy.
-    pub fn new(map: AddressMap, hierarchy: &'a mut Hierarchy) -> Self {
-        Self {
-            map,
-            hierarchy,
-            addrs: Vec::new(),
-        }
-    }
-}
-
-impl Observer for MemObserver<'_> {
-    fn record(&mut self, a: Access<'_>) {
-        let addr = self.map.address(a.array, a.offset);
-        self.hierarchy.access(addr);
-    }
-
-    fn record_many(&mut self, accesses: &[Access<'_>]) {
-        self.addrs.clear();
-        self.addrs
-            .extend(accesses.iter().map(|a| self.map.address(a.array, a.offset)));
-        self.hierarchy.push_many(&self.addrs);
-    }
-}
-
-/// An observer that remaps accesses to one square array through the
-/// LAPACK lower-band storage layout — the paper's §7 post-pass data
+/// The LAPACK lower-band storage layout for the `n × n` array `array`
+/// with half-bandwidth `p` — the paper's §7 post-pass data
 /// transformation for banded Cholesky ("only the bands in the matrix
 /// are stored (in column order), rather than the entire input matrix").
 ///
 /// Element `(i, j)` (0-based, `j ≤ i ≤ j + p`) maps to band address
-/// `8·((i − j) + j·(p+1))`. Accesses to other arrays are laid out after
-/// the band.
-#[derive(Debug)]
-pub struct BandObserver<'a> {
-    array: String,
+/// `8·((i − j) + j·(p+1))`. Every other array keeps its own `dense`
+/// base, shifted past the band, so no two arrays share a cache line.
+///
+/// The returned layout panics on an access to `array` outside the band.
+pub fn band_layout(
+    array: &str,
     n: usize,
     p: usize,
-    other_base: u64,
-    hierarchy: &'a mut Hierarchy,
-    addrs: Vec<u64>,
-}
-
-impl<'a> BandObserver<'a> {
-    /// Build a band-mapping observer for the `n × n` array `array` with
-    /// half-bandwidth `p`.
-    pub fn new(array: &str, n: usize, p: usize, hierarchy: &'a mut Hierarchy) -> Self {
-        let band_bytes = ((p + 1) * n) as u64 * ELEM_BYTES;
-        Self {
-            array: array.to_string(),
-            n,
-            p,
-            other_base: band_bytes.div_ceil(128) * 128,
-            hierarchy,
-            addrs: Vec::new(),
-        }
-    }
-
-    fn band_address(&self, a: &Access<'_>) -> u64 {
-        if a.array == self.array {
-            let i = a.offset % self.n;
-            let j = a.offset / self.n;
+    dense: AddressMap,
+) -> impl Fn(&Access<'_>) -> u64 {
+    let array = array.to_string();
+    let band_bytes = ((p + 1) * n) as u64 * ELEM_BYTES;
+    let past_band = band_bytes.div_ceil(128) * 128;
+    move |a: &Access<'_>| {
+        if a.array == array {
+            let i = a.offset % n;
+            let j = a.offset / n;
             assert!(
-                i >= j && i - j <= self.p,
-                "banded code touched ({i},{j}) outside the band (p = {})",
-                self.p
+                i >= j && i - j <= p,
+                "banded code touched ({i},{j}) outside the band (p = {p})"
             );
-            (((i - j) + j * (self.p + 1)) as u64) * ELEM_BYTES
+            (((i - j) + j * (p + 1)) as u64) * ELEM_BYTES
         } else {
-            self.other_base + a.offset as u64 * ELEM_BYTES
+            past_band + dense.address(a)
         }
-    }
-}
-
-impl Observer for BandObserver<'_> {
-    fn record(&mut self, a: Access<'_>) {
-        let addr = self.band_address(&a);
-        self.hierarchy.access(addr);
-    }
-
-    fn record_many(&mut self, accesses: &[Access<'_>]) {
-        self.addrs.clear();
-        for a in accesses {
-            let addr = self.band_address(a);
-            self.addrs.push(addr);
-        }
-        self.hierarchy.push_many(&self.addrs);
-    }
-}
-
-/// An observer that remaps accesses to one square array through a
-/// **block-major layout**: the §5.3 physical data reshaping the paper
-/// mentions ("nothing prevents us from reshaping the physical data
-/// array"; cf. its citations of Anderson–Amarasinghe–Lam and
-/// Cierniak–Li). Blocks of `b × b` are stored contiguously (column-major
-/// of blocks, column-major within a block), which makes a blocked
-/// computation's working set contiguous and immune to the
-/// leading-dimension set conflicts of column-major storage at unlucky
-/// sizes.
-#[derive(Debug)]
-pub struct BlockMajorObserver<'a> {
-    array: String,
-    n: usize,
-    b: usize,
-    other_base: u64,
-    hierarchy: &'a mut Hierarchy,
-    addrs: Vec<u64>,
-}
-
-impl<'a> BlockMajorObserver<'a> {
-    /// Build a block-major observer for the `n × n` array `array` with
-    /// block size `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b == 0`.
-    pub fn new(array: &str, n: usize, b: usize, hierarchy: &'a mut Hierarchy) -> Self {
-        assert!(b > 0, "block size must be positive");
-        let nb = n.div_ceil(b);
-        let bytes = (nb * nb * b * b) as u64 * ELEM_BYTES;
-        Self {
-            array: array.to_string(),
-            n,
-            b,
-            other_base: bytes.div_ceil(128) * 128,
-            hierarchy,
-            addrs: Vec::new(),
-        }
-    }
-
-    /// The block-major byte address of dense element `(i, j)` (0-based).
-    pub fn address(&self, i: usize, j: usize) -> u64 {
-        block_major_address(self.n, self.b, i, j)
     }
 }
 
 /// The block-major byte address of element `(i, j)` (0-based) of an
 /// `n × n` array stored as contiguous `b × b` blocks (column-major of
-/// blocks, column-major within each block).
+/// blocks, column-major within each block) — the §5.3 physical data
+/// reshaping the paper mentions ("nothing prevents us from reshaping
+/// the physical data array"; cf. its citations of
+/// Anderson–Amarasinghe–Lam and Cierniak–Li). It makes a blocked
+/// computation's working set contiguous and immune to the
+/// leading-dimension set conflicts of column-major storage at unlucky
+/// sizes.
 pub fn block_major_address(n: usize, b: usize, i: usize, j: usize) -> u64 {
     let nb = n.div_ceil(b);
     let (bi, bj) = (i / b, j / b);
@@ -225,60 +143,89 @@ pub fn block_major_address(n: usize, b: usize, i: usize, j: usize) -> u64 {
     ((block * b * b + jj * b + ii) as u64) * ELEM_BYTES
 }
 
-impl Observer for BlockMajorObserver<'_> {
+/// The one interpreter [`Observer`]: translates each access through a
+/// [`Layout`] and hands the address to an [`AccessSink`].
+pub struct Traced<'a, L: Layout, S: AccessSink + ?Sized> {
+    layout: L,
+    sink: &'a mut S,
+    /// Reusable scratch for batched deliveries — translated addresses
+    /// are staged here and handed to the sink in one call.
+    addrs: Vec<u64>,
+}
+
+impl<'a, L: Layout, S: AccessSink + ?Sized> Traced<'a, L, S> {
+    /// Join a layout to a sink.
+    pub fn new(layout: L, sink: &'a mut S) -> Self {
+        Self {
+            layout,
+            sink,
+            addrs: Vec::new(),
+        }
+    }
+}
+
+impl<L: Layout, S: AccessSink + ?Sized> Observer for Traced<'_, L, S> {
     fn record(&mut self, a: Access<'_>) {
-        let addr = if a.array == self.array {
-            let i = a.offset % self.n;
-            let j = a.offset / self.n;
-            self.address(i, j)
-        } else {
-            self.other_base + a.offset as u64 * ELEM_BYTES
-        };
-        self.hierarchy.access(addr);
+        self.sink.push(self.layout.address(&a));
     }
 
     fn record_many(&mut self, accesses: &[Access<'_>]) {
         self.addrs.clear();
-        for a in accesses {
-            let addr = if a.array == self.array {
-                let i = a.offset % self.n;
-                let j = a.offset / self.n;
-                self.address(i, j)
-            } else {
-                self.other_base + a.offset as u64 * ELEM_BYTES
-            };
-            self.addrs.push(addr);
-        }
-        self.hierarchy.push_many(&self.addrs);
+        self.addrs
+            .extend(accesses.iter().map(|a| self.layout.address(a)));
+        self.sink.push_many(&self.addrs);
     }
 }
 
-/// Run `program` through the compiled engine against a fresh workspace
-/// and a hierarchy, returning the execution stats (cycles accumulate in
-/// the hierarchy). Convenience for the figure harnesses.
+/// Run `program` through the compiled engine against a fresh workspace,
+/// every access translated by `layout` and delivered to `sink`;
+/// returns the execution stats.
 ///
 /// Accesses stream through the batched observer path
 /// ([`Observer::record_many`] → [`AccessSink::push_many`]), which is
 /// behaviorally identical to per-element delivery.
-pub fn trace_execution(
+pub fn trace_layout<S: AccessSink + ?Sized>(
     program: &Program,
     params: &BTreeMap<String, i64>,
     init: impl Fn(&str, &[usize]) -> f64,
-    hierarchy: &mut Hierarchy,
-) -> shackle_exec::ExecStats {
-    let map = AddressMap::for_program(program, params, 128);
-    let mut ws = shackle_exec::Workspace::for_program(program, params, init);
-    let mut obs = MemObserver::new(map, hierarchy);
+    layout: impl Layout,
+    sink: &mut S,
+) -> ExecStats {
+    let mut ws = Workspace::for_program(program, params, init);
+    let mut obs = Traced::new(layout, sink);
     shackle_exec::execute_compiled(program, &mut ws, params, &mut obs)
+}
+
+/// [`trace_layout`] with the standard dense [`AddressMap`] (128-byte
+/// aligned) — cycles accumulate in a hierarchy sink, addresses in a
+/// [`crate::compact::CompactTrace`]. Convenience for the figure
+/// harnesses.
+pub fn trace_execution<S: AccessSink + ?Sized>(
+    program: &Program,
+    params: &BTreeMap<String, i64>,
+    init: impl Fn(&str, &[usize]) -> f64,
+    sink: &mut S,
+) -> ExecStats {
+    let map = AddressMap::for_program(program, params, 128);
+    trace_layout(program, params, init, map, sink)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use shackle_ir::kernels;
+    use shackle_memsim::Hierarchy;
 
     fn params(n: i64) -> BTreeMap<String, i64> {
         BTreeMap::from([("N".to_string(), n)])
+    }
+
+    fn read(array: &str, offset: usize) -> Access<'_> {
+        Access {
+            array,
+            offset,
+            write: false,
+        }
     }
 
     #[test]
@@ -293,13 +240,13 @@ mod tests {
         assert!(v[1] - v[0] >= 800);
         assert!(v[2] - v[1] >= 800);
         assert_eq!(a % 128, 0);
-        assert_eq!(m.address("C", 3), c + 24);
+        assert_eq!(m.address(&read("C", 3)), c + 24);
     }
 
     #[test]
     fn traced_matmul_touches_memory() {
         let p = kernels::matmul_ijk();
-        let mut h = shackle_memsim::Hierarchy::sp2_thin_node();
+        let mut h = Hierarchy::sp2_thin_node();
         let stats = trace_execution(&p, &params(8), |_, _| 1.0, &mut h);
         assert_eq!(stats.instances, 512);
         // every load/store reached the hierarchy
@@ -316,14 +263,13 @@ mod tests {
         let params = params(10);
         let map = AddressMap::for_program(&p, &params, 128);
 
-        let mut h_scalar = shackle_memsim::Hierarchy::sp2_thin_node();
-        let mut ws = shackle_exec::Workspace::for_program(&p, &params, |_, _| 1.0);
+        let mut h_scalar = Hierarchy::sp2_thin_node();
+        let mut ws = Workspace::for_program(&p, &params, |_, _| 1.0);
         {
-            let mut obs = MemObserver::new(map.clone(), &mut h_scalar);
-            use shackle_exec::Observer;
-            struct PerElement<'a, 'b>(&'a mut MemObserver<'b>);
-            impl Observer for PerElement<'_, '_> {
-                fn record(&mut self, a: shackle_exec::Access<'_>) {
+            let mut obs = Traced::new(map.clone(), &mut h_scalar);
+            struct PerElement<'a, O: Observer>(&'a mut O);
+            impl<O: Observer> Observer for PerElement<'_, O> {
+                fn record(&mut self, a: Access<'_>) {
                     self.0.record(a);
                 }
                 // no record_many override: every access goes through
@@ -332,10 +278,8 @@ mod tests {
             shackle_exec::execute_compiled(&p, &mut ws, &params, &mut PerElement(&mut obs));
         }
 
-        let mut h_batch = shackle_memsim::Hierarchy::sp2_thin_node();
-        let mut ws2 = shackle_exec::Workspace::for_program(&p, &params, |_, _| 1.0);
-        let mut obs = MemObserver::new(map, &mut h_batch);
-        shackle_exec::execute_compiled(&p, &mut ws2, &params, &mut obs);
+        let mut h_batch = Hierarchy::sp2_thin_node();
+        trace_layout(&p, &params, |_, _| 1.0, map, &mut h_batch);
 
         assert_eq!(h_scalar.cycles(), h_batch.cycles());
         assert_eq!(h_scalar.accesses(), h_batch.accesses());
@@ -346,16 +290,19 @@ mod tests {
         }
     }
 
+    fn banded_params(n: i64, p: i64) -> BTreeMap<String, i64> {
+        BTreeMap::from([("N".to_string(), n), ("P".to_string(), p)])
+    }
+
     #[test]
-    fn band_observer_maps_into_band_storage() {
+    fn band_layout_maps_into_band_storage() {
         let p = kernels::banded_cholesky();
-        let (n, bw) = (12i64, 3i64);
-        let params = BTreeMap::from([("N".to_string(), n), ("P".to_string(), bw)]);
-        let mut h = shackle_memsim::Hierarchy::sp2_thin_node();
-        let init = crate::gen::banded_ws_init("A", n as usize, bw as usize, 1);
-        let mut ws = shackle_exec::Workspace::for_program(&p, &params, &init);
-        let mut obs = BandObserver::new("A", n as usize, bw as usize, &mut h);
-        let stats = shackle_exec::execute_compiled(&p, &mut ws, &params, &mut obs);
+        let (n, bw) = (12usize, 3usize);
+        let params = banded_params(n as i64, bw as i64);
+        let mut h = Hierarchy::sp2_thin_node();
+        let init = crate::gen::banded_ws_init("A", n, bw, 1);
+        let layout = band_layout("A", n, bw, AddressMap::for_program(&p, &params, 128));
+        let stats = trace_layout(&p, &params, &init, layout, &mut h);
         // band storage is tiny: (p+1)*n elements = 48; all accesses land
         // inside it, so the cold-miss count is bounded by its lines
         assert!(stats.instances > 0);
@@ -364,32 +311,55 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside the band")]
-    fn band_observer_rejects_out_of_band() {
-        let mut h = shackle_memsim::Hierarchy::sp2_thin_node();
-        let mut obs = BandObserver::new("A", 10, 2, &mut h);
-        use shackle_exec::Observer;
+    fn band_layout_rejects_out_of_band() {
+        let p = kernels::banded_cholesky();
+        let dense = AddressMap::for_program(&p, &banded_params(10, 2), 128);
         // dense offset of (8, 1) 0-based: i=8, j=1, |i-j| = 7 > 2
-        obs.record(shackle_exec::Access {
-            array: "A",
-            offset: 8 + 10,
-            write: false,
-        });
+        band_layout("A", 10, 2, dense).address(&read("A", 8 + 10));
+    }
+
+    #[test]
+    fn band_layout_keeps_other_arrays_apart() {
+        // two arrays besides the banded one: the band and both dense
+        // regions must be pairwise disjoint (one shared base past the
+        // band would alias X and Y line for line)
+        let (n, bw) = (8usize, 2usize);
+        let p = shackle_ir::parse::parse(
+            "program three\nparam N\narray A(N, N)\narray X(N)\narray Y(N)\n\n\
+             do I = 1 .. N\n  S1: X[I] = A[I, I] + Y[I]\n",
+        )
+        .expect("parses");
+        let dense = AddressMap::for_program(&p, &params(n as i64), 128);
+        let layout = band_layout("A", n, bw, dense);
+        let span = |array: &str, offsets: Vec<usize>| {
+            let addrs = offsets.iter().map(|&o| layout.address(&read(array, o)));
+            let lo = addrs.clone().min().expect("non-empty");
+            (lo, addrs.max().expect("non-empty") + ELEM_BYTES)
+        };
+        let band = (0..n).flat_map(|j| (j..(j + bw + 1).min(n)).map(move |i| i + j * n));
+        let mut spans = [
+            span("A", band.collect()),
+            span("X", (0..n).collect()),
+            span("Y", (0..n).collect()),
+        ];
+        spans.sort_unstable();
+        assert!(spans[0].1 <= spans[1].0, "{spans:?}");
+        assert!(spans[1].1 <= spans[2].0, "{spans:?}");
     }
 
     #[test]
     fn block_major_addresses_are_a_bijection_within_blocks() {
-        let mut h = shackle_memsim::Hierarchy::sp2_thin_node();
-        let obs = BlockMajorObserver::new("A", 10, 4, &mut h);
+        let at = |i, j| block_major_address(10, 4, i, j);
         let mut seen = std::collections::BTreeSet::new();
         for j in 0..10 {
             for i in 0..10 {
-                assert!(seen.insert(obs.address(i, j)), "duplicate at ({i},{j})");
+                assert!(seen.insert(at(i, j)), "duplicate at ({i},{j})");
             }
         }
         // elements of one block are contiguous
-        let base = obs.address(4, 4);
-        assert_eq!(obs.address(5, 4), base + 8);
-        assert_eq!(obs.address(4, 5), base + 32);
+        let base = at(4, 4);
+        assert_eq!(at(5, 4), base + 8);
+        assert_eq!(at(4, 5), base + 32);
     }
 
     #[test]

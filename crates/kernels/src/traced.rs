@@ -1,17 +1,52 @@
-//! Traced duplicates of the two baseline algorithms that exist only as
-//! native code: LAPACK-style WY QR and LAPACK-style banded Cholesky.
+//! Tracing the two baseline algorithms that exist only as native code:
+//! LAPACK-style WY QR and LAPACK-style banded Cholesky.
 //!
 //! Everything else in the figures is traced by running IR programs
 //! through the interpreter (see [`crate::trace`]); these two baselines
 //! use *domain knowledge* (associativity of reflections, band storage
-//! micro-management) the compiler does not have, so they are traced
-//! directly: same algorithm as the untraced native versions — the unit
-//! tests assert bit-agreement — with every element access replayed into
-//! the hierarchy and every flop counted.
+//! micro-management) the compiler does not have, so each is written
+//! once over a `Meter`: run with `()` it is the plain kernel
+//! ([`crate::qr::qr_wy`], [`crate::banded::pbtrf_lapack`]); run with a
+//! `SinkMeter` every element access reaches an [`AccessSink`] and
+//! every flop is counted ([`qr_wy_traced`], [`pbtrf_lapack_traced`]).
 
 use crate::banded::BandMat;
 use crate::Mat;
-use shackle_memsim::Hierarchy;
+use shackle_memsim::AccessSink;
+
+/// What a hand-written kernel reports while it runs: the byte address
+/// of every element access and the flops it performs.
+pub(crate) trait Meter {
+    /// One element access at byte address `addr`.
+    fn touch(&mut self, addr: u64);
+    /// `n` floating-point operations.
+    fn flops(&mut self, n: u64);
+}
+
+/// The untraced run: nothing is recorded, everything inlines away.
+impl Meter for () {
+    #[inline(always)]
+    fn touch(&mut self, _addr: u64) {}
+    #[inline(always)]
+    fn flops(&mut self, _n: u64) {}
+}
+
+/// A [`Meter`] that forwards accesses to an [`AccessSink`] and counts
+/// flops.
+struct SinkMeter<'a, S: AccessSink + ?Sized> {
+    sink: &'a mut S,
+    flops: u64,
+}
+
+impl<S: AccessSink + ?Sized> Meter for SinkMeter<'_, S> {
+    fn touch(&mut self, addr: u64) {
+        self.sink.push(addr);
+    }
+
+    fn flops(&mut self, n: u64) {
+        self.flops += n;
+    }
+}
 
 /// Outcome of a traced run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,292 +55,30 @@ pub struct TracedRun {
     pub flops: u64,
 }
 
-/// WY blocked QR with tracing: identical arithmetic to
-/// [`crate::qr::qr_wy`] (the unit tests compare results), with `A`
-/// traced at `base = 0` and the `T`/`W` workspace traced after it.
+/// [`crate::qr::qr_wy`] with tracing: `A` at address 0, the `T`/`W`
+/// workspace after it.
 ///
 /// # Panics
 ///
 /// Panics if `nb == 0` or the matrix is not square.
-#[allow(clippy::needless_range_loop)] // index loops mirror the untraced algorithm
-pub fn qr_wy_traced(a: &mut Mat, nb: usize, h: &mut Hierarchy) -> TracedRun {
-    assert!(nb > 0, "block size must be positive");
-    assert_eq!(a.rows(), a.cols(), "benchmark QR is square");
-    let n = a.rows();
-    let a_len = (n * n) as u64 * 8;
-    let ws_base = a_len.div_ceil(128) * 128;
-    let mut flops: u64 = 0;
-
-    macro_rules! rd {
-        ($i:expr, $j:expr) => {{
-            h.access(8 * a.offset($i, $j) as u64);
-            a.at($i, $j)
-        }};
-    }
-    macro_rules! wr {
-        ($i:expr, $j:expr, $v:expr) => {{
-            let v = $v;
-            h.access(8 * a.offset($i, $j) as u64);
-            a.set($i, $j, v);
-        }};
-    }
-
-    let mut vtv = vec![0.0; n];
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + nb).min(n);
-        let b = j1 - j0;
-        // panel factorization (pointwise within the panel)
-        for k in j0..j1 {
-            let mut t = rd!(k, k) * rd!(k, k);
-            flops += 1;
-            for i in (k + 1)..n {
-                let v = rd!(i, k);
-                t += v * v;
-                flops += 2;
-            }
-            let piv = rd!(k, k);
-            let sgn = if piv < 0.0 { -1.0 } else { 1.0 };
-            wr!(k, k, piv + sgn * t.sqrt());
-            flops += 3;
-            let mut tv = rd!(k, k) * rd!(k, k);
-            flops += 1;
-            for i in (k + 1)..n {
-                let v = rd!(i, k);
-                tv += v * v;
-                flops += 2;
-            }
-            vtv[k] = tv;
-            for j in (k + 1)..j1 {
-                let mut w = 0.0;
-                for i in k..n {
-                    w += rd!(i, k) * rd!(i, j);
-                    flops += 2;
-                }
-                let s = 2.0 * w / tv;
-                flops += 2;
-                for i in k..n {
-                    let v = rd!(i, j) - s * rd!(i, k);
-                    wr!(i, j, v);
-                    flops += 2;
-                }
-            }
-        }
-        if j1 == n {
-            break;
-        }
-        // form T (b×b) in the workspace
-        let mut tmat = Mat::zeros(b, b);
-        let t_addr = |r: usize, c: usize| ws_base + 8 * (c * b + r) as u64;
-        for (kk, k) in (j0..j1).enumerate() {
-            let tau = 2.0 / vtv[k];
-            flops += 1;
-            h.access(t_addr(kk, kk));
-            tmat.set(kk, kk, tau);
-            if kk > 0 {
-                let mut w = vec![0.0; kk];
-                for (pp, p) in (j0..k).enumerate() {
-                    let mut s = 0.0;
-                    for i in k..n {
-                        s += rd!(i, p) * rd!(i, k);
-                        flops += 2;
-                    }
-                    w[pp] = s;
-                }
-                for r in 0..kk {
-                    let mut s = 0.0;
-                    for (c, &wc) in w.iter().enumerate().take(kk).skip(r) {
-                        h.access(t_addr(r, c));
-                        s += tmat.at(r, c) * wc;
-                        flops += 2;
-                    }
-                    h.access(t_addr(r, kk));
-                    tmat.set(r, kk, -tau * s);
-                    flops += 1;
-                }
-            }
-        }
-        // trailing update: C := C − V·Tᵀ·(Vᵀ·C), strip-mined over
-        // column strips of width b so the W workspace stays resident
-        // (as dlarfb does)
-        let w_base = ws_base + 8 * (b * b) as u64;
-        let w_addr = |r: usize, c: usize| w_base + 8 * (c * b + r) as u64;
-        let mut c0 = j1;
-        while c0 < n {
-            let c1 = (c0 + b).min(n);
-            let cols = c1 - c0;
-            // W = Vᵀ·C_strip
-            let mut wmat = Mat::zeros(b, cols);
-            for j in 0..cols {
-                for (kk, k) in (j0..j1).enumerate() {
-                    let mut s = 0.0;
-                    for i in k..n {
-                        s += rd!(i, k) * rd!(i, c0 + j);
-                        flops += 2;
-                    }
-                    h.access(w_addr(kk, j));
-                    wmat.set(kk, j, s);
-                }
-            }
-            // Y = Tᵀ·W
-            let mut ymat = Mat::zeros(b, cols);
-            for j in 0..cols {
-                for r in 0..b {
-                    let mut s = 0.0;
-                    for c in 0..b {
-                        // Tᵀ[r,c] = T[c,r]; only c <= r are non-zero
-                        if c <= r {
-                            h.access(t_addr(c, r));
-                            h.access(w_addr(c, j));
-                            s += tmat.at(c, r) * wmat.at(c, j);
-                            flops += 2;
-                        }
-                    }
-                    ymat.set(r, j, s);
-                }
-            }
-            // C_strip -= V·Y
-            for j in 0..cols {
-                for (kk, k) in (j0..j1).enumerate() {
-                    let y = ymat.at(kk, j);
-                    if y == 0.0 {
-                        continue;
-                    }
-                    for i in k..n {
-                        let v = rd!(i, c0 + j) - rd!(i, k) * y;
-                        wr!(i, c0 + j, v);
-                        flops += 2;
-                    }
-                }
-            }
-            c0 = c1;
-        }
-        j0 = j1;
-    }
-    TracedRun { flops }
+pub fn qr_wy_traced<S: AccessSink + ?Sized>(a: &mut Mat, nb: usize, sink: &mut S) -> TracedRun {
+    let mut m = SinkMeter { sink, flops: 0 };
+    crate::qr::qr_wy_metered(a, nb, &mut m);
+    TracedRun { flops: m.flops }
 }
 
-/// LAPACK-style banded Cholesky with tracing: identical arithmetic to
-/// [`crate::banded::pbtrf_lapack`], band storage traced at base 0.
+/// [`crate::banded::pbtrf_lapack`] with tracing: band storage at
+/// address 0.
 ///
 /// # Panics
 ///
 /// Panics if `nb == 0` or not positive definite.
-pub fn pbtrf_lapack_traced(a: &mut BandMat, nb: usize, h: &mut Hierarchy) -> TracedRun {
-    assert!(nb > 0, "block size must be positive");
-    let (n, p) = (a.n(), a.p());
-    let mut flops: u64 = 0;
-    macro_rules! rd {
-        ($i:expr, $j:expr) => {{
-            h.access(8 * a.offset($i, $j) as u64);
-            a.at($i, $j)
-        }};
-    }
-    macro_rules! wr {
-        ($i:expr, $j:expr, $v:expr) => {{
-            let v = $v;
-            h.access(8 * a.offset($i, $j) as u64);
-            a.set($i, $j, v);
-        }};
-    }
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + nb).min(n);
-        for j in j0..j1 {
-            let mut d = rd!(j, j);
-            for k in j.saturating_sub(p).max(j0)..j {
-                let v = rd!(j, k);
-                d -= v * v;
-                flops += 2;
-            }
-            assert!(d > 0.0, "not positive definite at pivot {j}");
-            let d = d.sqrt();
-            flops += 1;
-            wr!(j, j, d);
-            for i in (j + 1)..j1.min(j + p + 1) {
-                let mut v = rd!(i, j);
-                for k in i.saturating_sub(p).max(j0)..j {
-                    v -= rd!(i, k) * rd!(j, k);
-                    flops += 2;
-                }
-                wr!(i, j, v / d);
-                flops += 1;
-            }
-        }
-        let band_end = (j1 - 1 + p + 1).min(n).max(j1);
-        if j1 < band_end {
-            for j in j0..j1 {
-                let d = rd!(j, j);
-                let hi = (j + p + 1).min(band_end);
-                for i in j1..hi {
-                    let mut v = rd!(i, j);
-                    for k in i.saturating_sub(p).max(j0)..j {
-                        v -= rd!(i, k) * rd!(j, k);
-                        flops += 2;
-                    }
-                    wr!(i, j, v / d);
-                    flops += 1;
-                }
-            }
-            for c in j1..band_end {
-                for r in c..(c + p + 1).min(band_end) {
-                    let mut v = rd!(r, c);
-                    let klo = r.saturating_sub(p).max(j0);
-                    for k in klo..j1 {
-                        if c <= k + p {
-                            v -= rd!(r, k) * rd!(c, k);
-                            flops += 2;
-                        }
-                    }
-                    wr!(r, c, v);
-                }
-            }
-        }
-        j0 = j1;
-    }
-    TracedRun { flops }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::banded::pbtrf_lapack;
-    use crate::gen::{random_banded_spd, random_mat};
-    use crate::qr::qr_wy;
-
-    #[test]
-    fn traced_wy_matches_untraced() {
-        for (n, nb) in [(12, 4), (17, 5)] {
-            let a0 = random_mat(n, n, 1);
-            let mut plain = a0.clone();
-            qr_wy(&mut plain, nb);
-            let mut traced = a0.clone();
-            let mut h = Hierarchy::sp2_thin_node();
-            let run = qr_wy_traced(&mut traced, nb, &mut h);
-            assert!(plain.max_rel_diff(&traced) < 1e-9, "n={n} nb={nb}");
-            assert!(run.flops > (4 * n * n * n / 3) as u64 / 2);
-            assert!(h.accesses() > 0);
-        }
-    }
-
-    #[test]
-    fn traced_pbtrf_matches_untraced() {
-        for (n, p, nb) in [(24, 5, 4), (30, 8, 6)] {
-            let a0 = random_banded_spd(n, p, 2);
-            let mut plain = BandMat::from_dense(&a0, p);
-            pbtrf_lapack(&mut plain, nb);
-            let mut traced = BandMat::from_dense(&a0, p);
-            let mut h = Hierarchy::sp2_thin_node();
-            let run = pbtrf_lapack_traced(&mut traced, nb, &mut h);
-            assert_eq!(
-                plain
-                    .to_dense_lower()
-                    .max_rel_diff_lower(&traced.to_dense_lower()),
-                0.0,
-                "traced duplicate must be bit-identical"
-            );
-            assert!(run.flops > 0);
-            assert!(h.accesses() > run.flops / 2);
-        }
-    }
+pub fn pbtrf_lapack_traced<S: AccessSink + ?Sized>(
+    a: &mut BandMat,
+    nb: usize,
+    sink: &mut S,
+) -> TracedRun {
+    let mut m = SinkMeter { sink, flops: 0 };
+    crate::banded::pbtrf_lapack_metered(a, nb, &mut m);
+    TracedRun { flops: m.flops }
 }

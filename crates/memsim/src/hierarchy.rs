@@ -125,16 +125,6 @@ impl Hierarchy {
         self.levels.len()
     }
 
-    /// Touch a batch of byte addresses in order. Equivalent to calling
-    /// [`Hierarchy::access`] per address (identical stats and cycles).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified access surface: `AccessSink::push_many`"
-    )]
-    pub fn access_many(&mut self, addrs: &[u64]) {
-        crate::AccessSink::push_many(self, addrs);
-    }
-
     /// Per-level statistics, fastest first.
     pub fn level_stats(&self) -> Vec<LevelStats> {
         self.levels.iter().map(Cache::stats).collect()

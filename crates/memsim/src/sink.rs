@@ -1,14 +1,12 @@
 //! The unified access surface: everything that consumes a stream of
 //! byte addresses.
 //!
-//! Three perf PRs accreted three spellings of "feed addresses in":
-//! `Hierarchy::access_many`, `StackSim::access_many`, and the
-//! per-engine replay methods on `CompactTrace`. [`AccessSink`] is the
-//! one trait behind all of them: the direct [`Cache`], the [`Tlb`],
-//! coupled [`Hierarchy`] simulations, the Mattson [`StackSim`], and
-//! (in `shackle-kernels`) `CompactTrace` re-capture all take the same
-//! `push` / `push_many` calls, so trace producers are written once and
-//! replay generically. The old names survive as deprecated forwards.
+//! [`AccessSink`] is the one trait behind every spelling of "feed
+//! addresses in": the direct [`Cache`], the [`Tlb`], coupled
+//! [`Hierarchy`] simulations, the Mattson [`StackSim`], and (in
+//! `shackle-kernels`) `CompactTrace` capture all take the same `push` /
+//! `push_many` calls, so trace producers are written once and replay
+//! generically.
 
 use crate::{Cache, Hierarchy, StackSim, Tlb};
 use shackle_probe as probe;
@@ -154,24 +152,6 @@ mod tests {
             miss_penalty: 1,
         });
         assert_eq!(h.granularity(), Some(64));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_access_many_still_forwards() {
-        let addrs: Vec<u64> = (0..64u64).map(|i| i * 48).collect();
-        let mut old = Hierarchy::sp2_thin_node();
-        let mut new = old.clone();
-        old.access_many(&addrs);
-        new.push_many(&addrs);
-        assert_eq!(old.level_stats(), new.level_stats());
-        assert_eq!(old.cycles(), new.cycles());
-        let cfgs = [cfg(512, 32, 4)];
-        let mut s_old = StackSim::new(32, &cfgs);
-        let mut s_new = s_old.clone();
-        s_old.access_many(&addrs);
-        s_new.push_many(&addrs);
-        assert_eq!(s_old.stats_for(&cfgs[0]), s_new.stats_for(&cfgs[0]));
     }
 
     #[test]

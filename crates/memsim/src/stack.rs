@@ -181,16 +181,6 @@ impl StackSim {
         }
     }
 
-    /// Record a batch of byte addresses in order (identical to calling
-    /// [`StackSim::access`] per element).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the unified access surface: `AccessSink::push_many`"
-    )]
-    pub fn access_many(&mut self, addrs: &[u64]) {
-        crate::AccessSink::push_many(self, addrs);
-    }
-
     /// Whether `config` is covered by this engine: same line size,
     /// power-of-two set count within `kmax`, associativity within the
     /// tracked resolution.

@@ -6,7 +6,7 @@
 //! calibrated figures in EXPERIMENTS.md document the consequence); a
 //! [`Tlb`] can be attached to a [`crate::Hierarchy`] to study it.
 
-use crate::ConfigError;
+use crate::{Cache, CacheConfig, ConfigError};
 use std::fmt;
 
 /// TLB geometry and miss cost.
@@ -60,14 +60,9 @@ impl TlbConfig {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,
-    /// Resident page numbers, one slot per entry (same generation-stamp
-    /// LRU as [`crate::Cache`]: stamp `0` marks an empty slot, the
-    /// minimum stamp is the LRU victim).
-    pages: Box<[u64]>,
-    stamps: Box<[u64]>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
+    /// The resident pages: a one-set [`Cache`] whose lines are pages and
+    /// whose ways are the entries — the same LRU, not a second copy.
+    pages: Cache,
 }
 
 impl Tlb {
@@ -76,14 +71,13 @@ impl Tlb {
     /// [`TlbConfig::validate`].
     pub fn try_new(config: TlbConfig) -> Result<Self, ConfigError> {
         config.validate()?;
-        Ok(Self {
-            config,
-            pages: vec![0; config.entries].into_boxed_slice(),
-            stamps: vec![0; config.entries].into_boxed_slice(),
-            tick: 1,
-            hits: 0,
-            misses: 0,
-        })
+        let pages = Cache::try_new(CacheConfig {
+            size: config.page * config.entries,
+            line: config.page,
+            assoc: config.entries,
+            latency: 0,
+        })?;
+        Ok(Self { config, pages })
     }
 
     /// Build an empty TLB.
@@ -105,53 +99,28 @@ impl Tlb {
 
     /// Translate the byte address; returns whether it hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        let page = addr / self.config.page as u64;
-        let stamp = self.tick;
-        self.tick += 1;
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, (&p, st)) in self.pages.iter().zip(self.stamps.iter_mut()).enumerate() {
-            if *st != 0 && p == page {
-                *st = stamp;
-                self.hits += 1;
-                return true;
-            }
-            if *st < victim_stamp {
-                victim_stamp = *st;
-                victim = i;
-            }
-        }
-        self.pages[victim] = page;
-        self.stamps[victim] = stamp;
-        self.misses += 1;
-        false
+        self.pages.access(addr)
     }
 
     /// Hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits
+        self.stats().hits
     }
 
     /// Misses so far.
     pub fn misses(&self) -> u64 {
-        self.misses
+        self.stats().misses
     }
 
     /// Hit/miss counters as a [`crate::LevelStats`], so reports can
     /// treat translation like another level of the hierarchy.
     pub fn stats(&self) -> crate::LevelStats {
-        crate::LevelStats {
-            hits: self.hits,
-            misses: self.misses,
-        }
+        self.pages.stats()
     }
 
     /// Reset contents and counters.
     pub fn clear(&mut self) {
-        self.stamps.fill(0);
-        self.tick = 1;
-        self.hits = 0;
-        self.misses = 0;
+        self.pages.clear();
     }
 }
 
@@ -160,7 +129,10 @@ impl fmt::Display for Tlb {
         write!(
             f,
             "{}-entry TLB ({} B pages): {} hits, {} misses",
-            self.config.entries, self.config.page, self.hits, self.misses
+            self.config.entries,
+            self.config.page,
+            self.hits(),
+            self.misses()
         )
     }
 }

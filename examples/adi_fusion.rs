@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example adi_fusion`
 
 use data_shackle::core::{check_legality, scan::generate_scanned};
-use data_shackle::exec::verify::check_equivalence;
+use data_shackle::exec::verify::{adi_init, check_equivalence};
 use data_shackle::ir::kernels;
 use data_shackle::kernels::shackles;
 use data_shackle::kernels::trace::trace_execution;
@@ -24,16 +24,10 @@ fn main() {
     let transformed = generate_scanned(&program, &factors);
     println!("=== shackled code (Figure 14(ii)) ===\n{transformed}");
 
-    let init = |name: &str, idx: &[usize]| {
-        if name == "B" {
-            2.0 + ((idx[0] * 31 + idx[1] * 7) % 97) as f64 / 97.0
-        } else {
-            ((idx[0] * 13 + idx[1] * 3) % 89) as f64 / 89.0
-        }
-    };
+    let init = adi_init();
     let n = 400_i64;
     let params = BTreeMap::from([("N".to_string(), n)]);
-    let eq = check_equivalence(&program, &transformed, &params, init);
+    let eq = check_equivalence(&program, &transformed, &params, &init);
     println!("equivalence at n = {n}: {:.3e}", eq.max_rel_diff);
     assert!(eq.within(1e-12));
 
@@ -41,9 +35,9 @@ fn main() {
     // simulated speedup at n = 400 (the input sweeps rows of
     // column-major arrays, missing on every line)
     let mut h_in = Hierarchy::sp2_thin_node();
-    let si = trace_execution(&program, &params, init, &mut h_in);
+    let si = trace_execution(&program, &params, &init, &mut h_in);
     let mut h_tr = Hierarchy::sp2_thin_node();
-    let st = trace_execution(&transformed, &params, init, &mut h_tr);
+    let st = trace_execution(&transformed, &params, &init, &mut h_tr);
     let cyc = |flops: u64, mem: u64| flops as f64 * 2.0 + mem as f64;
     let speedup = cyc(si.flops, h_in.cycles()) / cyc(st.flops, h_tr.cycles());
     println!("simulated speedup: {speedup:.1}x (paper: 8.9x at n = 1000)");

@@ -322,26 +322,8 @@ fn verify_init(kernel: &str, n: i64) -> Init {
             (n / 4).max(1),
             7,
         )),
-        "adi" => Box::new(|name: &str, idx: &[usize]| {
-            if name == "B" {
-                2.0 + ((idx[0] * 31 + idx[1] * 7) % 97) as f64 / 97.0
-            } else {
-                ((idx[0] * 13 + idx[1] * 3) % 89) as f64 / 89.0
-            }
-        }),
-        "backsolve" => Box::new(|name: &str, idx: &[usize]| {
-            if name == "U" {
-                if idx[0] == idx[1] {
-                    4.0
-                } else if idx[0] < idx[1] {
-                    1.0 / ((idx[0] * 7 + idx[1]) % 9 + 2) as f64
-                } else {
-                    0.0
-                }
-            } else {
-                1.0 + (idx[0] % 5) as f64
-            }
-        }),
+        "adi" => Box::new(data_shackle::exec::verify::adi_init()),
+        "backsolve" => Box::new(data_shackle::exec::verify::backsolve_init()),
         _ => Box::new(data_shackle::exec::verify::hash_init(7)),
     }
 }

@@ -88,8 +88,10 @@ pub mod prelude {
         compile, execute, execute_compiled, verify, Access, CompiledProgram, ExecStats,
         NullObserver, Observer, Workspace,
     };
-    pub use shackle_kernels::compact::{CaptureObserver, CompactTrace};
-    pub use shackle_kernels::trace::{trace_execution, AddressMap, MemObserver, ELEM_BYTES};
+    pub use shackle_kernels::compact::CompactTrace;
+    pub use shackle_kernels::trace::{
+        trace_execution, trace_layout, AddressMap, Layout, Traced, ELEM_BYTES,
+    };
     pub use shackle_kernels::{gen, shackles, traced};
     pub use shackle_memsim::{
         ground_truth, AccessSink, Cache, CacheConfig, ConfigError, GroundTruth, Hierarchy,
