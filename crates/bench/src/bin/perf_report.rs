@@ -15,7 +15,7 @@
 //! `null` and the native speedup floor is skipped.
 //!
 //! Then times the §8 auto-shackle search (enumerate → grow → score →
-//! select) of `shackle_bench::searchperf` from a cold polyhedral cache
+//! select) of `shackle_serve::pipeline` from a cold polyhedral cache
 //! and writes `BENCH_search.json` with the wall times, the search
 //! outcome and the `PolyStats` counters of one cold run.
 //!
@@ -45,9 +45,10 @@
 use shackle_bench::history;
 use shackle_bench::prelude::*;
 use shackle_bench::report::{assert_speedup, Timing};
-use shackle_bench::searchperf::{auto_search, Mode, SearchOutcome};
 use shackle_exec::native::{self, NativeKernel};
+use shackle_kernels::catalogue::{self, Entry};
 use shackle_polyhedra::cache;
+use shackle_serve::pipeline::{auto_search, Mode, SearchOutcome};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -93,14 +94,10 @@ fn assert_ws_identical(reference: &Workspace, got: &Workspace, kernel: &str, tie
     }
 }
 
-fn measure_exec(
-    kernel: &'static str,
-    program: &Program,
-    params: &BTreeMap<String, i64>,
-    n: i64,
-    init: impl Fn(&str, &[usize]) -> f64,
-) -> ExecRow {
-    let template = Workspace::for_program(program, params, &init);
+fn measure_exec(entry: &Entry, program: &Program, n: i64) -> ExecRow {
+    let kernel = entry.name;
+    let params = &entry.params(n);
+    let template = Workspace::for_program(program, params, entry.init(params, 3));
 
     // Tree interpreter: the semantics of record and the speedup
     // denominator. One untimed run pins the reference stats and arrays.
@@ -150,92 +147,26 @@ fn measure_exec(
     }
 }
 
-/// The exec-tier kernels: `(name, program, params, n, init)`.
-#[allow(clippy::type_complexity)]
-fn exec_kernels(
-    quick: bool,
-) -> Vec<(
-    &'static str,
-    Program,
-    BTreeMap<String, i64>,
-    i64,
-    Box<dyn Fn(&str, &[usize]) -> f64>,
-)> {
-    let params_n = |n: i64| BTreeMap::from([("N".to_string(), n)]);
-    let sz = |full: i64, small: i64| if quick { small } else { full };
-    let (mm, ch, qr, ga, ad) = (sz(64, 32), sz(64, 32), sz(48, 24), sz(64, 32), sz(96, 48));
-    let (bs, sy, jc, tc) = (sz(64, 32), sz(64, 32), sz(96, 48), sz(24, 12));
-    vec![
-        (
-            "matmul_ijk",
-            kernels::matmul_ijk(),
-            params_n(mm),
-            mm,
-            Box::new(|_: &str, _: &[usize]| 1.0),
-        ),
-        (
-            "cholesky_right",
-            kernels::cholesky_right(),
-            params_n(ch),
-            ch,
-            Box::new(shackle_exec::verify::spd_init("A", ch as usize, 3)),
-        ),
-        (
-            "qr_householder",
-            kernels::qr_householder(),
-            params_n(qr),
-            qr,
-            Box::new(shackle_exec::verify::hash_init(3)),
-        ),
-        (
-            "gauss",
-            kernels::gauss(),
-            params_n(ga),
-            ga,
-            Box::new(shackle_exec::verify::spd_init("A", ga as usize, 5)),
-        ),
-        (
-            "adi",
-            kernels::adi(),
-            params_n(ad),
-            ad,
-            Box::new(|name: &str, idx: &[usize]| {
-                if name == "B" {
-                    2.0 + (idx[0] % 7) as f64
-                } else {
-                    (idx[0] % 5) as f64
-                }
-            }),
-        ),
-        (
-            "backsolve",
-            kernels::backsolve(),
-            params_n(bs),
-            bs,
-            Box::new(shackle_exec::verify::hash_init(3)),
-        ),
-        (
-            "syrk",
-            kernels::syrk(),
-            params_n(sy),
-            sy,
-            Box::new(shackle_exec::verify::hash_init(3)),
-        ),
-        (
-            "jacobi2d",
-            kernels::jacobi2d(),
-            params_n(jc),
-            jc,
-            Box::new(shackle_exec::verify::hash_init(3)),
-        ),
-        (
-            "tensor_contract",
-            kernels::tensor_contract(),
-            params_n(tc),
-            tc,
-            Box::new(shackle_exec::verify::hash_init(3)),
-        ),
+/// The exec-tier kernels — `(catalogue name, full n, --quick n)` —
+/// resolved and built.
+fn exec_kernels(quick: bool) -> Vec<(Entry, Program, i64)> {
+    [
+        ("matmul_ijk", 64, 32),
+        ("cholesky_right", 64, 32),
+        ("qr_householder", 48, 24),
+        ("gauss", 64, 32),
+        ("adi", 96, 48),
+        ("backsolve", 64, 32),
+        ("syrk", 64, 32),
+        ("jacobi2d", 96, 48),
+        ("tensor_contract", 24, 12),
     ]
+    .into_iter()
+    .map(|(name, full, small)| {
+        let entry = catalogue::find(name).expect("catalogue kernel");
+        (entry, (entry.build)(), if quick { small } else { full })
+    })
+    .collect()
 }
 
 fn timing_or_null(t: &Option<Timing>) -> String {
@@ -253,8 +184,8 @@ fn exec_report(quick: bool) -> String {
     let specs = exec_kernels(quick);
     let have_native = native::rustc_available();
     let mut rows = Vec::new();
-    for (kernel, program, params, n, init) in &specs {
-        rows.push(measure_exec(kernel, program, params, *n, init));
+    for (entry, program, n) in &specs {
+        rows.push(measure_exec(entry, program, *n));
     }
 
     // Warm-cache proof: every kernel above was just built, so a rebuild
@@ -263,7 +194,7 @@ fn exec_report(quick: bool) -> String {
     let warm = if have_native {
         let rustc0 = probe::counter("native.rustc_invocations").get();
         let hits0 = probe::counter("native.cache_hits").get();
-        for (_, program, _, _, _) in &specs {
+        for (_, program, _) in &specs {
             native::build(program).expect("warm rebuild");
         }
         let spawned = probe::counter("native.rustc_invocations").get() - rustc0;
@@ -546,26 +477,26 @@ struct SearchRow {
     stats: shackle_polyhedra::PolyStats,
 }
 
-/// Time one kernel's auto-shackle search, cold cache every rep so one
-/// rep's fills do not subsidize the next measurement.
-fn search_one(
-    kernel: &'static str,
-    program: &Program,
-    cfg: &SearchConfig,
-    probe_n: i64,
-    init: impl Fn(&str, &[usize]) -> f64 + Sync,
-) -> SearchRow {
+/// Time one catalogue search row, cold cache every rep so one rep's
+/// fills do not subsidize the next measurement.
+fn search_one(entry: &Entry, (width, probe_n): (i64, i64)) -> SearchRow {
     let reps = 5;
+    let program = (entry.build)();
+    let cfg = SearchConfig {
+        width,
+        ..Default::default()
+    };
+    let init = entry.init(&entry.params(probe_n), 3);
     cache::clear_cache();
     cache::reset_stats();
-    let outcome = auto_search(program, cfg, probe_n, &init, Mode::Memoized);
+    let outcome = auto_search(&program, &cfg, probe_n, &init, Mode::Memoized);
     let stats = cache::stats();
     let memoized_secs = best_secs(reps, || {
         cache::clear_cache();
-        auto_search(program, cfg, probe_n, &init, Mode::Memoized);
+        auto_search(&program, &cfg, probe_n, &init, Mode::Memoized);
     });
     SearchRow {
-        kernel,
+        kernel: entry.name,
         outcome,
         memoized_secs,
         stats,
@@ -573,89 +504,10 @@ fn search_one(
 }
 
 fn search_report() -> String {
-    let w16 = SearchConfig {
-        width: 16,
-        ..Default::default()
-    };
-    // matmul's probe_n is the smallest size whose 3·n² working set
-    // exceeds the 8KB probe cache.
-    let rows = [
-        search_one(
-            "cholesky_right",
-            &kernels::cholesky_right(),
-            &w16,
-            48,
-            shackle_kernels_spd_init(48),
-        ),
-        search_one(
-            "cholesky_left",
-            &kernels::cholesky_left(),
-            &w16,
-            32,
-            shackle_kernels_spd_init(32),
-        ),
-        search_one(
-            "gauss",
-            &kernels::gauss(),
-            &w16,
-            24,
-            shackle_kernels_spd_init(24),
-        ),
-        search_one(
-            "matmul_ijk",
-            &kernels::matmul_ijk(),
-            &SearchConfig {
-                width: 25,
-                ..Default::default()
-            },
-            24,
-            |_: &str, _: &[usize]| 1.0,
-        ),
-        // Wave-1 kernels. backsolve exercises the §8 reversed-cut-set
-        // fallback; tensor_contract exercises the partially-blocking
-        // fallback (its rank-2 reduction chain forbids operand
-        // blockings); gauss_seidel_1d is the negative row — zero legal
-        // candidates, so the search reports products=0 without ever
-        // executing a trace.
-        search_one(
-            "backsolve",
-            &kernels::backsolve(),
-            &w16,
-            48,
-            shackle_exec::verify::hash_init(3),
-        ),
-        search_one(
-            "syrk",
-            &kernels::syrk(),
-            &w16,
-            32,
-            shackle_exec::verify::hash_init(3),
-        ),
-        search_one(
-            "jacobi2d",
-            &kernels::jacobi2d(),
-            &w16,
-            48,
-            shackle_exec::verify::hash_init(3),
-        ),
-        search_one(
-            "tensor_contract",
-            &kernels::tensor_contract(),
-            &SearchConfig {
-                width: 8,
-                ..Default::default()
-            },
-            16,
-            shackle_exec::verify::hash_init(3),
-        ),
-        search_one(
-            "gauss_seidel_1d",
-            &kernels::gauss_seidel_1d(),
-            &w16,
-            32,
-            shackle_exec::verify::hash_init(3),
-        ),
-    ];
+    let rows: Vec<SearchRow> = catalogue::catalogue()
+        .iter()
+        .filter_map(|e| Some(search_one(e, e.search?)))
+        .collect();
 
     println!(
         "\n{:<16} {:>5} {:>5} {:>8} {:>12} {:>9} {:>9}",
@@ -719,11 +571,6 @@ fn search_row_json(r: &SearchRow) -> String {
         r.stats.fm_rows_combined,
         r.stats.fm_rows_pruned,
     )
-}
-
-/// SPD workspace initializer for the Cholesky search probe.
-fn shackle_kernels_spd_init(n: usize) -> impl Fn(&str, &[usize]) -> f64 + Sync {
-    gen::spd_ws_init("A", n, 3)
 }
 
 /// Instrumented pipeline pass: measure the probe overhead on the

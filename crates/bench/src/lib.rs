@@ -35,7 +35,6 @@ pub mod memsweep;
 pub mod modelperf;
 pub mod prelude;
 pub mod report;
-pub mod searchperf;
 pub mod serveperf;
 
 /// The CPU-side cost model, calibrated to the paper's reported plateaus

@@ -30,19 +30,19 @@
 //! this module; `perf_report --quick` embeds the quick variant.
 
 use crate::report::{assert_speedup, BenchReport, Timing};
-use crate::searchperf::PROBE_CACHE;
 use shackle_core::search::{
     grid_shapes, reblock, rect_width_grid, two_phase, width_grid, SearchConfig,
 };
 use shackle_core::{check_legality, par, scan, Shackle};
-use shackle_ir::{kernels, Program};
+use shackle_ir::Program;
+use shackle_kernels::catalogue::{catalogue, Init};
 use shackle_kernels::trace::trace_execution;
-use shackle_kernels::{gen, shackles};
 use shackle_memsim::ground_truth;
 use shackle_model::{predict, KernelGeometry};
+use shackle_serve::pipeline::PROBE_CACHE;
 use std::collections::BTreeMap;
 
-/// Memory latency behind [`PROBE_CACHE`], matching the searchperf
+/// Memory latency behind [`PROBE_CACHE`], matching `auto_search`'s
 /// scoring accounting.
 pub const PROBE_MEM_LATENCY: u64 = 60;
 
@@ -84,9 +84,6 @@ impl Default for SweepOptions {
     }
 }
 
-/// A boxed workspace initializer (`(array name, indices) -> value`).
-pub type InitFn = Box<dyn Fn(&str, &[usize]) -> f64 + Sync>;
-
 /// One kernel's sweep specification: the program, the probe size, the
 /// workspace initializer, the product shapes (legal at their pivot
 /// widths) and the width sweep.
@@ -98,7 +95,7 @@ pub struct SweepSpec {
     /// Problem size scored on the probe cache.
     pub probe_n: i64,
     /// Workspace initializer.
-    pub init: InitFn,
+    pub init: Init,
     /// Product shapes; widths are pivots, re-swept by the grid.
     pub shapes: Vec<Vec<Shackle>>,
     /// Block widths swept per factor (full cross product).
@@ -190,8 +187,15 @@ fn range_widths(lo: i64, hi: i64) -> Vec<i64> {
     (lo..=hi).collect()
 }
 
-/// The per-kernel sweep specifications. `opts.widths` overrides every
-/// width list; quick mode shrinks them to three values.
+/// The per-kernel sweep specifications, total over the catalogue
+/// (program and initializer come from it; the grids are this harness's
+/// choice). `opts.widths` overrides every width list; quick mode
+/// shrinks them to three values.
+///
+/// # Panics
+///
+/// Panics on a catalogue kernel with neither a sweep nor a documented
+/// exemption.
 pub fn specs(opts: &SweepOptions) -> Vec<SweepSpec> {
     let widths = |full: Vec<i64>| -> Vec<i64> {
         if let Some(w) = &opts.widths {
@@ -203,203 +207,120 @@ pub fn specs(opts: &SweepOptions) -> Vec<SweepSpec> {
             full
         }
     };
-    let auto_shapes = |p: &Program, pivot: i64| {
-        grid_shapes(
-            p,
-            &SearchConfig {
-                width: pivot,
-                ..Default::default()
-            },
-        )
-    };
-    // two-level self-product of a single-factor shape (the §6.3
-    // multi-level construction); kept only if exactly legal at the
-    // pivot widths
-    let two_level = |p: &Program, f: &[Shackle]| -> Option<Vec<Shackle>> {
-        let mut s = f.to_vec();
-        s.extend(reblock(p, f, &vec![4; f.len()]));
-        check_legality(p, &s).is_legal().then_some(s)
-    };
-
     let mut out = Vec::new();
-
-    let mm = kernels::matmul_ijk();
-    out.push(SweepSpec {
-        name: "matmul_ijk",
-        shapes: auto_shapes(&mm, 8),
-        program: mm,
-        probe_n: 48,
-        init: Box::new(|_, _| 1.0),
-        widths: widths(dense_widths(48)),
-        rect: false,
-    });
-
-    // Rectangular-tile witness: matmul restricted to its two
-    // single-level B-blocking shapes, swept per-cut. The two-level
-    // self-products are excluded because a per-cut sweep over four cuts
-    // is |widths|^4 per shape, and the grid stays inside the model's
-    // documented scope the same way the triangular grids do: widths
-    // floor at a quarter cache line (below it the simulator rewards
-    // sub-line sharing the model does not track — matmul's global rect
-    // optimum (10, 2) lives there), and the A/C-blocking families are
-    // out because at N = 48 their narrow-width footprints sit exactly
-    // on the probe cache's 4-way conflict cliff (model 33k cycles, sim
-    // 716k for C at (16, 2) — conflict misses are invisible to any
-    // capacity model). Within scope the best rectangular tile strictly
-    // beats the best square one (best_square_cycles / best_rect_cycles
-    // in the row).
-    let mm2 = kernels::matmul_ijk();
-    let mut mm_b = auto_shapes(&mm2, 8);
-    mm_b.retain(|s| s.len() == 1 && s[0].blocking().array() == "B");
-    out.push(SweepSpec {
-        name: "matmul_rect",
-        shapes: mm_b,
-        program: mm2,
-        probe_n: 48,
-        init: Box::new(|_, _| 1.0),
-        widths: widths(range_widths(4, 26)),
-        rect: true,
-    });
-
-    let chol = kernels::cholesky_right();
-    out.push(SweepSpec {
-        name: "cholesky_right",
-        shapes: auto_shapes(&chol, 16),
-        program: chol,
-        probe_n: 80,
-        init: Box::new(gen::spd_ws_init("A", 80, 3)),
-        widths: widths(range_widths(4, 16)),
-        rect: false,
-    });
-
-    let choll = kernels::cholesky_left();
-    out.push(SweepSpec {
-        name: "cholesky_left",
-        shapes: auto_shapes(&choll, 16),
-        program: choll,
-        probe_n: 80,
-        init: Box::new(gen::spd_ws_init("A", 80, 3)),
-        widths: widths(range_widths(4, 16)),
-        rect: false,
-    });
-
-    let gauss = kernels::gauss();
-    out.push(SweepSpec {
-        name: "gauss",
-        shapes: auto_shapes(&gauss, 16),
-        program: gauss,
-        probe_n: 80,
-        init: Box::new(gen::spd_ws_init("A", 80, 5)),
-        widths: widths(range_widths(4, 16)),
-        rect: false,
-    });
-
-    // QR and ADI need hand-built shackles (dummy references / fused
-    // statements are beyond the automatic enumeration), single cut
-    // factors: the width sweep is linear, so the grid goes dense
-    // through a contiguous width range and the two-level self-product.
-    let qr = kernels::qr_householder();
-    let qr1 = shackles::qr_columns(&qr, 8);
-    let mut qr_shapes = vec![qr1.clone()];
-    qr_shapes.extend(two_level(&qr, &qr1));
-    out.push(SweepSpec {
-        name: "qr_householder",
-        shapes: qr_shapes,
-        program: qr,
-        probe_n: 36,
-        init: Box::new(shackle_exec::verify::hash_init(3)),
-        widths: widths(range_widths(2, 34)),
-        rect: false,
-    });
-
-    let adi = kernels::adi();
-    let adi1 = reblock(&adi, &shackles::adi_storage_order(&adi), &[8]);
-    let mut adi_shapes = vec![adi1.clone()];
-    adi_shapes.extend(two_level(&adi, &adi1));
-    out.push(SweepSpec {
-        name: "adi",
-        shapes: adi_shapes,
-        program: adi,
-        probe_n: 64,
-        init: Box::new(|name, idx| {
-            if name == "B" {
-                2.0 + (idx[0] % 7) as f64
-            } else {
-                (idx[0] % 5) as f64
-            }
-        }),
-        widths: widths(range_widths(2, 34)),
-        rect: false,
-    });
-
-    // The scenario-diversity wave. Backsolve's legal space is the §8
-    // reversed-direction one, so its shapes come from the enumeration
-    // with reversed cut sets enabled; the grid then re-sweeps widths
-    // across its six shapes (two of them X×X products).
-    let bs = kernels::backsolve();
-    out.push(SweepSpec {
-        name: "backsolve",
-        shapes: grid_shapes(
-            &bs,
-            &SearchConfig {
-                width: 8,
-                reversed_directions: true,
+    for entry in catalogue() {
+        let p = (entry.build)();
+        let shapes_at = |pivot: i64, reversed_directions: bool| {
+            let cfg = SearchConfig {
+                width: pivot,
+                reversed_directions,
                 ..Default::default()
-            },
-        ),
-        program: bs,
-        probe_n: 48,
-        init: Box::new(shackle_exec::verify::hash_init(3)),
-        widths: widths(range_widths(2, 34)),
-        rect: false,
-    });
-
-    // SYRK is triangular, so it inherits the triangular kernels' grid
-    // limits (see EXPERIMENTS.md): widths 4–16 at N = 80 keep blocks at
-    // or above a quarter cache line and small enough that the
-    // triangles-as-rectangles conservatism does not dominate — at
-    // N = 48 with widths up to 48 the guard-clipped fat blocks push the
-    // simulated winner far outside the model's top-K.
-    let sy = kernels::syrk();
-    out.push(SweepSpec {
-        name: "syrk",
-        shapes: auto_shapes(&sy, 8),
-        program: sy,
-        probe_n: 80,
-        init: Box::new(shackle_exec::verify::hash_init(3)),
-        widths: widths(range_widths(4, 16)),
-        rect: false,
-    });
-
-    // Jacobi sweeps rectangularly: column-major storage plus 128-byte
-    // lines favour tall, narrow tiles, so every (bi, bj) combination is
-    // scored independently — the kernel the square grid would mis-rank.
-    let ja = kernels::jacobi2d();
-    out.push(SweepSpec {
-        name: "jacobi2d",
-        shapes: auto_shapes(&ja, 8),
-        program: ja,
-        probe_n: 48,
-        init: Box::new(shackle_exec::verify::hash_init(3)),
-        widths: widths(dense_widths(48)),
-        rect: true,
-    });
-
-    // The tensor contraction is only partially blockable (the rank-2
-    // reduction chain into C[I,J] outlaws full-rank operand blockings),
-    // so the grid is the rectangular sweep over the two legal output
-    // blockings. O(N^4) work keeps the probe size small.
-    let tc = kernels::tensor_contract();
-    out.push(SweepSpec {
-        name: "tensor_contract",
-        shapes: auto_shapes(&tc, 8),
-        program: tc,
-        probe_n: 24,
-        init: Box::new(shackle_exec::verify::hash_init(3)),
-        widths: widths(range_widths(2, 24)),
-        rect: true,
-    });
-
+            };
+            grid_shapes(&p, &cfg)
+        };
+        let auto = |pivot: i64| shapes_at(pivot, false);
+        // QR and ADI need hand-built shackles (dummy references / fused
+        // statements are beyond the automatic enumeration), single cut
+        // factors: the width sweep is linear, so the grid goes dense
+        // through a contiguous width range and the two-level
+        // self-product (the §6.3 multi-level construction; kept only if
+        // exactly legal at the pivot widths).
+        let hand_built = || {
+            let single = entry.single.expect("a hand-built canonical shackle");
+            let f = reblock(&p, &single(&p, 8), &[8]);
+            let mut two_level = f.clone();
+            two_level.extend(reblock(&p, &f, &[4]));
+            let legal = check_legality(&p, &two_level).is_legal();
+            std::iter::once(f)
+                .chain(legal.then_some(two_level))
+                .collect()
+        };
+        // (row name, probe size, product shapes, full width sweep, rect)
+        type Sweep = (&'static str, i64, Vec<Vec<Shackle>>, Vec<i64>, bool);
+        let sweeps: Vec<Sweep> = match entry.name {
+            "matmul_ijk" => {
+                // Rectangular-tile witness: matmul restricted to its two
+                // single-level B-blocking shapes, swept per-cut. The
+                // two-level self-products are excluded because a per-cut
+                // sweep over four cuts is |widths|^4 per shape, and the
+                // grid stays inside the model's documented scope the
+                // same way the triangular grids do: widths floor at a
+                // quarter cache line (below it the simulator rewards
+                // sub-line sharing the model does not track — matmul's
+                // global rect optimum (10, 2) lives there), and the
+                // A/C-blocking families are out because at N = 48 their
+                // narrow-width footprints sit exactly on the probe
+                // cache's 4-way conflict cliff (model 33k cycles, sim
+                // 716k for C at (16, 2) — conflict misses are invisible
+                // to any capacity model). Within scope the best
+                // rectangular tile strictly beats the best square one
+                // (best_square_cycles / best_rect_cycles in the row).
+                let mut b_only = auto(8);
+                b_only.retain(|s| s.len() == 1 && s[0].blocking().array() == "B");
+                vec![
+                    ("matmul_ijk", 48, auto(8), dense_widths(48), false),
+                    ("matmul_rect", 48, b_only, range_widths(4, 26), true),
+                ]
+            }
+            "cholesky_right" | "cholesky_left" | "gauss" => {
+                vec![(entry.name, 80, auto(16), range_widths(4, 16), false)]
+            }
+            "qr_householder" => vec![(entry.name, 36, hand_built(), range_widths(2, 34), false)],
+            "adi" => vec![(entry.name, 64, hand_built(), range_widths(2, 34), false)],
+            // Backsolve's legal space is the §8 reversed-direction one,
+            // so its shapes come from the enumeration with reversed cut
+            // sets enabled; the grid then re-sweeps widths across its
+            // six shapes (two of them X×X products).
+            "backsolve" => vec![(
+                entry.name,
+                48,
+                shapes_at(8, true),
+                range_widths(2, 34),
+                false,
+            )],
+            // SYRK is triangular, so it inherits the triangular kernels'
+            // grid limits (see EXPERIMENTS.md): widths 4–16 at N = 80
+            // keep blocks at or above a quarter cache line and small
+            // enough that the triangles-as-rectangles conservatism does
+            // not dominate — at N = 48 with widths up to 48 the
+            // guard-clipped fat blocks push the simulated winner far
+            // outside the model's top-K.
+            "syrk" => vec![(entry.name, 80, auto(8), range_widths(4, 16), false)],
+            // Jacobi sweeps rectangularly: column-major storage plus
+            // 128-byte lines favour tall, narrow tiles, so every
+            // (bi, bj) combination is scored independently — the kernel
+            // the square grid would mis-rank.
+            "jacobi2d" => vec![(entry.name, 48, auto(8), dense_widths(48), true)],
+            // The tensor contraction is only partially blockable (the
+            // rank-2 reduction chain into C[I,J] outlaws full-rank
+            // operand blockings), so the grid is the rectangular sweep
+            // over the two legal output blockings. O(N^4) work keeps
+            // the probe size small.
+            "tensor_contract" => vec![(entry.name, 24, auto(8), range_widths(2, 24), true)],
+            // Exempt: `banded_cholesky` takes a second parameter `P`
+            // the single-`N` sweep protocol cannot express (the exec
+            // tiers and the banded pipeline tests exercise it), and
+            // `gauss_seidel_1d` has no legal shackle at all (its
+            // negative search result is `perf_report`'s BENCH_search
+            // row).
+            "banded_cholesky" | "gauss_seidel_1d" => vec![],
+            other => panic!(
+                "catalogue kernel {other} has neither a modelperf sweep \
+                 spec nor a documented exemption"
+            ),
+        };
+        for (name, probe_n, shapes, full, rect) in sweeps {
+            out.push(SweepSpec {
+                name,
+                program: p.clone(),
+                probe_n,
+                init: entry.init(&entry.params(probe_n), 3),
+                shapes,
+                widths: widths(full),
+                rect,
+            });
+        }
+    }
     if let Some(filter) = &opts.kernels {
         out.retain(|s| filter.iter().any(|k| k == s.name));
     }
@@ -701,9 +622,9 @@ mod tests {
                 "matmul_rect",
                 "cholesky_right",
                 "cholesky_left",
+                "adi",
                 "gauss",
                 "qr_householder",
-                "adi",
                 "backsolve",
                 "syrk",
                 "jacobi2d",
@@ -726,37 +647,6 @@ mod tests {
                 })
                 .sum();
             assert!(n >= 1000, "{}: dense grid only reaches {}", s.name, n);
-        }
-    }
-
-    /// Satellite coverage tripwire: every `ir::kernels` builder must be
-    /// reachable from a harness, so future kernels cannot silently drop
-    /// out the way `backsolve`/`gauss_seidel_1d` once did. A kernel is
-    /// covered by a modelperf sweep spec or by a documented exemption:
-    /// `banded_cholesky` takes a second parameter `P` the single-`N`
-    /// sweep protocol cannot express (it is exercised by the exec tiers
-    /// and the banded pipeline tests), and `gauss_seidel_1d` has no
-    /// legal shackle at all (its negative search result is recorded by
-    /// `perf_report`'s BENCH_search section).
-    #[test]
-    fn every_ir_kernel_is_swept_or_exempt() {
-        let covered: Vec<&str> = specs(&SweepOptions::default())
-            .iter()
-            .map(|s| s.name)
-            .collect();
-        let exempt = ["banded_cholesky", "gauss_seidel_1d"];
-        for (name, _) in kernels::all() {
-            assert!(
-                covered.contains(&name) || exempt.contains(&name),
-                "ir::kernels::{name} is not covered by any modelperf sweep \
-                 spec and not on the documented exemption list"
-            );
-        }
-        for name in exempt {
-            assert!(
-                kernels::all().iter().any(|(n, _)| *n == name),
-                "exemption list names unknown kernel {name}"
-            );
         }
     }
 }

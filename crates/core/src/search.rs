@@ -28,8 +28,8 @@ use shackle_ir::deps::{dependences, Dependence};
 use shackle_ir::{ArrayRef, Program, StmtId};
 use std::sync::LazyLock;
 
-/// Candidates tested by [`enumerate_legal_with_deps`], published to the
-/// probe counter `search.candidates`.
+/// Candidates tested by [`candidate_verdicts`], published to the probe
+/// counter `search.candidates`.
 static CANDIDATES: LazyLock<&'static shackle_probe::Counter> =
     LazyLock::new(|| shackle_probe::counter("search.candidates"));
 /// Candidates surviving the Theorem-1 filter, published to
@@ -45,10 +45,6 @@ pub struct SearchConfig {
     pub width: i64,
     /// Consider blocking each array that appears in the program.
     pub arrays: Option<Vec<String>>,
-    /// Upper bound on candidates per array (the cross product of
-    /// per-statement reference choices can explode; the paper suggests
-    /// heuristics to cut the search).
-    pub max_candidates_per_array: usize,
     /// Also enumerate reversed-direction cut sets (§8): each dimension
     /// order additionally yields a variant whose cuts all traverse
     /// `Decreasing`, so codes whose data flows from high indices to low
@@ -63,7 +59,6 @@ impl Default for SearchConfig {
         Self {
             width: 64,
             arrays: None,
-            max_candidates_per_array: 256,
             reversed_directions: false,
         }
     }
@@ -102,50 +97,65 @@ pub fn enumerate_legal(program: &Program, config: &SearchConfig) -> Vec<Candidat
     enumerate_legal_with_deps(program, config, &deps)
 }
 
-/// As [`enumerate_legal`], reusing precomputed dependences. Candidates
-/// are legality-checked in parallel over [`par`] workers (one early-exit
-/// Theorem-1 test each) and reassembled in enumeration order, so the
-/// result is identical at any `SHACKLE_THREADS` setting.
+/// As [`enumerate_legal`], reusing precomputed dependences: the
+/// distinct legal candidates of [`candidate_verdicts`].
 pub fn enumerate_legal_with_deps(
     program: &Program,
     config: &SearchConfig,
     deps: &[Dependence],
 ) -> Vec<Candidate> {
+    legal_candidates(program, &candidate_verdicts(program, config, deps))
+}
+
+/// Every raw candidate of [`candidate_shackles`] paired with its
+/// Theorem-1 verdict, in enumeration order. Candidates are
+/// legality-checked in parallel over [`par`] workers (one early-exit
+/// test each) and reassembled in order, so the result is identical at
+/// any `SHACKLE_THREADS` setting. The search pipeline
+/// (`shackle_serve::pipeline::auto_search`) reports every verdict,
+/// legal or not; everyone else wants [`legal_candidates`] of it.
+pub fn candidate_verdicts(
+    program: &Program,
+    config: &SearchConfig,
+    deps: &[Dependence],
+) -> Vec<(Shackle, bool)> {
     let _phase = shackle_probe::span("enumerate");
     let worklist = candidate_shackles(program, config);
-    if shackle_probe::enabled() {
-        CANDIDATES.add(worklist.len() as u64);
-    }
     let verdicts = par::map(&worklist, |shackle| {
         is_legal_with_deps(program, std::slice::from_ref(shackle), deps)
     });
     if shackle_probe::enabled() {
+        CANDIDATES.add(worklist.len() as u64);
         LEGAL.add(verdicts.iter().filter(|&&v| v).count() as u64);
     }
+    worklist.into_iter().zip(verdicts).collect()
+}
+
+/// The legal candidates of a [`candidate_verdicts`] list, deduplicated
+/// across dimension orders with identical refs, each with its
+/// Theorem 2 diagnosis.
+pub fn legal_candidates(program: &Program, verdicts: &[(Shackle, bool)]) -> Vec<Candidate> {
     let mut out: Vec<Candidate> = Vec::new();
-    for (shackle, legal) in worklist.into_iter().zip(verdicts) {
-        if !legal {
-            continue;
+    for (shackle, legal) in verdicts {
+        if *legal && !out.iter().any(|c| &c.shackle == shackle) {
+            out.push(Candidate {
+                shackle: shackle.clone(),
+                unconstrained: span::unconstrained_refs(program, std::slice::from_ref(shackle)),
+            });
         }
-        // dedupe across dimension orders with identical refs
-        if out.iter().any(|c| c.shackle == shackle) {
-            continue;
-        }
-        let unconstrained = span::unconstrained_refs(program, std::slice::from_ref(&shackle));
-        out.push(Candidate {
-            shackle,
-            unconstrained,
-        });
     }
     out
 }
 
+/// Upper bound on candidates per array: the cross product of
+/// per-statement reference choices can explode (the paper suggests
+/// heuristics to cut the search), so an array past it is skipped.
+const MAX_CANDIDATES_PER_ARRAY: usize = 256;
+
 /// The raw candidate worklist of [`enumerate_legal`], *before* the
 /// legality filter, in the search's deterministic enumeration order
 /// (array declaration order × dimension orders × per-statement
-/// reference cross product). Exposed so the search pipeline
-/// (`shackle_serve::pipeline::auto_search`) can report a verdict for
-/// every candidate, legal or not.
+/// reference cross product).
 pub fn candidate_shackles(program: &Program, config: &SearchConfig) -> Vec<Shackle> {
     let arrays: Vec<String> = config.arrays.clone().unwrap_or_else(|| {
         program
@@ -181,7 +191,7 @@ pub fn candidate_shackles(program: &Program, config: &SearchConfig) -> Vec<Shack
             continue;
         }
         let total: usize = choices.iter().map(Vec::len).product();
-        if total > config.max_candidates_per_array {
+        if total > MAX_CANDIDATES_PER_ARRAY {
             continue;
         }
         // dimension orders: identity and reversed-order application
@@ -331,27 +341,12 @@ pub fn complete_product_with_deps(
 /// Panics if `widths.len() != product.len()`.
 pub fn reblock(program: &Program, product: &[Shackle], widths: &[i64]) -> Vec<Shackle> {
     assert_eq!(widths.len(), product.len(), "one width per product factor");
-    product
+    let per_cut: Vec<i64> = product
         .iter()
         .zip(widths)
-        .map(|(f, &w)| {
-            let cuts: Vec<CutSet> = f
-                .blocking()
-                .cuts()
-                .iter()
-                .map(|c| CutSet {
-                    normal: c.normal.clone(),
-                    width: w,
-                    direction: c.direction,
-                })
-                .collect();
-            Shackle::new(
-                program,
-                Blocking::new(f.blocking().array(), cuts),
-                f.refs().to_vec(),
-            )
-        })
-        .collect()
+        .flat_map(|(f, &w)| f.blocking().cuts().iter().map(move |_| w))
+        .collect();
+    rewiden(program, product, &per_cut)
 }
 
 /// Re-widen a product with *independent per-cut widths* (rectangular
@@ -368,23 +363,31 @@ pub fn reblock(program: &Program, product: &[Shackle], widths: &[i64]) -> Vec<Sh
 /// factor.
 pub fn reblock_cuts(program: &Program, product: &[Shackle], widths: &[Vec<i64>]) -> Vec<Shackle> {
     assert_eq!(widths.len(), product.len(), "one width list per factor");
+    for (f, ws) in product.iter().zip(widths) {
+        assert_eq!(
+            ws.len(),
+            f.blocking().cuts().len(),
+            "one width per cut of the factor"
+        );
+    }
+    rewiden(program, product, &widths.concat())
+}
+
+/// The re-widening body: `per_cut` holds one width for every cut of
+/// every factor, in product order.
+fn rewiden(program: &Program, product: &[Shackle], per_cut: &[i64]) -> Vec<Shackle> {
+    let mut widths = per_cut.iter();
     product
         .iter()
-        .zip(widths)
-        .map(|(f, ws)| {
-            assert_eq!(
-                ws.len(),
-                f.blocking().cuts().len(),
-                "one width per cut of the factor"
-            );
+        .map(|f| {
             let cuts: Vec<CutSet> = f
                 .blocking()
                 .cuts()
                 .iter()
-                .zip(ws)
-                .map(|(c, &w)| CutSet {
+                .zip(&mut widths)
+                .map(|(c, &width)| CutSet {
                     normal: c.normal.clone(),
-                    width: w,
+                    width,
                     direction: c.direction,
                 })
                 .collect();
@@ -426,29 +429,22 @@ pub fn grid_shapes(program: &Program, config: &SearchConfig) -> Vec<Vec<Shackle>
 pub fn width_grid(program: &Program, shapes: &[Vec<Shackle>], widths: &[i64]) -> Vec<Vec<Shackle>> {
     let mut out = Vec::new();
     for shape in shapes {
-        let k = shape.len();
-        let mut combo: Vec<i64> = Vec::with_capacity(k);
-        grid_rec(program, shape, widths, &mut combo, &mut out);
+        for combo in odometer(widths, shape.len()) {
+            out.push(reblock(program, shape, &combo));
+        }
     }
     out
 }
 
-fn grid_rec(
-    program: &Program,
-    shape: &[Shackle],
-    widths: &[i64],
-    combo: &mut Vec<i64>,
-    out: &mut Vec<Vec<Shackle>>,
-) {
-    if combo.len() == shape.len() {
-        out.push(reblock(program, shape, combo));
-        return;
-    }
-    for &w in widths {
-        combo.push(w);
-        grid_rec(program, shape, widths, combo, out);
-        combo.pop();
-    }
+/// Every assignment of `widths` to `slots` positions, in odometer
+/// order with the last slot varying fastest.
+fn odometer(widths: &[i64], slots: usize) -> Vec<Vec<i64>> {
+    (0..slots).fold(vec![Vec::new()], |combos, _| {
+        combos
+            .iter()
+            .flat_map(|c| widths.iter().map(move |&w| [c.as_slice(), &[w]].concat()))
+            .collect()
+    })
 }
 
 /// The rectangular candidate grid: every shape crossed with every
@@ -466,45 +462,12 @@ pub fn rect_width_grid(
 ) -> Vec<Vec<Shackle>> {
     let mut out = Vec::new();
     for shape in shapes {
-        let cuts_per_factor: Vec<usize> = shape.iter().map(|f| f.blocking().cuts().len()).collect();
-        let total: usize = cuts_per_factor.iter().sum();
-        let mut flat: Vec<i64> = Vec::with_capacity(total);
-        rect_rec(
-            program,
-            shape,
-            &cuts_per_factor,
-            widths,
-            &mut flat,
-            &mut out,
-        );
+        let cuts = shape.iter().map(|f| f.blocking().cuts().len()).sum();
+        for combo in odometer(widths, cuts) {
+            out.push(rewiden(program, shape, &combo));
+        }
     }
     out
-}
-
-fn rect_rec(
-    program: &Program,
-    shape: &[Shackle],
-    cuts_per_factor: &[usize],
-    widths: &[i64],
-    flat: &mut Vec<i64>,
-    out: &mut Vec<Vec<Shackle>>,
-) {
-    let total: usize = cuts_per_factor.iter().sum();
-    if flat.len() == total {
-        let mut per_factor: Vec<Vec<i64>> = Vec::with_capacity(cuts_per_factor.len());
-        let mut at = 0;
-        for &k in cuts_per_factor {
-            per_factor.push(flat[at..at + k].to_vec());
-            at += k;
-        }
-        out.push(reblock_cuts(program, shape, &per_factor));
-        return;
-    }
-    for &w in widths {
-        flat.push(w);
-        rect_rec(program, shape, cuts_per_factor, widths, flat, out);
-        flat.pop();
-    }
 }
 
 /// Candidates ranked by the analytical first pass of [`two_phase`],
@@ -656,16 +619,20 @@ mod tests {
 
     #[test]
     fn candidate_cap_prunes_oversized_searches() {
-        let p = kernels::cholesky_right();
-        let legal = enumerate_legal(
-            &p,
-            &SearchConfig {
-                width: 16,
-                max_candidates_per_array: 1, // cross product is 6 > 1
-                ..Default::default()
-            },
-        );
-        assert!(legal.is_empty());
+        // two distinct references to `A` per statement: eight statements
+        // sit exactly on the cap (2^8 = 256), a ninth doubles past it
+        // and the array is skipped
+        let chain = |stmts: usize| {
+            let mut src = "program chain\nparam N\narray A(N)\n\ndo I = 2 .. N\n".to_string();
+            for s in 1..=stmts {
+                src += &format!("  S{s}: A[I] = A[I] + A[I - 1]\n");
+            }
+            shackle_ir::parse::parse(&src).expect("chain parses")
+        };
+        let cfg = SearchConfig::default();
+        assert_eq!(candidate_shackles(&chain(8), &cfg).len(), 256);
+        assert!(candidate_shackles(&chain(9), &cfg).is_empty());
+        assert!(enumerate_legal(&chain(9), &cfg).is_empty());
     }
 
     #[test]
@@ -822,7 +789,6 @@ mod tests {
                 width: 8,
                 arrays: Some(vec!["X".to_string()]),
                 reversed_directions: true,
-                ..Default::default()
             },
         );
         assert!(!both.is_empty(), "the reversed X blocking is legal");

@@ -1,9 +1,9 @@
 //! The Unknown verdict exists for adversarial inputs; the paper's own
 //! kernels must never need it. This test drives the full legality
-//! search over every in-repo kernel and pins `poly.unknown == 0`: the
-//! default budget decides every dependence probe outright, so the
-//! conservative-rejection path cannot silently shrink the search space
-//! the figures are built on.
+//! search over every `ir::kernels::all()` builder and pins
+//! `poly.unknown == 0`: the default budget decides every dependence
+//! probe outright, so the conservative-rejection path cannot silently
+//! shrink the search space the figures are built on.
 
 use shackle_core::search::{enumerate_legal, SearchConfig};
 use shackle_ir::kernels;
@@ -13,19 +13,8 @@ use shackle_polyhedra::cache;
 fn search_over_every_kernel_is_unknown_free() {
     let before = cache::stats().unknown_verdicts;
     let mut legal_total = 0usize;
-    for p in [
-        kernels::matmul_ijk(),
-        kernels::cholesky_right(),
-        kernels::cholesky_left(),
-        kernels::adi(),
-        kernels::gauss(),
-        kernels::qr_householder(),
-        kernels::banded_cholesky(),
-        kernels::backsolve(),
-        kernels::gauss_seidel_1d(),
-    ] {
-        let legal = enumerate_legal(&p, &SearchConfig::default());
-        legal_total += legal.len();
+    for (_, build) in kernels::all() {
+        legal_total += enumerate_legal(&build(), &SearchConfig::default()).len();
     }
     assert!(legal_total > 0, "the search found no legal shackles at all");
     let after = cache::stats().unknown_verdicts;

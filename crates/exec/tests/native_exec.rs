@@ -1,9 +1,10 @@
 //! Differential tests for the native execution tier: a rustc-compiled
 //! kernel must be indistinguishable from the tree interpreter and the
 //! bytecode engine — bit-identical workspaces and identical
-//! [`ExecStats`](shackle_exec::ExecStats) — on every in-repo kernel and
-//! on compiler-generated shackled programs. (The tier only runs; access
-//! traces come from the bytecode engine.)
+//! [`ExecStats`](shackle_exec::ExecStats) — on every kernel of
+//! `shackle_kernels::catalogue` (parameters and initializers come from
+//! it) and on compiler-generated shackled programs. (The tier only
+//! runs; access traces come from the bytecode engine.)
 //!
 //! Every test skips gracefully when `rustc` is unavailable in the
 //! sandbox.
@@ -12,20 +13,11 @@ use proptest::prelude::*;
 use shackle_exec::native::rustc_available;
 use shackle_exec::{compile, execute, verify, NativeKernel, NullObserver, Workspace};
 use shackle_ir::Program;
+use shackle_kernels::catalogue::{catalogue, Entry};
 use std::collections::BTreeMap;
 
 fn params(n: i64) -> BTreeMap<String, i64> {
     BTreeMap::from([("N".to_string(), n)])
-}
-
-type Init = Box<dyn Fn(&str, &[usize]) -> f64>;
-
-fn init_for(kernel: &str, n: i64, seed: u64) -> Init {
-    if kernel.contains("cholesky") || kernel == "gauss" {
-        Box::new(verify::spd_init("A", n as usize, seed))
-    } else {
-        Box::new(verify::hash_init(seed))
-    }
 }
 
 fn assert_bit_identical(a: &Workspace, b: &Workspace, what: &str) {
@@ -66,32 +58,14 @@ fn assert_native_agrees(
     assert_bit_identical(&tree_ws, &nat_ws, "native vs tree");
 }
 
-type KernelEntry = (&'static str, fn() -> Program);
-
-const KERNELS: [KernelEntry; 12] = [
-    ("matmul_ijk", shackle_ir::kernels::matmul_ijk),
-    ("cholesky_right", shackle_ir::kernels::cholesky_right),
-    ("cholesky_left", shackle_ir::kernels::cholesky_left),
-    ("adi", shackle_ir::kernels::adi),
-    ("gauss", shackle_ir::kernels::gauss),
-    ("qr_householder", shackle_ir::kernels::qr_householder),
-    ("banded_cholesky", shackle_ir::kernels::banded_cholesky),
-    ("backsolve", shackle_ir::kernels::backsolve),
-    ("gauss_seidel_1d", shackle_ir::kernels::gauss_seidel_1d),
-    ("syrk", shackle_ir::kernels::syrk),
-    ("jacobi2d", shackle_ir::kernels::jacobi2d),
-    ("tensor_contract", shackle_ir::kernels::tensor_contract),
-];
-
-fn kernel_params(name: &str, n: i64, seed: u64) -> BTreeMap<String, i64> {
-    let mut p = params(n);
-    if name == "banded_cholesky" {
-        p.insert("P".to_string(), 1 + seed as i64 % n);
+/// `entry` at size `n`, banded Cholesky's half-bandwidth drawn from
+/// the seed instead of tied to `n`.
+fn assert_native_agrees_on(entry: &Entry, n: i64, seed: u64) {
+    let mut p = entry.params(n);
+    if let Some(bw) = p.get_mut("P") {
+        *bw = 1 + seed as i64 % n;
     }
-    if name == "gauss_seidel_1d" {
-        p.insert("S".to_string(), 2);
-    }
-    p
+    assert_native_agrees(&(entry.build)(), &p, &entry.init(&p, seed));
 }
 
 /// Every in-repo kernel at a fixed size: the native tier is
@@ -102,12 +76,8 @@ fn native_matches_all_kernels() {
         eprintln!("skipping: rustc unavailable");
         return;
     }
-    for (name, mk) in KERNELS {
-        let program = mk();
-        let n = 7;
-        let p = kernel_params(name, n, 3);
-        let init = init_for(name, n, 3);
-        assert_native_agrees(&program, &p, &*init);
+    for entry in catalogue() {
+        assert_native_agrees_on(&entry, 7, 3);
     }
 }
 
@@ -157,17 +127,13 @@ proptest! {
     /// each kernel's runner compiles once across the whole sweep.)
     #[test]
     fn native_matches_tree_on_random_sizes(
-        k in 0usize..KERNELS.len(),
+        k in 0usize..catalogue().len(),
         n in 1i64..10,
         seed in 0u64..50,
     ) {
         if !rustc_available() {
             return;
         }
-        let (name, mk) = KERNELS[k];
-        let program = mk();
-        let p = kernel_params(name, n, seed);
-        let init = init_for(name, n, seed);
-        assert_native_agrees(&program, &p, &*init);
+        assert_native_agrees_on(&catalogue()[k], n, seed);
     }
 }

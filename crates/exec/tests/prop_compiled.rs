@@ -1,13 +1,14 @@
 //! Differential property tests: the compiled engine must be
 //! indistinguishable from the tree interpreter — bit-identical
 //! workspaces, identical [`ExecStats`], and identical ordered access
-//! traces — on random kernels, problem sizes and block widths,
-//! including compiler-generated (scanned) programs with guards and
-//! divided loop bounds.
+//! traces — on every kernel of `shackle_kernels::catalogue` at random
+//! problem sizes, and on compiler-generated (scanned) programs with
+//! guards and divided loop bounds at random block widths.
 
 use proptest::prelude::*;
 use shackle_exec::{compile, execute, verify, Access, ExecStats, Observer, Workspace};
 use shackle_ir::Program;
+use shackle_kernels::catalogue::catalogue;
 use std::collections::BTreeMap;
 
 fn params(n: i64) -> BTreeMap<String, i64> {
@@ -21,18 +22,6 @@ struct Collect(Vec<(String, usize, bool)>);
 impl Observer for Collect {
     fn record(&mut self, a: Access) {
         self.0.push((a.array.to_string(), a.offset, a.write));
-    }
-}
-
-type Init = Box<dyn Fn(&str, &[usize]) -> f64>;
-
-/// Initializer suited to each kernel: SPD data where a factorization
-/// takes square roots / divides by diagonals, hashed data elsewhere.
-fn init_for(kernel: &str, n: i64, seed: u64) -> Init {
-    if kernel.contains("cholesky") || kernel == "gauss" {
-        Box::new(verify::spd_init("A", n as usize, seed))
-    } else {
-        Box::new(verify::hash_init(seed))
     }
 }
 
@@ -70,19 +59,6 @@ fn assert_engines_agree(
     }
 }
 
-type KernelEntry = (&'static str, fn() -> Program);
-
-/// The seven evaluation kernels from the paper's experiment suite.
-const KERNELS: [KernelEntry; 7] = [
-    ("matmul_ijk", shackle_ir::kernels::matmul_ijk),
-    ("cholesky_right", shackle_ir::kernels::cholesky_right),
-    ("cholesky_left", shackle_ir::kernels::cholesky_left),
-    ("adi", shackle_ir::kernels::adi),
-    ("gauss", shackle_ir::kernels::gauss),
-    ("qr_householder", shackle_ir::kernels::qr_householder),
-    ("banded_cholesky", shackle_ir::kernels::banded_cholesky),
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -90,18 +66,17 @@ proptest! {
     /// bits, the same stats and the same trace.
     #[test]
     fn compiled_matches_tree_on_kernels(
-        k in 0usize..KERNELS.len(),
+        k in 0usize..catalogue().len(),
         n in 1i64..10,
         seed in 0u64..50,
     ) {
-        let (name, mk) = KERNELS[k];
-        let program = mk();
-        let mut p = params(n);
-        if name == "banded_cholesky" {
-            p.insert("P".to_string(), 1 + seed as i64 % n);
+        let entry = catalogue()[k];
+        let mut p = entry.params(n);
+        // the half-bandwidth drawn from the seed, not tied to `n`
+        if let Some(bw) = p.get_mut("P") {
+            *bw = 1 + seed as i64 % n;
         }
-        let init = init_for(name, n, seed);
-        assert_engines_agree(&program, &p, &*init);
+        assert_engines_agree(&(entry.build)(), &p, &entry.init(&p, seed));
     }
 
     /// Compiler-generated scanned programs (guards, ceil/floor-divided

@@ -588,9 +588,10 @@ pub fn tensor_contract() -> Program {
 pub type KernelBuilder = (&'static str, fn() -> Program);
 
 /// Every kernel builder in this module, keyed by its builder name —
-/// the single enumeration that harness-coverage tests check against,
-/// so a new kernel cannot silently stay a dead end the way `backsolve`
-/// and `gauss_seidel_1d` once did.
+/// the single enumeration. `shackle_kernels::catalogue` is derived
+/// from it (and panics on a builder it has no facts for), so a new
+/// kernel cannot silently stay a dead end the way `backsolve` and
+/// `gauss_seidel_1d` once did.
 pub fn all() -> Vec<KernelBuilder> {
     vec![
         ("matmul_ijk", matmul_ijk as fn() -> Program),

@@ -58,34 +58,8 @@ pub fn to_source(p: &Program) -> String {
         let _ = writeln!(out, "array {}({})", a.name(), dims.join(", "));
     }
     out.push('\n');
-    write_nodes(p, p.body(), 0, &mut out);
+    let _ = crate::pretty::write_nodes(p, p.body(), 0, &mut out);
     out
-}
-
-fn write_nodes(p: &Program, nodes: &[Node], depth: usize, out: &mut String) {
-    let pad = "  ".repeat(depth);
-    for n in nodes {
-        match n {
-            Node::Stmt(id) => {
-                let _ = writeln!(out, "{pad}{}", p.stmts()[*id]);
-            }
-            Node::If(cs, body) => {
-                let conds: Vec<String> = cs.iter().map(|c| c.to_string()).collect();
-                let _ = writeln!(out, "{pad}if ({})", conds.join(" && "));
-                write_nodes(p, body, depth + 1, out);
-            }
-            Node::Loop(l) => {
-                let _ = writeln!(
-                    out,
-                    "{pad}do {} = {} .. {}",
-                    l.var,
-                    crate::pretty::bound_to_string(&l.lower, true),
-                    crate::pretty::bound_to_string(&l.upper, false)
-                );
-                write_nodes(p, &l.body, depth + 1, out);
-            }
-        }
-    }
 }
 
 /// Parse a program from the concrete syntax (see the module docs).

@@ -30,14 +30,16 @@ pub fn bound_to_string(b: &Bound, lower: bool) -> String {
 
 pub(crate) fn print_program(p: &Program, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     writeln!(f, "// {}", p.name())?;
-    print_nodes(p, p.body(), 0, f)
+    write_nodes(p, p.body(), 0, f)
 }
 
-fn print_nodes(
+/// The loop-nest body in `do`-loop notation, two spaces per level —
+/// shared by `Display` and [`crate::parse::to_source`].
+pub(crate) fn write_nodes(
     p: &Program,
     nodes: &[Node],
     indent: usize,
-    f: &mut fmt::Formatter<'_>,
+    f: &mut impl fmt::Write,
 ) -> fmt::Result {
     let pad = "  ".repeat(indent);
     for n in nodes {
@@ -53,12 +55,12 @@ fn print_nodes(
                     bound_to_string(&l.lower, true),
                     bound_to_string(&l.upper, false)
                 )?;
-                print_nodes(p, &l.body, indent + 1, f)?;
+                write_nodes(p, &l.body, indent + 1, f)?;
             }
             Node::If(cs, body) => {
                 let conds: Vec<String> = cs.iter().map(|c| c.to_string()).collect();
                 writeln!(f, "{pad}if ({})", conds.join(" && "))?;
-                print_nodes(p, body, indent + 1, f)?;
+                write_nodes(p, body, indent + 1, f)?;
             }
         }
     }

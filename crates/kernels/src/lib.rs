@@ -22,11 +22,17 @@
 //! * [`traced`] — traced entry points of the two baselines whose
 //!   algorithms exist only natively (WY QR, LAPACK banded Cholesky),
 //!   each written once over a meter that is a no-op when untraced;
-//! * [`gen`] — deterministic workload generators.
+//! * [`gen`] — deterministic workload generators;
+//! * [`shackles`] — the canonical shackles of the paper's experiments;
+//! * [`catalogue`] — one entry per kernel holding what every harness
+//!   needs to know about it (builder, CLI alias, parameters, safe
+//!   initializer, canonical shackles, search row), read by the CLI,
+//!   the `shackle-bench` harnesses and the differential tests.
 //!
 //! The IR forms of the kernels live in [`shackle_ir::kernels`]; this
-//! crate's native forms are cross-validated against them in the
-//! workspace integration tests.
+//! crate's hand-written pointwise forms are cross-validated against
+//! them, from the catalogue's initializers, by the root package's
+//! `tests/ir_vs_native.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +42,7 @@ mod matrix;
 pub mod adi;
 pub mod banded;
 pub mod blas;
+pub mod catalogue;
 pub mod cholesky;
 pub mod compact;
 pub mod gauss;

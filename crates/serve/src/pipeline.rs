@@ -2,25 +2,25 @@
 //! score, select.
 //!
 //! This module is the single source of truth for the end-to-end search
-//! used both by the batch harness (`shackle_bench::searchperf`
-//! re-exports it) and by the daemon's `optimize` handler
+//! used both by the batch harnesses (`shackle-bench`'s `perf_report`,
+//! `modelperf`) and by the daemon's `optimize` handler
 //! ([`crate::service`]) — one implementation, so a served response is
 //! byte-identical to a batch run by construction, not by test luck.
 //!
 //! The search runs the candidate space of
-//! [`shackle_core::search::candidate_shackles`] through early-exit
-//! cheapest-first legality over shared dependences, greedy Theorem-2
-//! product growth and two-phase scoring (the `shackle-model` analytical
-//! predictor ranks every product, the exact probe-cache simulator
-//! re-scores only the top [`TOP_K`]), with [`shackle_core::par`] fan-out
-//! for enumeration, growth and scoring, and renders a textual report
-//! that is byte-identical at any thread count and whatever the
-//! polyhedral cache already holds.
+//! [`shackle_core::search::candidate_verdicts`] (early-exit
+//! cheapest-first legality over shared dependences) through greedy
+//! Theorem-2 product growth and two-phase scoring (the `shackle-model`
+//! analytical predictor ranks every product, the exact probe-cache
+//! simulator re-scores only the top [`TOP_K`]), with
+//! [`shackle_core::par`] fan-out for enumeration, growth and scoring,
+//! and renders a textual report that is byte-identical at any thread
+//! count and whatever the polyhedral cache already holds.
 
 use shackle_core::search::{
-    candidate_shackles, complete_product_with_deps, two_phase, Candidate, SearchConfig,
+    candidate_verdicts, complete_product_with_deps, legal_candidates, two_phase, SearchConfig,
 };
-use shackle_core::{is_legal_with_deps, par, scan, span, Shackle};
+use shackle_core::{scan, span, Shackle};
 use shackle_ir::deps::dependences;
 use shackle_ir::Program;
 use shackle_kernels::trace::trace_execution;
@@ -84,26 +84,12 @@ pub fn auto_search(
 ) -> SearchOutcome {
     // Taken only because the frozen `benchmark/` crate passes it.
     let Mode::Memoized = mode;
-    let raw = candidate_shackles(program, cfg);
     let deps = dependences(program);
 
-    // 1. legality verdict per raw candidate
-    let verdicts: Vec<bool> = par::map(&raw, |s| {
-        is_legal_with_deps(program, std::slice::from_ref(s), &deps)
-    });
-
-    // legal candidates, deduped in enumeration order (exactly
-    // `enumerate_legal`'s construction)
-    let mut legal: Vec<Candidate> = Vec::new();
-    for (shackle, &ok) in raw.iter().zip(&verdicts) {
-        if ok && !legal.iter().any(|c| &c.shackle == shackle) {
-            let unconstrained = span::unconstrained_refs(program, std::slice::from_ref(shackle));
-            legal.push(Candidate {
-                shackle: shackle.clone(),
-                unconstrained,
-            });
-        }
-    }
+    // 1. legality verdict per raw candidate; the legal ones, deduped in
+    //    enumeration order, seed the growth
+    let verdicts = candidate_verdicts(program, cfg, &deps);
+    let legal = legal_candidates(program, &verdicts);
 
     // 2. grow each legal seed into a product (Theorem 2), keeping the
     //    distinct fully-blocking ones; maximal grown products that
@@ -171,8 +157,8 @@ pub fn auto_search(
     let outcome = two_phase(&products, TOP_K, model_score, exact_score);
 
     let mut report = String::new();
-    let _ = writeln!(report, "candidates {}", raw.len());
-    for (s, ok) in raw.iter().zip(&verdicts) {
+    let _ = writeln!(report, "candidates {}", verdicts.len());
+    for (s, ok) in &verdicts {
         let _ = writeln!(
             report,
             "candidate {s}: {}",
@@ -209,7 +195,7 @@ pub fn auto_search(
     };
 
     SearchOutcome {
-        candidates: raw.len(),
+        candidates: verdicts.len(),
         legal: legal.len(),
         products: products.len(),
         rescored,

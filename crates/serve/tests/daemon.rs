@@ -65,7 +65,7 @@ fn mix() -> Vec<(Request, u64, String)> {
 }
 
 /// Satellite 3's stress test: concurrent TCP clients receive responses
-/// byte-identical to the batch `searchperf::auto_search` path, at
+/// byte-identical to the batch `pipeline::auto_search` path, at
 /// `SHACKLE_THREADS` ∈ {1, 8}.
 #[test]
 fn concurrent_clients_match_batch_path_at_1_and_8_threads() {

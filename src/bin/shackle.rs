@@ -5,8 +5,10 @@
 //!                  [--product] [--verify N] [--search] [--deps]
 //! ```
 //!
-//! Kernels: `matmul`, `cholesky`, `cholesky-left`, `qr`, `adi`, `gauss`,
-//! `banded`, `backsolve`.
+//! Kernels: every entry of `shackle_kernels::catalogue`, by registry
+//! name (`matmul_ijk`, `syrk`, …) or CLI alias (`matmul`, `cholesky`,
+//! `cholesky-left`, `qr`, `banded`, `gauss-seidel`); the usage text
+//! lists them.
 //!
 //! Examples:
 //!
@@ -19,9 +21,8 @@
 
 use data_shackle::core::search::{enumerate_legal, SearchConfig};
 use data_shackle::core::{check_legality, naive::generate_naive, scan::generate_scanned, Shackle};
-use data_shackle::exec::verify::check_equivalence;
-use data_shackle::ir::{kernels, Program};
-use data_shackle::kernels::shackles;
+use data_shackle::exec::verify::{check_equivalence, hash_init};
+use data_shackle::kernels::catalogue::{self, Entry};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -41,15 +42,17 @@ struct Options {
 }
 
 fn usage() -> ExitCode {
+    let kernels: Vec<&str> = catalogue::catalogue().iter().map(|e| e.alias).collect();
     eprintln!(
         "usage: shackle <kernel|-> [--width W] [--emit MODE] [--product] \
          [--verify N] [--search] [--deps]\n\
          \x20      [--file PROG.ds [--block ARRAY --refs 'R1;R2;…' [--order DIGITS]]]\n\
          emit modes: input naive scanned rust c\n\
-         built-in kernels: matmul cholesky cholesky-left qr adi gauss banded backsolve gauss-seidel\n\
+         built-in kernels: {}\n\
          with --file, the kernel name is ignored (use `-`); --block/--refs build a\n\
          shackle on the parsed program (one reference per statement, textual order;\n\
-         --order lists 0-based dimensions cut first, e.g. 10 for columns-then-rows)"
+         --order lists 0-based dimensions cut first, e.g. 10 for columns-then-rows)",
+        kernels.join(" ")
     );
     ExitCode::from(2)
 }
@@ -107,37 +110,6 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     Ok(opts)
 }
 
-fn kernel_program(name: &str) -> Option<Program> {
-    Some(match name {
-        "matmul" => kernels::matmul_ijk(),
-        "cholesky" => kernels::cholesky_right(),
-        "cholesky-left" => kernels::cholesky_left(),
-        "qr" => kernels::qr_householder(),
-        "adi" => kernels::adi(),
-        "gauss" => kernels::gauss(),
-        "banded" => kernels::banded_cholesky(),
-        "backsolve" => kernels::backsolve(),
-        "gauss-seidel" => kernels::gauss_seidel_1d(),
-        _ => return None,
-    })
-}
-
-fn canonical_shackles(name: &str, p: &Program, width: i64, product: bool) -> Option<Vec<Shackle>> {
-    Some(match (name, product) {
-        ("matmul", false) => shackles::matmul_c(p, width),
-        ("matmul", true) => shackles::matmul_ca(p, width),
-        ("cholesky" | "cholesky-left", false) => shackles::cholesky_writes(p, width),
-        ("cholesky" | "cholesky-left", true) => shackles::cholesky_product(p, width),
-        ("qr", _) => shackles::qr_columns(p, width),
-        ("adi", _) => shackles::adi_storage_order(p),
-        ("gauss", false) => shackles::gauss_writes(p, width),
-        ("gauss", true) => shackles::gauss_product(p, width),
-        ("banded", _) => shackles::banded_writes(p, width),
-        ("backsolve", _) => shackles::backsolve_reversed(p, width),
-        _ => return None,
-    })
-}
-
 fn main() -> ExitCode {
     let opts = match parse(std::env::args().skip(1)) {
         Ok(o) => o,
@@ -146,6 +118,7 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    let entry: Option<Entry> = catalogue::find(&opts.kernel);
     let program = if let Some(path) = &opts.file {
         let src = match std::fs::read_to_string(path) {
             Ok(s) => s,
@@ -162,8 +135,8 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        match kernel_program(&opts.kernel) {
-            Some(p) => p,
+        match entry {
+            Some(e) => (e.build)(),
             None => {
                 eprintln!("shackle: unknown kernel {}", opts.kernel);
                 return usage();
@@ -246,8 +219,16 @@ fn main() -> ExitCode {
         let blocking = data_shackle::core::Blocking::new(array.as_str(), cuts);
         vec![Shackle::new(&program, blocking, parsed_refs)]
     } else {
-        match canonical_shackles(&opts.kernel, &program, opts.width, opts.product) {
-            Some(f) => f,
+        // the canonical shackle asked for, else the one the kernel has
+        let canonical = entry.and_then(|e| {
+            if opts.product {
+                e.product.or(e.single)
+            } else {
+                e.single.or(e.product)
+            }
+        });
+        match canonical {
+            Some(shackle) => shackle(&program, opts.width),
             None => {
                 eprintln!(
                     "shackle: no canonical {} shackle for kernel {} \
@@ -288,11 +269,11 @@ fn main() -> ExitCode {
     }
 
     if let Some(n) = opts.verify {
-        let mut params = BTreeMap::from([("N".to_string(), n)]);
-        if program.params().iter().any(|p| p == "P") {
-            params.insert("P".to_string(), (n / 4).max(1));
-        }
-        let init = verify_init(&opts.kernel, n);
+        // a parsed program has size `N` and no ill-conditioned pivots
+        let plain = || BTreeMap::from([("N".to_string(), n)]);
+        let params = entry.map_or_else(plain, |e| e.params(n));
+        let hashed = || Box::new(hash_init(7)) as catalogue::Init;
+        let init = entry.map_or_else(hashed, |e| e.init(&params, 7));
         let eq = check_equivalence(&program, &transformed, &params, init);
         eprintln!(
             "verify n={n}: max relative difference {:.3e} over {} instances",
@@ -303,29 +284,6 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-/// A workspace initializer closure.
-type Init = Box<dyn Fn(&str, &[usize]) -> f64>;
-
-/// A numerically safe initializer per kernel (SPD matrices for the
-/// factorizations, bounded-away-from-zero divisors for ADI/backsolve).
-fn verify_init(kernel: &str, n: i64) -> Init {
-    let n = n as usize;
-    match kernel {
-        "cholesky" | "cholesky-left" | "gauss" => {
-            Box::new(data_shackle::kernels::gen::spd_ws_init("A", n, 7))
-        }
-        "banded" => Box::new(data_shackle::kernels::gen::banded_ws_init(
-            "A",
-            n,
-            (n / 4).max(1),
-            7,
-        )),
-        "adi" => Box::new(data_shackle::exec::verify::adi_init()),
-        "backsolve" => Box::new(data_shackle::exec::verify::backsolve_init()),
-        _ => Box::new(data_shackle::exec::verify::hash_init(7)),
-    }
 }
 
 #[cfg(test)]
@@ -384,25 +342,5 @@ mod tests {
         assert!(parse_vec(&["matmul", "--width", "abc"]).is_err());
         assert!(parse_vec(&["matmul", "--emit", "fortran"]).is_err());
         assert!(parse_vec(&["matmul", "--bogus"]).is_err());
-    }
-
-    #[test]
-    fn kernel_and_shackle_tables_agree() {
-        // every built-in kernel with a canonical single shackle passes
-        // its own legality check
-        for k in [
-            "matmul",
-            "cholesky",
-            "cholesky-left",
-            "qr",
-            "adi",
-            "gauss",
-            "banded",
-            "backsolve",
-        ] {
-            let p = kernel_program(k).expect(k);
-            let f = canonical_shackles(k, &p, 8, false).expect(k);
-            assert!(check_legality(&p, &f).is_legal(), "{k}");
-        }
     }
 }

@@ -3,61 +3,28 @@
 //! identically.
 
 use data_shackle::core::scan::generate_scanned;
-use data_shackle::exec::verify::{check_equivalence, hash_init, spd_init};
-use data_shackle::ir::kernels;
+use data_shackle::exec::verify::{check_equivalence, hash_init};
 use data_shackle::ir::parse::{parse, to_source};
-use data_shackle::kernels::shackles;
+use data_shackle::kernels::catalogue::catalogue;
 use std::collections::BTreeMap;
 
 #[test]
 fn scanned_programs_roundtrip_and_execute() {
-    let cases: Vec<(data_shackle::ir::Program, Vec<data_shackle::core::Shackle>)> = vec![
-        {
-            let p = kernels::matmul_ijk();
-            let f = shackles::matmul_ca(&p, 5);
-            (p, f)
-        },
-        {
-            let p = kernels::cholesky_right();
-            let f = shackles::cholesky_writes(&p, 4);
-            (p, f)
-        },
-        {
-            let p = kernels::adi();
-            let f = shackles::adi_storage_order(&p);
-            (p, f)
-        },
-    ];
-    for (p, f) in cases {
-        let scanned = generate_scanned(&p, &f);
-        let text = to_source(&scanned);
-        let reparsed = parse(&text).unwrap_or_else(|e| panic!("{}: {e}\n{text}", scanned.name()));
-        // serialization is a fixed point
-        assert_eq!(to_source(&reparsed), text, "{}", scanned.name());
-        // and the reparsed program executes identically to the original
-        let n = 9_i64;
-        let params = BTreeMap::from([("N".to_string(), n)]);
-        type Init = Box<dyn Fn(&str, &[usize]) -> f64>;
-        let init: Init = if p.name().contains("cholesky") {
-            Box::new(spd_init("A", n as usize, 3))
-        } else if p.name() == "adi" {
-            Box::new(|name: &str, idx: &[usize]| {
-                if name == "B" {
-                    2.0 + ((idx[0] * 3 + idx[1]) % 11) as f64 / 11.0
-                } else {
-                    ((idx[0] + 2 * idx[1]) % 7) as f64 / 7.0
-                }
-            })
-        } else {
-            Box::new(hash_init(3))
-        };
-        let eq = check_equivalence(&p, &reparsed, &params, init);
-        assert!(
-            eq.within(1e-10),
-            "{}: reparsed code diverged: {}",
-            scanned.name(),
-            eq.max_rel_diff
-        );
+    // every catalogue kernel under each of its canonical shackles
+    for e in catalogue() {
+        let p = (e.build)();
+        for shackle in [e.single, e.product].into_iter().flatten() {
+            let scanned = generate_scanned(&p, &shackle(&p, 4));
+            let text = to_source(&scanned);
+            let reparsed =
+                parse(&text).unwrap_or_else(|err| panic!("{}: {err}\n{text}", scanned.name()));
+            // serialization is a fixed point
+            assert_eq!(to_source(&reparsed), text, "{}", scanned.name());
+            // and the reparsed program executes identically to the original
+            let params = e.params(9);
+            let eq = check_equivalence(&p, &reparsed, &params, e.init(&params, 3));
+            assert_eq!(eq.max_rel_diff, 0.0, "{}: reparsed code diverged", e.name);
+        }
     }
 }
 

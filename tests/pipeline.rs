@@ -1,231 +1,157 @@
-//! End-to-end pipeline tests: for every kernel of the paper, build the
-//! IR, apply the canonical shackle(s), check legality, generate both
-//! code forms, and execute everything to prove semantic equivalence.
+//! End-to-end pipeline tests: for every kernel of the catalogue, build
+//! the IR, apply its canonical shackle(s), check legality, generate both
+//! code forms, and execute everything to prove the transformed program
+//! computes the same bits as its input. The named tests below the loop
+//! cover what is not "a kernel's canonical shackle at width 4":
+//! multi-level and rectangular blockings, a bandwidth varied
+//! independently of the size, the two generated forms against each
+//! other, and per-kernel cases at their own widths and sizes.
 
-use data_shackle::core::{check_legality, naive::generate_naive, scan::generate_scanned};
-use data_shackle::exec::verify::{check_equivalence, hash_init};
-use data_shackle::ir::kernels;
-use data_shackle::kernels::gen::{banded_ws_init, spd_ws_init};
+use data_shackle::core::{check_legality, naive::generate_naive, scan::generate_scanned, Shackle};
+use data_shackle::exec::verify::check_equivalence;
+use data_shackle::ir::Program;
+use data_shackle::kernels::catalogue::{catalogue, find, Entry, Init};
 use data_shackle::kernels::shackles;
 use std::collections::BTreeMap;
 
-fn params(n: i64) -> BTreeMap<String, i64> {
-    BTreeMap::from([("N".to_string(), n)])
-}
-
-#[test]
-fn matmul_single_shackle_pipeline() {
-    let p = kernels::matmul_ijk();
-    let f = shackles::matmul_c(&p, 7);
-    assert!(check_legality(&p, &f).is_legal());
-    let naive = generate_naive(&p, &f);
-    let scanned = generate_scanned(&p, &f);
-    for n in [1, 6, 7, 13, 21, 30] {
-        let eq = check_equivalence(&p, &naive, &params(n), hash_init(1));
-        assert!(eq.max_rel_diff == 0.0, "naive n={n}: {}", eq.max_rel_diff);
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(1));
-        assert!(eq.max_rel_diff == 0.0, "scanned n={n}: {}", eq.max_rel_diff);
+/// Legality, then the naive and the scanned form against the input at
+/// every parameter set, from the kernel's own initializer. A legal
+/// shackle preserves every dependence, so each statement instance reads
+/// the values it read in the input program: the comparison is exact.
+fn assert_pipeline(
+    e: &Entry,
+    program: &Program,
+    factors: &[Shackle],
+    param_sets: impl IntoIterator<Item = BTreeMap<String, i64>>,
+) {
+    assert!(
+        check_legality(program, factors).is_legal(),
+        "{}: illegal",
+        e.name
+    );
+    let naive = generate_naive(program, factors);
+    let scanned = generate_scanned(program, factors);
+    for params in param_sets {
+        let init: Init = e.init(&params, 7);
+        for (form, code) in [("naive", &naive), ("scanned", &scanned)] {
+            let eq = check_equivalence(program, code, &params, &init);
+            assert_eq!(eq.max_rel_diff, 0.0, "{} {form} at {params:?}", e.name);
+        }
     }
 }
 
+/// One of `name`'s shackles, built by `shackle` at `sizes`.
+fn pipeline(name: &str, shackle: impl Fn(&Program) -> Vec<Shackle>, sizes: &[i64]) {
+    let e = find(name).expect(name);
+    let program = (e.build)();
+    let factors = shackle(&program);
+    assert_pipeline(&e, &program, &factors, sizes.iter().map(|&n| e.params(n)));
+}
+
 #[test]
-fn matmul_product_pipeline() {
-    let p = kernels::matmul_ijk();
-    let f = shackles::matmul_ca(&p, 5);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [4, 5, 11, 23] {
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(2));
-        assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
+fn every_canonical_shackle_pipeline() {
+    // width 4, sizes below, at, beside and well past one block
+    for e in catalogue() {
+        for shackle in [e.single, e.product].into_iter().flatten() {
+            pipeline(e.name, |p| shackle(p, 4), &[1, 3, 4, 5, 9, 14, 21]);
+        }
     }
+}
+
+/// Per-kernel cases at their own widths and sizes (odd widths, larger
+/// problems than the loop's), one named test each so a failure names
+/// its kernel — a list of names and sizes; kernel, shackle, parameters
+/// and initializer all come from the catalogue.
+macro_rules! canonical_cases {
+    ($($test:ident: $kernel:literal $form:ident, $width:literal, $sizes:expr;)*) => {$(
+        #[test]
+        fn $test() {
+            let shackle = find($kernel).and_then(|e| e.$form).expect($kernel);
+            pipeline($kernel, |p| shackle(p, $width), &$sizes);
+        }
+    )*};
+}
+
+canonical_cases! {
+    matmul_single_shackle_pipeline: "matmul_ijk" single, 7, [1, 6, 7, 13, 21, 30];
+    matmul_product_pipeline: "matmul_ijk" product, 5, [4, 5, 11, 23];
+    cholesky_writes_pipeline: "cholesky_right" single, 4, [1, 3, 4, 9, 17];
+    cholesky_product_pipeline_gives_fully_blocked_code: "cholesky_right" product, 4, [5, 8, 13];
+    left_looking_cholesky_shackles_too: "cholesky_left" single, 4, [4, 9, 14];
+    qr_column_shackle_pipeline: "qr_householder" single, 4, [2, 5, 9, 12];
+    gauss_product_pipeline: "gauss" product, 4, [3, 8, 13];
+    adi_shackle_pipeline: "adi" single, 1, [2, 5, 12, 20];
+    backsolve_reversed_shackle_pipeline: "backsolve" single, 4, [1, 3, 4, 9, 14];
+    syrk_product_pipeline: "syrk" product, 5, [1, 4, 5, 11, 17];
 }
 
 #[test]
 fn matmul_two_level_pipeline() {
-    let p = kernels::matmul_ijk();
+    // scanned form only: the naive form of a four-factor product walks
+    // every block-coordinate tuple
+    let e = find("matmul_ijk").unwrap();
+    let p = (e.build)();
     let f = shackles::matmul_two_level(&p, 8, 2);
     assert!(check_legality(&p, &f).is_legal());
     let scanned = generate_scanned(&p, &f);
     for n in [7, 16, 19] {
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(3));
-        assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
-    }
-}
-
-#[test]
-fn cholesky_writes_pipeline() {
-    let p = kernels::cholesky_right();
-    let f = shackles::cholesky_writes(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let naive = generate_naive(&p, &f);
-    let scanned = generate_scanned(&p, &f);
-    for n in [1, 3, 4, 9, 17] {
-        let init = spd_ws_init("A", n as usize, 4);
-        let eq = check_equivalence(&p, &naive, &params(n), &init);
-        assert!(eq.within(1e-10), "naive n={n}: {}", eq.max_rel_diff);
-        let eq = check_equivalence(&p, &scanned, &params(n), &init);
-        assert!(eq.within(1e-10), "scanned n={n}: {}", eq.max_rel_diff);
-    }
-}
-
-#[test]
-fn cholesky_product_pipeline_gives_fully_blocked_code() {
-    let p = kernels::cholesky_right();
-    let f = shackles::cholesky_product(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [5, 8, 13] {
-        let init = spd_ws_init("A", n as usize, 5);
-        let eq = check_equivalence(&p, &scanned, &params(n), &init);
-        assert!(eq.within(1e-10), "n={n}: {}", eq.max_rel_diff);
-    }
-}
-
-#[test]
-fn left_looking_cholesky_shackles_too() {
-    // Shackling the left-looking source (Fig. 1(iii)) through its
-    // writes is also legal and equivalent.
-    let p = kernels::cholesky_left();
-    let f = shackles::cholesky_writes(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [4, 9, 14] {
-        let init = spd_ws_init("A", n as usize, 6);
-        let eq = check_equivalence(&p, &scanned, &params(n), &init);
-        assert!(eq.within(1e-10), "n={n}: {}", eq.max_rel_diff);
-    }
-}
-
-#[test]
-fn qr_column_shackle_pipeline() {
-    let p = kernels::qr_householder();
-    let f = shackles::qr_columns(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [2, 5, 9, 12] {
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(7));
-        assert!(eq.within(1e-9), "n={n}: {}", eq.max_rel_diff);
-    }
-}
-
-#[test]
-fn gauss_product_pipeline() {
-    let p = kernels::gauss();
-    let f = shackles::gauss_product(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [3, 8, 13] {
-        let init = spd_ws_init("A", n as usize, 8);
-        let eq = check_equivalence(&p, &scanned, &params(n), &init);
-        assert!(eq.within(1e-9), "n={n}: {}", eq.max_rel_diff);
-    }
-}
-
-#[test]
-fn adi_shackle_pipeline() {
-    let p = kernels::adi();
-    let f = shackles::adi_storage_order(&p);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    let init = |name: &str, idx: &[usize]| {
-        if name == "B" {
-            2.0 + ((idx[0] * 3 + idx[1]) % 11) as f64 / 11.0
-        } else {
-            ((idx[0] + 2 * idx[1]) % 7) as f64 / 7.0
-        }
-    };
-    for n in [2, 5, 12, 20] {
-        let eq = check_equivalence(&p, &scanned, &params(n), init);
+        let params = e.params(n);
+        let eq = check_equivalence(&p, &scanned, &params, e.init(&params, 3));
         assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
     }
 }
 
 #[test]
 fn banded_cholesky_pipeline() {
-    let p = kernels::banded_cholesky();
-    let f = shackles::banded_writes(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let naive = generate_naive(&p, &f);
-    let scanned = generate_scanned(&p, &f);
-    for (n, bw) in [(8i64, 2i64), (12, 5), (16, 3)] {
-        let params = BTreeMap::from([("N".to_string(), n), ("P".to_string(), bw)]);
-        let init = banded_ws_init("A", n as usize, bw as usize, 9);
-        let eq = check_equivalence(&p, &naive, &params, &init);
-        assert!(eq.within(1e-10), "naive n={n} p={bw}");
-        let eq = check_equivalence(&p, &scanned, &params, &init);
-        assert!(eq.within(1e-10), "scanned n={n} p={bw}");
-    }
-}
-
-#[test]
-fn backsolve_reversed_shackle_pipeline() {
-    // §8: the triangular back-solve's data flows from high indices to
-    // low, so the legal blocking walks X bottom-to-top (reversed cut
-    // set). The scanned code must still be semantically identical.
-    let p = kernels::backsolve();
-    let f = shackles::backsolve_reversed(&p, 4);
-    assert!(check_legality(&p, &f).is_legal());
-    let naive = generate_naive(&p, &f);
-    let scanned = generate_scanned(&p, &f);
-    for n in [1, 3, 4, 9, 14] {
-        let eq = check_equivalence(&p, &naive, &params(n), hash_init(11));
-        assert_eq!(eq.max_rel_diff, 0.0, "naive n={n}");
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(11));
-        assert_eq!(eq.max_rel_diff, 0.0, "scanned n={n}");
-    }
-}
-
-#[test]
-fn syrk_product_pipeline() {
-    let p = kernels::syrk();
-    let f = shackles::syrk_product(&p, 5);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [1, 4, 5, 11, 17] {
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(12));
-        assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
-    }
+    // the half-bandwidth varied independently of the size (the
+    // catalogue ties it to N/4)
+    let e = find("banded_cholesky").unwrap();
+    let program = (e.build)();
+    let factors = shackles::banded_writes(&program, 4);
+    let param_sets = [(8, 2), (12, 5), (16, 3)].map(|(n, bw)| {
+        let mut params = e.params(n);
+        params.insert("P".to_string(), bw);
+        params
+    });
+    assert_pipeline(&e, &program, &factors, param_sets);
 }
 
 #[test]
 fn jacobi2d_rectangular_tiles_pipeline() {
     // Rectangular tiles: independent per-dimension widths (tall-narrow
-    // here), the grid extension this wave adds to the search.
-    let p = kernels::jacobi2d();
-    let f = shackles::jacobi2d_tiles(&p, 7, 2);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [2, 3, 8, 15, 23] {
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(13));
-        assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
-    }
+    // here), the grid extension the search sweeps.
+    pipeline(
+        "jacobi2d",
+        |p| shackles::jacobi2d_tiles(p, 7, 2),
+        &[2, 3, 8, 15, 23],
+    );
 }
 
 #[test]
 fn tensor_contract_partial_blocking_pipeline() {
     // The tensor contraction's rank-2 reduction chain admits only the
     // output blocking; the partial product still reorders legally and
-    // executes identically.
-    let p = kernels::tensor_contract();
-    let f = shackles::tensor_c(&p, 3, 5);
-    assert!(check_legality(&p, &f).is_legal());
-    let scanned = generate_scanned(&p, &f);
-    for n in [1, 4, 7, 10] {
-        let eq = check_equivalence(&p, &scanned, &params(n), hash_init(14));
-        assert_eq!(eq.max_rel_diff, 0.0, "n={n}");
-    }
+    // executes identically, rectangular tiles included.
+    pipeline(
+        "tensor_contract",
+        |p| shackles::tensor_c(p, 3, 5),
+        &[1, 4, 7, 10],
+    );
 }
 
 #[test]
 fn naive_and_scanned_forms_agree_with_each_other() {
     // Transitivity check made explicit: the two generated forms agree
     // directly (not only each against the source).
-    let p = kernels::cholesky_right();
+    let e = find("cholesky_right").unwrap();
+    let p = (e.build)();
     let f = shackles::cholesky_writes(&p, 3);
-    let naive = generate_naive(&p, &f);
-    let scanned = generate_scanned(&p, &f);
-    let n = 11;
-    let init = spd_ws_init("A", n as usize, 10);
-    let eq = check_equivalence(&naive, &scanned, &params(n), &init);
+    let params = e.params(11);
+    let eq = check_equivalence(
+        &generate_naive(&p, &f),
+        &generate_scanned(&p, &f),
+        &params,
+        e.init(&params, 10),
+    );
     assert_eq!(eq.max_rel_diff, 0.0);
 }

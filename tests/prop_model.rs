@@ -20,15 +20,14 @@
 
 use data_shackle::core::search::{grid_shapes, reblock, two_phase, width_grid, SearchConfig};
 use data_shackle::core::{check_legality, par, scan, Shackle};
-use data_shackle::ir::{kernels, Program};
-use data_shackle::prelude::{
-    gen, ground_truth, predict, shackles, trace_execution, CacheConfig, KernelGeometry,
-};
+use data_shackle::ir::Program;
+use data_shackle::kernels::catalogue::{find, Init};
+use data_shackle::prelude::{ground_truth, predict, trace_execution, CacheConfig, KernelGeometry};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
 /// The probe cache the search harnesses score on
-/// (`shackle_bench::searchperf::PROBE_CACHE`).
+/// (`shackle_serve::pipeline::PROBE_CACHE`).
 const PROBE_CACHE: CacheConfig = CacheConfig {
     size: 8 * 1024,
     line: 128,
@@ -44,24 +43,16 @@ const PROBE_MEM_LATENCY: u64 = 60;
 /// see `miss_err_mean` in BENCH_model.json).
 const ENVELOPE: f64 = 24.0;
 
-type Init = Box<dyn Fn(&str, &[usize]) -> f64 + Sync>;
-
 /// The differential corpus: small problem sizes so a single exact
 /// simulation stays cheap in debug builds.
 fn corpus() -> Vec<(Program, i64, Init)> {
-    vec![
-        (
-            kernels::matmul_ijk(),
-            32,
-            Box::new(|_: &str, _: &[usize]| 1.0),
-        ),
-        (kernels::gauss(), 24, Box::new(gen::spd_ws_init("A", 24, 5))),
-        (
-            kernels::cholesky_right(),
-            32,
-            Box::new(gen::spd_ws_init("A", 32, 3)),
-        ),
-    ]
+    [("matmul_ijk", 32), ("gauss", 24), ("cholesky_right", 32)]
+        .into_iter()
+        .map(|(kernel, n)| {
+            let e = find(kernel).expect(kernel);
+            ((e.build)(), n, e.init(&e.params(n), 3))
+        })
+        .collect()
 }
 
 fn single_factor_shapes(program: &Program) -> Vec<Vec<Shackle>> {
@@ -176,96 +167,36 @@ fn assert_winner_survives(
 #[test]
 fn simulated_winner_in_model_top_k_on_every_kernel() {
     let quick = [4i64, 8, 16];
-    let auto_shapes = |p: &Program, pivot: i64| {
-        grid_shapes(
-            p,
-            &SearchConfig {
+    // (kernel, probe size, pivot width) — `modelperf`'s rows
+    for (kernel, probe_n, pivot) in [
+        ("matmul_ijk", 48, 8),
+        ("cholesky_right", 80, 16),
+        ("cholesky_left", 80, 16),
+        ("gauss", 80, 16),
+        ("qr_householder", 36, 8),
+        ("adi", 64, 8),
+    ] {
+        let e = find(kernel).expect(kernel);
+        let p = (e.build)();
+        let shapes = if e.search.is_some() {
+            let cfg = SearchConfig {
                 width: pivot,
                 ..Default::default()
-            },
-        )
-    };
-    let two_level = |p: &Program, f: &[Shackle]| -> Option<Vec<Shackle>> {
-        let mut s = f.to_vec();
-        s.extend(reblock(p, f, &vec![4; f.len()]));
-        check_legality(p, &s).is_legal().then_some(s)
-    };
-
-    let mm = kernels::matmul_ijk();
-    assert_winner_survives(
-        "matmul_ijk",
-        &mm,
-        48,
-        &|_, _| 1.0,
-        &auto_shapes(&mm, 8),
-        &quick,
-        8,
-    );
-
-    let chol = kernels::cholesky_right();
-    assert_winner_survives(
-        "cholesky_right",
-        &chol,
-        80,
-        &gen::spd_ws_init("A", 80, 3),
-        &auto_shapes(&chol, 16),
-        &quick,
-        8,
-    );
-
-    let choll = kernels::cholesky_left();
-    assert_winner_survives(
-        "cholesky_left",
-        &choll,
-        80,
-        &gen::spd_ws_init("A", 80, 3),
-        &auto_shapes(&choll, 16),
-        &quick,
-        8,
-    );
-
-    let gauss = kernels::gauss();
-    assert_winner_survives(
-        "gauss",
-        &gauss,
-        80,
-        &gen::spd_ws_init("A", 80, 5),
-        &auto_shapes(&gauss, 16),
-        &quick,
-        8,
-    );
-
-    let qr = kernels::qr_householder();
-    let qr1 = shackles::qr_columns(&qr, 8);
-    let mut qr_shapes = vec![qr1.clone()];
-    qr_shapes.extend(two_level(&qr, &qr1));
-    assert_winner_survives(
-        "qr_householder",
-        &qr,
-        36,
-        &data_shackle::exec::verify::hash_init(3),
-        &qr_shapes,
-        &quick,
-        8,
-    );
-
-    let adi = kernels::adi();
-    let adi1 = reblock(&adi, &shackles::adi_storage_order(&adi), &[8]);
-    let mut adi_shapes = vec![adi1.clone()];
-    adi_shapes.extend(two_level(&adi, &adi1));
-    assert_winner_survives(
-        "adi",
-        &adi,
-        64,
-        &|name, idx| {
-            if name == "B" {
-                2.0 + (idx[0] % 7) as f64
-            } else {
-                (idx[0] % 5) as f64
-            }
-        },
-        &adi_shapes,
-        &quick,
-        8,
-    );
+            };
+            grid_shapes(&p, &cfg)
+        } else {
+            // beyond the automatic enumeration: the hand-built canonical
+            // shackle and, where legal, its two-level self-product
+            let single = e.single.expect("a hand-built canonical shackle");
+            let f = reblock(&p, &single(&p, pivot), &[pivot]);
+            let mut two_level = f.clone();
+            two_level.extend(reblock(&p, &f, &[4]));
+            let legal = check_legality(&p, &two_level).is_legal();
+            std::iter::once(f)
+                .chain(legal.then_some(two_level))
+                .collect()
+        };
+        let init = e.init(&e.params(probe_n), 3);
+        assert_winner_survives(kernel, &p, probe_n, &init, &shapes, &quick, 8);
+    }
 }
