@@ -21,16 +21,34 @@
 //!                       u64 len, len × f64
 //! ```
 //!
-//! Response (runner → host), two `u8 tag + u64 len + payload` frames:
+//! Response (runner → host), two `u8 tag + u64 len + payload` frames of
+//! `len` 8-byte words, in this order:
 //!
-//! * tag 2 — per-statement instance counters: `len` = statement count,
-//!   payload `len × u64`;
-//! * tag 3 — array data: `len` = total element count, payload is every
-//!   array's `f64` data concatenated in declaration order. Terminates
-//!   the response.
+//! * tag 2 — `len` = statement count + 1: the per-statement instance
+//!   counters, then the nanoseconds the runner measured around the
+//!   kernel call alone;
+//! * tag 3 — `len` = total element count of **the arrays some statement
+//!   writes**, their `f64` data concatenated in declaration order.
+//!   Read-only arrays are not sent back: the host's copy already holds
+//!   their bits. Both sides derive the list from the same [`Program`].
+//!
+//! Array data streams: each side owns one staging buffer of [`STAGE`]
+//! elements (64 KiB, a pipe's capacity) and converts chunk-wise between
+//! its `f64` storage and the pipe, so neither side ever holds a
+//! full-size byte copy of the request, and the runner's arrays are
+//! resized in place and reused from run to run. The one full-size
+//! buffer left is the host's copy of the tag-3 payload, alive only
+//! inside a `run`: the host checks each announced length against what
+//! this run must return *before* allocating, and writes nothing into
+//! the workspace until the whole response has arrived — a failed run
+//! leaves the workspace untouched.
 //!
 //! The runner loops until stdin reaches EOF, so one spawned process
-//! serves any number of runs.
+//! serves any number of runs. A run that fails — the runner died, or
+//! answered out of protocol and left the stream out of step — reaps the
+//! runner and marks the kernel failed: that run and every later one
+//! return the same [`NativeError::RunnerFailed`], which names the exit
+//! status, without touching the pipe again.
 //!
 //! # Observability without observation cost
 //!
@@ -40,18 +58,26 @@
 //! the statement's static load/flop count — the same accounting the
 //! tree interpreter does incrementally). The tier only runs: every
 //! access trace in the workspace comes from the bytecode engine
-//! ([`crate::execute_compiled`] with an [`crate::Observer`]).
+//! ([`crate::execute_compiled`] with an [`crate::Observer`]). With the
+//! probe enabled each run also publishes what the transport cost:
+//! `native.kernel_ns` (measured in the runner), `native.bytes_down` and
+//! `native.bytes_up` (counted on the host), so the `native.run` span
+//! minus `native.kernel_ns` is the time spent in the pipe.
 
 use crate::interp::count_flops;
 use crate::{ExecStats, Workspace};
 use shackle_ir::emit::{emit_with, Dialect, EmitOptions};
 use shackle_ir::{Program, ScalarExpr};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::LazyLock;
+
+/// Elements per staging buffer: 8192 × 8 bytes = 64 KiB, the capacity
+/// of a pipe, so one converted chunk is one full pipe.
+pub const STAGE: usize = 8192;
 
 static RUSTC_VERSION: LazyLock<Option<String>> = LazyLock::new(|| {
     Command::new("rustc")
@@ -83,8 +109,12 @@ pub enum NativeError {
     Build(String),
     /// An I/O failure talking to the cache or the runner process.
     Io(std::io::Error),
-    /// The runner sent a malformed or truncated response.
+    /// The runner sent a malformed response.
     Protocol(String),
+    /// A run failed — what went wrong and the runner's exit status
+    /// inside — and the kernel is unusable: every later
+    /// [`NativeKernel::run`] returns this same error.
+    RunnerFailed(String),
 }
 
 impl std::fmt::Display for NativeError {
@@ -94,6 +124,7 @@ impl std::fmt::Display for NativeError {
             NativeError::Build(e) => write!(f, "rustc failed to build kernel: {e}"),
             NativeError::Io(e) => write!(f, "native runner I/O error: {e}"),
             NativeError::Protocol(e) => write!(f, "native runner protocol error: {e}"),
+            NativeError::RunnerFailed(e) => write!(f, "native runner failed: {e}"),
         }
     }
 }
@@ -157,6 +188,46 @@ fn count_loads(e: &ScalarExpr) -> u64 {
     }
 }
 
+/// For each declared array, whether some statement writes it. The
+/// runner returns exactly these arrays and the host applies exactly
+/// this list, so both sides derive it here.
+fn written_arrays(program: &Program) -> Vec<bool> {
+    let written = |name: &str| program.stmts().iter().any(|s| s.write().array() == name);
+    program.arrays().iter().map(|a| written(a.name())).collect()
+}
+
+/// The runner's side of the transport: arrays stream chunk-wise through
+/// one staging buffer, straight between the pipe and `f64` storage.
+const RUNNER_IO: &str = r#"
+fn read_u64(r: &mut impl Read) -> u64 {
+    let mut b = [0u8; 8];
+    r.read_exact(&mut b).unwrap();
+    u64::from_le_bytes(b)
+}
+
+fn read_array(r: &mut impl Read, stage: &mut [u8], arr: &mut Vec<f64>) {
+    let len = read_u64(r) as usize;
+    arr.resize(len, 0.0);
+    for chunk in arr.chunks_mut(STAGE) {
+        let bytes = &mut stage[..chunk.len() * 8];
+        r.read_exact(bytes).unwrap();
+        for (v, b) in chunk.iter_mut().zip(bytes.chunks_exact(8)) {
+            *v = f64::from_le_bytes(b.try_into().unwrap());
+        }
+    }
+}
+
+fn write_array(w: &mut impl Write, stage: &mut [u8], arr: &[f64]) {
+    for chunk in arr.chunks(STAGE) {
+        let bytes = &mut stage[..chunk.len() * 8];
+        for (b, v) in bytes.chunks_exact_mut(8).zip(chunk) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        w.write_all(bytes).unwrap();
+    }
+}
+"#;
+
 /// Render the complete self-contained runner program for `program`:
 /// the kernel with per-statement counters plus a `main` that serves run
 /// requests over the stdio frame protocol until EOF.
@@ -170,7 +241,8 @@ pub fn runner_source(program: &Program) -> String {
         },
     );
     let fn_name = program.name().replace('-', "_");
-    let written: BTreeSet<&str> = program.stmts().iter().map(|s| s.write().array()).collect();
+    let written = written_arrays(program);
+    let narrays = written.len();
 
     let mut src = String::new();
     let _ = writeln!(
@@ -180,92 +252,70 @@ pub fn runner_source(program: &Program) -> String {
         program.name()
     );
     let _ = writeln!(src, "mod plain {{\n{plain}}}\n");
-    src.push_str(
-        "fn read_u64(r: &mut impl Read) -> u64 {\n\
-         \x20   let mut b = [0u8; 8];\n\
-         \x20   r.read_exact(&mut b).unwrap();\n\
-         \x20   u64::from_le_bytes(b)\n\
-         }\n\n\
-         fn main() {\n\
-         \x20   let si = std::io::stdin();\n\
-         \x20   let mut inp = std::io::BufReader::new(si.lock());\n",
+    let _ = writeln!(src, "const STAGE: usize = {STAGE};");
+    src.push_str(RUNNER_IO);
+    let _ = writeln!(
+        src,
+        "\nfn main() {{\n\
+         \x20   let mut inp = std::io::stdin().lock();\n\
+         \x20   let mut out = std::io::stdout().lock();\n\
+         \x20   let mut stage = vec![0u8; STAGE * 8];\n\
+         \x20   let mut head: Vec<u8> = Vec::new();\n\
+         \x20   let mut ps = vec![0i64; {}];\n\
+         \x20   let mut cnt = vec![0u64; {}];",
+        program.params().len(),
+        program.stmts().len()
     );
-    let nstmts = program.stmts().len();
-    let _ = writeln!(src, "    let mut cnt = vec![0u64; {nstmts}];");
-    for i in 0..program.arrays().len() {
+    for i in 0..narrays {
         let _ = writeln!(src, "    let mut arr{i}: Vec<f64> = Vec::new();");
     }
     src.push_str(
         "    loop {\n\
          \x20       let mut np = [0u8; 8];\n\
          \x20       if inp.read_exact(&mut np).is_err() { return; }\n\
-         \x20       let np = u64::from_le_bytes(np) as usize;\n\
-         \x20       let mut ps = vec![0i64; np];\n\
-         \x20       for p in ps.iter_mut() {\n\
-         \x20           let mut b = [0u8; 8];\n\
-         \x20           inp.read_exact(&mut b).unwrap();\n\
-         \x20           *p = i64::from_le_bytes(b);\n\
-         \x20       }\n\
-         \x20       let _na = read_u64(&mut inp);\n",
+         \x20       assert_eq!(u64::from_le_bytes(np), ps.len() as u64);\n\
+         \x20       for p in ps.iter_mut() { *p = read_u64(&mut inp) as i64; }\n",
     );
-    for i in 0..program.arrays().len() {
+    let _ = writeln!(src, "        assert_eq!(read_u64(&mut inp), {narrays});");
+    for i in 0..narrays {
         let _ = writeln!(
             src,
-            "        let len{i} = read_u64(&mut inp) as usize;\n\
-             \x20       arr{i}.clear();\n\
-             \x20       arr{i}.reserve(len{i});\n\
-             \x20       {{\n\
-             \x20           let mut bytes = vec![0u8; len{i} * 8];\n\
-             \x20           inp.read_exact(&mut bytes).unwrap();\n\
-             \x20           for c in bytes.chunks_exact(8) {{\n\
-             \x20               arr{i}.push(f64::from_le_bytes(c.try_into().unwrap()));\n\
-             \x20           }}\n\
-             \x20       }}"
+            "        read_array(&mut inp, &mut stage, &mut arr{i});"
         );
     }
-    src.push_str("        cnt.iter_mut().for_each(|c| *c = 0);\n");
     let mut call_args: Vec<String> = (0..program.params().len())
         .map(|i| format!("ps[{i}]"))
         .collect();
-    for (i, a) in program.arrays().iter().enumerate() {
-        if written.contains(a.name()) {
-            call_args.push(format!("&mut arr{i}"));
-        } else {
-            call_args.push(format!("&arr{i}"));
-        }
+    for (i, &w) in written.iter().enumerate() {
+        call_args.push(format!("&{}arr{i}", if w { "mut " } else { "" }));
     }
-    let args = call_args.join(", ");
-    let _ = writeln!(src, "        plain::{fn_name}({args}, &mut cnt);");
-    src.push_str(
-        "        {\n\
-         \x20           let so = std::io::stdout();\n\
-         \x20           let mut o = so.lock();\n\
-         \x20           o.write_all(&[2u8]).unwrap();\n\
-         \x20           o.write_all(&(cnt.len() as u64).to_le_bytes()).unwrap();\n\
-         \x20           for &c in cnt.iter() { o.write_all(&c.to_le_bytes()).unwrap(); }\n\
-         \x20           o.write_all(&[3u8]).unwrap();\n",
-    );
-    let total: String = (0..program.arrays().len())
-        .map(|i| format!("arr{i}.len()"))
-        .collect::<Vec<_>>()
-        .join(" + ");
+    call_args.push("&mut cnt".to_string());
+    let returned: Vec<usize> = (0..narrays).filter(|&i| written[i]).collect();
+    // a program without statements writes nothing and returns `0` elements
+    let total = returned
+        .iter()
+        .fold("0".to_string(), |sum, i| format!("{sum} + arr{i}.len()"));
     let _ = writeln!(
         src,
-        "            o.write_all(&(({total}) as u64).to_le_bytes()).unwrap();"
+        "        cnt.fill(0);\n\
+         \x20       let start = std::time::Instant::now();\n\
+         \x20       plain::{fn_name}({});\n\
+         \x20       let ns = start.elapsed().as_nanos() as u64;\n\
+         \x20       head.clear();\n\
+         \x20       head.push(2u8);\n\
+         \x20       head.extend_from_slice(&(cnt.len() as u64 + 1).to_le_bytes());\n\
+         \x20       for c in cnt.iter() {{ head.extend_from_slice(&c.to_le_bytes()); }}\n\
+         \x20       head.extend_from_slice(&ns.to_le_bytes());\n\
+         \x20       head.push(3u8);\n\
+         \x20       head.extend_from_slice(&(({total}) as u64).to_le_bytes());\n\
+         \x20       out.write_all(&head).unwrap();",
+        call_args.join(", ")
     );
-    for i in 0..program.arrays().len() {
-        let _ = writeln!(
-            src,
-            "            {{\n\
-             \x20               let mut bytes = Vec::with_capacity(arr{i}.len() * 8);\n\
-             \x20               for &v in arr{i}.iter() {{ bytes.extend_from_slice(&v.to_le_bytes()); }}\n\
-             \x20               o.write_all(&bytes).unwrap();\n\
-             \x20           }}"
-        );
+    for i in returned {
+        let _ = writeln!(src, "        write_array(&mut out, &mut stage, &arr{i});");
     }
     src.push_str(
-        "            o.flush().unwrap();\n\
-         \x20       }\n\
+        "        out.flush().unwrap();\n\
          \x20   }\n\
          }\n",
     );
@@ -347,22 +397,86 @@ struct StmtCost {
     flops: u64,
 }
 
+/// One complete runner response.
+#[derive(Debug)]
+struct Response {
+    /// Per-statement instance counters.
+    counters: Vec<u64>,
+    /// Nanoseconds the runner measured around the kernel call.
+    kernel_ns: u64,
+    /// The written arrays' `f64` data, little-endian, concatenated.
+    arrays: Vec<u8>,
+}
+
+impl Response {
+    /// Bytes this response took on the pipe: two 9-byte frame headers
+    /// and the 8-byte words behind them.
+    fn bytes(&self) -> u64 {
+        (18 + 8 * (self.counters.len() + 1) + self.arrays.len()) as u64
+    }
+}
+
+/// Read one `tag` frame that must carry exactly `words` 8-byte words.
+/// The announced length is checked before anything is allocated for it.
+fn read_frame(r: &mut impl Read, tag: u8, words: usize) -> Result<Vec<u8>, NativeError> {
+    let mut head = [0u8; 9];
+    r.read_exact(&mut head)?;
+    if head[0] != tag {
+        return Err(NativeError::Protocol(format!(
+            "expected frame tag {tag}, got {}",
+            head[0]
+        )));
+    }
+    let len = u64::from_le_bytes(head[1..].try_into().expect("8-byte length"));
+    if len != words as u64 {
+        return Err(NativeError::Protocol(format!(
+            "tag-{tag} frame announces {len} words, this run expects {words}"
+        )));
+    }
+    let mut payload = vec![0u8; words * 8];
+    r.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
+/// Read the response of a run over `stmts` statements whose written
+/// arrays hold `written` elements in this workspace.
+fn read_response(r: &mut impl Read, stmts: usize, written: usize) -> Result<Response, NativeError> {
+    let words = read_frame(r, 2, stmts + 1)?;
+    let mut words = words
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+    let counters = words.by_ref().take(stmts).collect();
+    let kernel_ns = words.next().expect("frame holds stmts + 1 words");
+    let arrays = read_frame(r, 3, written)?;
+    Ok(Response {
+        counters,
+        kernel_ns,
+        arrays,
+    })
+}
+
 /// A compiled kernel attached to its persistent runner process.
 ///
-/// Spawn once, [`run`](NativeKernel::run) many times: each run sends
-/// parameters and array contents down the pipe and reads the results
-/// back, so repeated executions pay pipe I/O plus native speed — no
-/// process spawn, no rustc.
+/// Spawn once, [`run`](NativeKernel::run) many times: each run streams
+/// parameters and array contents down the pipe and reads the written
+/// arrays back, so repeated executions pay pipe I/O plus native speed —
+/// no process spawn, no rustc.
 #[derive(Debug)]
 pub struct NativeKernel {
+    /// The runner; its stdin stays inside, so waiting on it closes the
+    /// pipe first and the runner's read loop ends.
     child: Child,
-    stdin: Option<BufWriter<ChildStdin>>,
-    stdout: BufReader<ChildStdout>,
+    stdout: ChildStdout,
     /// Which cache entry backs this kernel.
     outcome: BuildOutcome,
     params: Vec<String>,
-    arrays: Vec<String>,
+    /// Declared arrays, and whether the runner returns each.
+    arrays: Vec<(String, bool)>,
     costs: Vec<StmtCost>,
+    /// The host's staging buffer, [`STAGE`] elements.
+    stage: Vec<u8>,
+    /// Why this kernel can no longer run, once a run has failed.
+    failed: Option<String>,
 }
 
 impl NativeKernel {
@@ -380,19 +494,14 @@ impl NativeKernel {
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()?;
-        let stdin = child.stdin.take().expect("piped stdin");
         let stdout = child.stdout.take().expect("piped stdout");
+        let names = program.arrays().iter().map(|a| a.name().to_string());
         Ok(Self {
             child,
-            stdin: Some(BufWriter::new(stdin)),
-            stdout: BufReader::new(stdout),
+            stdout,
             outcome,
             params: program.params().to_vec(),
-            arrays: program
-                .arrays()
-                .iter()
-                .map(|a| a.name().to_string())
-                .collect(),
+            arrays: names.zip(written_arrays(program)).collect(),
             costs: program
                 .stmts()
                 .iter()
@@ -401,6 +510,8 @@ impl NativeKernel {
                     flops: count_flops(s),
                 })
                 .collect(),
+            stage: vec![0u8; STAGE * 8],
+            failed: None,
         })
     }
 
@@ -409,77 +520,40 @@ impl NativeKernel {
         &self.outcome
     }
 
+    /// Stream one request down the pipe; returns the bytes sent.
     fn send_request(
         &mut self,
         workspace: &Workspace,
         params: &BTreeMap<String, i64>,
-    ) -> Result<(), NativeError> {
-        let w = self
-            .stdin
-            .as_mut()
-            .ok_or_else(|| NativeError::Protocol("runner stdin already closed".into()))?;
-        w.write_all(&(self.params.len() as u64).to_le_bytes())?;
+    ) -> Result<u64, NativeError> {
+        let w = self.child.stdin.as_mut().expect("piped stdin");
+        let mut head = Vec::with_capacity(8 * (self.params.len() + 2));
+        head.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
         for p in &self.params {
             let v = *params
                 .get(p)
                 .unwrap_or_else(|| panic!("missing parameter {p}"));
-            w.write_all(&v.to_le_bytes())?;
+            head.extend_from_slice(&v.to_le_bytes());
         }
-        w.write_all(&(self.arrays.len() as u64).to_le_bytes())?;
-        for name in &self.arrays {
-            let arr = workspace
+        head.extend_from_slice(&(self.arrays.len() as u64).to_le_bytes());
+        w.write_all(&head)?;
+        let mut sent = head.len();
+        for (name, _) in &self.arrays {
+            let data = workspace
                 .array(name)
-                .unwrap_or_else(|| panic!("unknown array {name}"));
-            w.write_all(&(arr.len() as u64).to_le_bytes())?;
-            let mut bytes = Vec::with_capacity(arr.len() * 8);
-            for &v in arr.data() {
-                bytes.extend_from_slice(&v.to_le_bytes());
-            }
-            w.write_all(&bytes)?;
-        }
-        w.flush()?;
-        Ok(())
-    }
-
-    fn read_frame(&mut self) -> Result<(u8, Vec<u8>), NativeError> {
-        let mut tag = [0u8; 1];
-        self.stdout.read_exact(&mut tag)?;
-        let mut lenb = [0u8; 8];
-        self.stdout.read_exact(&mut lenb)?;
-        let len = u64::from_le_bytes(lenb) as usize;
-        let mut payload = vec![0u8; len * 8];
-        self.stdout.read_exact(&mut payload)?;
-        Ok((tag[0], payload))
-    }
-
-    /// Read response frames until tag 3.
-    fn read_response(&mut self) -> Result<Response, NativeError> {
-        let mut counters = Vec::new();
-        loop {
-            let (tag, payload) = self.read_frame()?;
-            match tag {
-                2 => {
-                    counters = payload
-                        .chunks_exact(8)
-                        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                        .collect();
+                .unwrap_or_else(|| panic!("unknown array {name}"))
+                .data();
+            w.write_all(&(data.len() as u64).to_le_bytes())?;
+            for chunk in data.chunks(STAGE) {
+                let bytes = &mut self.stage[..chunk.len() * 8];
+                for (b, v) in bytes.chunks_exact_mut(8).zip(chunk) {
+                    b.copy_from_slice(&v.to_le_bytes());
                 }
-                3 => {
-                    if counters.len() != self.costs.len() {
-                        return Err(NativeError::Protocol(format!(
-                            "expected {} statement counters, got {}",
-                            self.costs.len(),
-                            counters.len()
-                        )));
-                    }
-                    return Ok(Response {
-                        counters,
-                        arrays: payload,
-                    });
-                }
-                t => return Err(NativeError::Protocol(format!("unknown frame tag {t}"))),
+                w.write_all(bytes)?;
             }
+            sent += 8 + data.len() * 8;
         }
+        Ok(sent as u64)
     }
 
     /// Reconstruct exact [`ExecStats`] from the per-statement instance
@@ -495,38 +569,45 @@ impl NativeKernel {
         stats
     }
 
-    /// Copy the returned array payload back into the workspace. Nothing
-    /// is written until the whole response has been received, so a
-    /// failed run leaves the workspace untouched.
-    fn apply_arrays(&self, payload: &[u8], workspace: &mut Workspace) -> Result<(), NativeError> {
-        let total: usize = self
-            .arrays
-            .iter()
-            .map(|n| workspace.array(n).map_or(0, |a| a.len()))
+    /// Names of the arrays the runner returns, in declaration order.
+    fn written(&self) -> impl Iterator<Item = &str> {
+        let returned = self.arrays.iter().filter(|(_, written)| *written);
+        returned.map(|(name, _)| name.as_str())
+    }
+
+    /// One request/response exchange; the workspace is only read.
+    fn exchange(
+        &mut self,
+        workspace: &Workspace,
+        params: &BTreeMap<String, i64>,
+    ) -> Result<(u64, Response), NativeError> {
+        let sent = self.send_request(workspace, params)?;
+        let written = self
+            .written()
+            .map(|name| workspace.array(name).expect("array sent down").len())
             .sum();
-        if payload.len() != total * 8 {
-            return Err(NativeError::Protocol(format!(
-                "array payload is {} bytes, expected {}",
-                payload.len(),
-                total * 8
-            )));
-        }
-        let mut off = 0usize;
-        for name in &self.arrays {
-            let arr = workspace
-                .array_mut(name)
-                .unwrap_or_else(|| panic!("unknown array {name}"));
-            for v in arr.data_mut() {
-                let c: [u8; 8] = payload[off..off + 8].try_into().expect("8-byte chunk");
-                *v = f64::from_le_bytes(c);
-                off += 8;
-            }
-        }
-        Ok(())
+        let response = read_response(&mut self.stdout, self.costs.len(), written)?;
+        Ok((sent, response))
+    }
+
+    /// Reap the runner after `cause` and mark the kernel failed. The
+    /// stream may be out of step, so the runner is never spoken to
+    /// again: it is killed (a no-op when it already died, which leaves
+    /// the status it died with) and the error says how it ended.
+    fn fail(&mut self, cause: NativeError) -> NativeError {
+        let _ = self.child.kill();
+        let ended = match self.child.wait() {
+            Ok(status) => status.to_string(),
+            Err(e) => format!("unknown exit status ({e})"),
+        };
+        let why = format!("{cause}; runner ended with {ended}");
+        self.failed = Some(why.clone());
+        NativeError::RunnerFailed(why)
     }
 
     /// Execute once. Matches the tree interpreter bit-for-bit on array
-    /// contents and exactly on [`ExecStats`].
+    /// contents and exactly on [`ExecStats`]. An `Err` leaves the
+    /// workspace untouched, and every later run returns the same error.
     ///
     /// # Panics
     ///
@@ -537,26 +618,129 @@ impl NativeKernel {
         params: &BTreeMap<String, i64>,
     ) -> Result<ExecStats, NativeError> {
         let _phase = shackle_probe::span("native.run");
-        self.send_request(workspace, params)?;
-        let r = self.read_response()?;
-        self.apply_arrays(&r.arrays, workspace)?;
-        let stats = self.stats_from_counters(&r.counters);
+        if let Some(why) = &self.failed {
+            return Err(NativeError::RunnerFailed(why.clone()));
+        }
+        let (sent, response) = match self.exchange(workspace, params) {
+            Ok(done) => done,
+            Err(cause) => return Err(self.fail(cause)),
+        };
+        // the whole response has arrived and its length is this
+        // workspace's: from here nothing can fail
+        let mut rest = &response.arrays[..];
+        for name in self.written() {
+            let data = workspace
+                .array_mut(name)
+                .expect("array sent down")
+                .data_mut();
+            let (bytes, tail) = rest.split_at(data.len() * 8);
+            rest = tail;
+            for (v, b) in data.iter_mut().zip(bytes.chunks_exact(8)) {
+                *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
+        }
+        let stats = self.stats_from_counters(&response.counters);
         crate::publish_exec_stats(&stats);
+        shackle_probe::add("native.kernel_ns", response.kernel_ns);
+        shackle_probe::add("native.bytes_down", sent);
+        shackle_probe::add("native.bytes_up", response.bytes());
         Ok(stats)
     }
 }
 
-/// One complete runner response: per-statement instance counters and
-/// the raw array payload.
-struct Response {
-    counters: Vec<u64>,
-    arrays: Vec<u8>,
-}
-
 impl Drop for NativeKernel {
     fn drop(&mut self) {
-        // Closing stdin makes the runner's read loop hit EOF and exit.
-        self.stdin.take();
+        // Waiting closes stdin first: the runner's read loop hits EOF
+        // and it exits.
         let _ = self.child.wait();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A response as bytes: each frame is `(tag, announced length,
+    /// payload words)`.
+    fn stream(frames: &[(u8, u64, &[u64])]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for (tag, len, words) in frames {
+            bytes.push(*tag);
+            bytes.extend_from_slice(&len.to_le_bytes());
+            for w in *words {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        bytes
+    }
+
+    /// Read a response to a run over 2 statements returning 3 elements.
+    fn read(bytes: &[u8]) -> Result<Response, NativeError> {
+        read_response(&mut &bytes[..], 2, 3)
+    }
+
+    fn protocol_error(bytes: &[u8]) -> String {
+        match read(bytes) {
+            Err(NativeError::Protocol(e)) => e,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn well_formed_response_parses() {
+        let bytes = stream(&[(2, 3, &[5, 7, 1234]), (3, 3, &[1, 2, 3])]);
+        let r = read(&bytes).expect("well-formed");
+        assert_eq!(r.counters, [5, 7]);
+        assert_eq!(r.kernel_ns, 1234);
+        assert_eq!(r.arrays.len(), 24);
+        assert_eq!(r.bytes(), bytes.len() as u64);
+    }
+
+    /// A length the run does not expect is refused before anything is
+    /// allocated for it: an allocation of these sizes would abort.
+    #[test]
+    fn frame_lengths_are_bounded_before_allocating() {
+        let counters: (u8, u64, &[u64]) = (2, 3, &[5, 7, 1234]);
+        // oversized, in either frame
+        let e = protocol_error(&stream(&[(2, u64::MAX / 8, &[])]));
+        assert!(e.contains("expects 3"), "{e}");
+        let e = protocol_error(&stream(&[counters, (3, u64::MAX / 8, &[])]));
+        assert!(e.contains("expects 3"), "{e}");
+        // `len * 8` wraps to the expected 24 bytes
+        let wrapped = (1u64 << 61) + 3;
+        assert_eq!(wrapped.wrapping_mul(8), 24);
+        let e = protocol_error(&stream(&[counters, (3, wrapped, &[1, 2, 3])]));
+        assert!(e.contains(&wrapped.to_string()), "{e}");
+    }
+
+    #[test]
+    fn counter_count_mismatch_is_a_protocol_error() {
+        // the counters without the kernel-time word, and one too many
+        for words in [&[5u64, 7][..], &[5, 7, 9, 1234][..]] {
+            let e = protocol_error(&stream(&[(2, words.len() as u64, words)]));
+            assert!(e.contains("tag-2"), "{e}");
+        }
+    }
+
+    #[test]
+    fn unknown_or_misplaced_tag_is_a_protocol_error() {
+        let e = protocol_error(&stream(&[(7, 3, &[5, 7, 1234])]));
+        assert!(e.contains("got 7"), "{e}");
+        // arrays before counters
+        let e = protocol_error(&stream(&[(3, 3, &[1, 2, 3])]));
+        assert!(e.contains("expected frame tag 2"), "{e}");
+    }
+
+    #[test]
+    fn truncated_response_is_an_io_error() {
+        let bytes = stream(&[(2, 3, &[5, 7, 1234]), (3, 3, &[1, 2, 3])]);
+        for cut in [0, 5, 9, 20, 33, 40, bytes.len() - 1] {
+            match read(&bytes[..cut]) {
+                Err(NativeError::Io(e)) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof, "cut at {cut}")
+                }
+                other => panic!("cut at {cut}: expected an I/O error, got {other:?}"),
+            }
+        }
     }
 }

@@ -98,14 +98,29 @@ fn distinct_programs_get_distinct_cache_entries() {
     );
 }
 
-/// The runner holds one kernel: each `rustc -O` build compiles the
-/// program once, not once per mode.
+/// The runner holds one kernel — the text `emit_with` returns with
+/// counters on, verbatim — so each `rustc -O` build compiles the program
+/// once, not once per mode; and its transport streams through the
+/// staging buffer, with no full-size byte copy of an array.
 #[test]
 fn runner_holds_one_untraced_kernel() {
+    use shackle_ir::emit::{emit_with, Dialect, EmitOptions};
     let program = shackle_ir::kernels::cholesky_right();
     let src = runner_source(&program);
     assert_eq!(src.matches("pub fn cholesky_right").count(), 1);
-    for gone in ["mod traced", "flush_trace", "mode"] {
+    let counted = EmitOptions {
+        trace: false,
+        counters: true,
+    };
+    let kernel = emit_with(&program, Dialect::Rust, counted);
+    assert!(src.contains(&format!("mod plain {{\n{kernel}}}\n")));
+    for gone in [
+        "mod traced",
+        "flush_trace",
+        "mode",
+        "vec![0u8; len",
+        "unsafe",
+    ] {
         assert!(!src.contains(gone), "runner still mentions `{gone}`");
     }
 }

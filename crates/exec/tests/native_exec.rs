@@ -10,8 +10,8 @@
 //! sandbox.
 
 use proptest::prelude::*;
-use shackle_exec::native::rustc_available;
-use shackle_exec::{compile, execute, verify, NativeKernel, NullObserver, Workspace};
+use shackle_exec::native::{rustc_available, STAGE};
+use shackle_exec::{compile, execute, verify, NativeError, NativeKernel, NullObserver, Workspace};
 use shackle_ir::Program;
 use shackle_kernels::catalogue::{catalogue, Entry};
 use std::collections::BTreeMap;
@@ -117,6 +117,111 @@ fn persistent_runner_many_runs() {
         assert_eq!(stats, tree_stats, "n={n}");
         assert_bit_identical(&tree_ws, &ws, "persistent runner");
     }
+}
+
+/// `src` on one persistent runner at each size in turn: the workspace
+/// equals the tree interpreter's bit for bit, and the arrays no
+/// statement writes — which the runner does not send back — keep their
+/// input bits.
+fn assert_partial_return_is_exact(src: &str, read_only: &[&str], sizes: &[i64]) {
+    let program = shackle_ir::parse::parse(src).expect("test program parses");
+    let mut kernel = NativeKernel::spawn(&program).expect("native build");
+    for &n in sizes {
+        let p = params(n);
+        let init = verify::hash_init(n as u64);
+        let inputs = Workspace::for_program(&program, &p, &init);
+        let mut tree_ws = inputs.clone();
+        let tree_stats = execute(&program, &mut tree_ws, &p, &mut NullObserver);
+        let mut ws = inputs.clone();
+        let stats = kernel.run(&mut ws, &p).expect("native run");
+        assert_eq!(stats, tree_stats, "n={n}");
+        assert_bit_identical(&tree_ws, &ws, &format!("{} at n={n}", program.name()));
+        for &name in read_only {
+            let before = inputs.array(name).unwrap().data();
+            let after = ws.array(name).unwrap().data();
+            assert_eq!(before.len(), after.len());
+            assert!(
+                before
+                    .iter()
+                    .zip(after)
+                    .all(|(x, y)| x.to_bits() == y.to_bits()),
+                "read-only array {name} changed at n={n}"
+            );
+        }
+    }
+}
+
+/// Only the written arrays come back, wherever they sit among the
+/// declarations, while the runner's arrays shrink and grow in place.
+#[test]
+fn partial_return_is_exact() {
+    if !rustc_available() {
+        eprintln!("skipping: rustc unavailable");
+        return;
+    }
+    let read_only_first = "program scale\nparam N\narray R(N, N)\narray W(N, N)\n\n\
+        do J = 1 .. N\n  do I = 1 .. N\n    S1: W[I, J] = W[I, J] + 2 * R[J, I]\n";
+    assert_partial_return_is_exact(read_only_first, &["R"], &[9, 3, 17]);
+    let written_around_read_only = "program sums\nparam N\n\
+        array X(N)\narray R(N, N)\narray Y(N)\n\n\
+        do J = 1 .. N\n  do I = 1 .. N\n\
+        \x20   S1: X[I] = X[I] + R[I, J]\n\
+        \x20   S2: Y[J] = Y[J] + R[I, J] * X[I]\n";
+    assert_partial_return_is_exact(written_around_read_only, &["R"], &[9, 3, 17]);
+}
+
+/// Arrays one element short of a staging buffer, exactly one, one over,
+/// and several: every chunk boundary round-trips.
+#[test]
+fn arrays_longer_than_the_staging_buffer_round_trip() {
+    if !rustc_available() {
+        eprintln!("skipping: rustc unavailable");
+        return;
+    }
+    let axpy = "program axpy\nparam N\narray X(N)\narray Y(N)\n\n\
+        do I = 1 .. N\n  S1: Y[I] = Y[I] + 2 * X[I]\n";
+    let stage = STAGE as i64;
+    let sizes = [stage - 1, stage, stage + 1, 2 * stage + 3];
+    assert_partial_return_is_exact(axpy, &["X"], &sizes);
+}
+
+/// A program without statements still builds: it returns no arrays.
+#[test]
+fn program_without_statements_runs() {
+    if !rustc_available() {
+        eprintln!("skipping: rustc unavailable");
+        return;
+    }
+    assert_partial_return_is_exact("program idle\nparam N\narray A(N)\n", &["A"], &[4]);
+}
+
+/// A runner that dies is a typed error naming its exit status, on this
+/// run and on every later one, and the workspace is never touched.
+#[test]
+fn dead_runner_is_an_error_that_says_so_for_good() {
+    if !rustc_available() {
+        eprintln!("skipping: rustc unavailable");
+        return;
+    }
+    // the subscript runs one past the array: the runner panics
+    let overrun = "program overrun\nparam N\narray A(N)\n\n\
+        do I = 1 .. N\n  S1: A[I + 1] = A[I] + 1\n";
+    let program = shackle_ir::parse::parse(overrun).expect("test program parses");
+    let mut kernel = NativeKernel::spawn(&program).expect("native build");
+    let p = params(6);
+    let inputs = Workspace::for_program(&program, &p, verify::hash_init(1));
+    let mut ws = inputs.clone();
+    let mut failures = Vec::new();
+    for _ in 0..2 {
+        match kernel.run(&mut ws, &p) {
+            Err(NativeError::RunnerFailed(why)) => failures.push(why),
+            other => panic!("expected a failed runner, got {other:?}"),
+        }
+        assert_bit_identical(&inputs, &ws, "workspace after a failed run");
+    }
+    // a Rust panic exits with status 101
+    assert!(failures[0].contains("exit status: 101"), "{}", failures[0]);
+    assert_eq!(failures[0], failures[1]);
 }
 
 proptest! {
