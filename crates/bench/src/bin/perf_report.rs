@@ -671,16 +671,15 @@ fn profile_kernel(
     init: impl Fn(&str, &[usize]) -> f64 + Sync,
 ) {
     let _kernel = probe::span(kernel);
-    let deps = dependences(program);
     let product = {
         let _s = probe::span("search");
         let cfg = SearchConfig {
             width,
             ..Default::default()
         };
-        let legal = enumerate_legal_with_deps(program, &cfg, &deps);
+        let legal = enumerate_legal(program, &cfg);
         let seed = vec![legal[0].shackle.clone()];
-        complete_product_with_deps(program, seed, &legal, &deps)
+        complete_product(program, seed, &legal)
     };
     let blocked = generate_scanned(program, &product);
     let params = BTreeMap::from([("N".to_string(), n)]);

@@ -125,28 +125,13 @@ pub fn check_legality_with_deps(
     factors: &[Shackle],
     deps: &[Dependence],
 ) -> LegalityReport {
-    check_legality_with_deps_budget(program, factors, deps, &Budget::default())
-}
-
-/// As [`check_legality_with_deps`], but deciding every probe under the
-/// caller's [`Budget`] instead of the default. A tighter budget turns
-/// hard probes into `Unknown` entries of the report rather than
-/// grinding through them — the optimization daemon uses this to refuse
-/// (with a structured error) requests whose legality it cannot prove
-/// within its per-request budget.
-pub fn check_legality_with_deps_budget(
-    program: &Program,
-    factors: &[Shackle],
-    deps: &[Dependence],
-    budget: &Budget,
-) -> LegalityReport {
     let _phase = shackle_probe::span("legality");
     count_legality_query();
     let ctx = LegalityContext::new(program, factors);
     let mut violations = Vec::new();
     let mut unknown = Vec::new();
     for dep in deps {
-        match ctx.dep_outcome(dep, budget) {
+        match ctx.dep_outcome(dep) {
             DepOutcome::Violated(witness) => violations.push(Violation {
                 dependence: dep.clone(),
                 witness,
@@ -162,17 +147,55 @@ pub fn check_legality_with_deps_budget(
     }
 }
 
-/// Boolean-only legality with early exit: stops at the first violated
-/// dependence and orders probes cheapest-first, so illegal candidates
-/// are rejected after a single small feasibility query in the common
-/// case. The verdict is identical to
-/// `check_legality_with_deps(..).is_legal()` (probe order cannot change
-/// whether *some* probe is feasible); only the work done differs. This
-/// is the hot path of [`crate::search::enumerate_legal`].
-pub fn is_legal_with_deps(program: &Program, factors: &[Shackle], deps: &[Dependence]) -> bool {
+/// The three-valued Theorem-1 verdict of [`decide_legality`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Legality {
+    /// Every probe of every dependence is proven infeasible.
+    Legal,
+    /// Some probe is proven feasible: a dependence is violated.
+    Illegal,
+    /// No probe is proven feasible, but the solver could not decide at
+    /// least one within the budget. Never admits a candidate.
+    Undecided,
+}
+
+/// The early-exit Theorem-1 verdict under the caller's [`Budget`]:
+/// dependences cheapest first, probes sorted by size, stopping at the
+/// first *proven* violation — so an illegal candidate is rejected after
+/// a single small feasibility query in the common case. An undecided
+/// probe does not stop the scan (a proven violation elsewhere outranks
+/// it), and a proven verdict does not depend on the budget: a tighter
+/// one can only turn `Legal`/`Illegal` into `Undecided`, never into
+/// each other. `Legal` iff `check_legality_with_deps(..).is_legal()`
+/// under the default budget (probe order cannot change whether *some*
+/// probe is feasible). This is the one pass of
+/// [`crate::search::candidate_verdicts`].
+pub fn decide_legality(
+    program: &Program,
+    factors: &[Shackle],
+    deps: &[Dependence],
+    budget: &Budget,
+) -> Legality {
     let _phase = shackle_probe::span("legality");
     count_legality_query();
-    LegalityContext::new(program, factors).is_legal(deps)
+    let ctx = LegalityContext::new(program, factors);
+    // Cheapest dependences first: a violation in a small system is
+    // found long before the big ones are touched.
+    let mut order: Vec<&Dependence> = deps.iter().collect();
+    order.sort_by_key(|d| d.systems.iter().map(System::len).sum::<usize>());
+    let mut undecided = false;
+    for dep in order {
+        match ctx.is_violated(dep, budget) {
+            Verdict::Yes => return Legality::Illegal,
+            Verdict::No => {}
+            Verdict::Unknown => undecided = true,
+        }
+    }
+    if undecided {
+        Legality::Undecided
+    } else {
+        Legality::Legal
+    }
 }
 
 /// How one dependence fared under the Theorem-1 probes.
@@ -191,7 +214,7 @@ enum DepOutcome {
 /// "target's block strictly precedes source's" disjunction. Building
 /// these once per candidate instead of once per dependence matters
 /// because every statement participates in several dependences.
-pub(crate) struct LegalityContext {
+struct LegalityContext {
     src_ties: Vec<System>,
     tgt_ties: Vec<System>,
     src_coords: Vec<LinExpr>,
@@ -200,7 +223,7 @@ pub(crate) struct LegalityContext {
 }
 
 impl LegalityContext {
-    pub(crate) fn new(program: &Program, factors: &[Shackle]) -> Self {
+    fn new(program: &Program, factors: &[Shackle]) -> Self {
         let n = program.stmts().len();
         let mut ctx = Self {
             src_ties: vec![System::new(); n],
@@ -212,25 +235,10 @@ impl LegalityContext {
         for (f, shackle) in factors.iter().enumerate() {
             ctx.push_factor(program, shackle, f);
         }
-        ctx.rebuild_bad_order();
-        ctx
-    }
-
-    /// The context for `factors ∪ {shackle}` given `self` built over
-    /// `factors` (of length `f`). Greedy product growth tests every
-    /// candidate extension of the same prefix, so sharing the prefix
-    /// ties and re-deriving only the new factor's turns an `O(f+1)`
-    /// rebuild per candidate into `O(1)` factor work.
-    pub(crate) fn extended(&self, program: &Program, shackle: &Shackle, f: usize) -> Self {
-        let mut ctx = Self {
-            src_ties: self.src_ties.clone(),
-            tgt_ties: self.tgt_ties.clone(),
-            src_coords: self.src_coords.clone(),
-            tgt_coords: self.tgt_coords.clone(),
-            bad_order: Vec::new(),
-        };
-        ctx.push_factor(program, shackle, f);
-        ctx.rebuild_bad_order();
+        // Violated iff target's block strictly precedes source's.
+        // Reversed cut sets are already encoded by negated coordinates
+        // in `tie_for`, so the comparison is plain lexicographic.
+        ctx.bad_order = lex_lt(&ctx.tgt_coords, &ctx.src_coords, &[]);
         ctx
     }
 
@@ -259,37 +267,19 @@ impl LegalityContext {
         self.tgt_coords.extend(tz.iter().map(LinExpr::var));
     }
 
-    fn rebuild_bad_order(&mut self) {
-        // Violated iff target's block strictly precedes source's.
-        // Reversed cut sets are already encoded by negated coordinates
-        // in `tie_for`, so the comparison is plain lexicographic.
-        self.bad_order = lex_lt(&self.tgt_coords, &self.src_coords, &[]);
-    }
-
-    /// Early-exit boolean verdict over all dependences, cheapest first
-    /// (see [`is_legal_with_deps`]). `Unknown` on any dependence means
-    /// not-proven-legal, so the candidate is rejected.
-    pub(crate) fn is_legal(&self, deps: &[Dependence]) -> bool {
-        // Cheapest dependences first: a violation in a small system is
-        // found long before the big ones are touched.
-        let mut order: Vec<&Dependence> = deps.iter().collect();
-        order.sort_by_key(|d| d.systems.iter().map(System::len).sum::<usize>());
-        order.iter().all(|dep| self.is_violated(dep) == Verdict::No)
-    }
-
     /// The outcome of this dependence in the fixed (order-disjunct,
     /// bad-order-disjunct) enumeration order — the witness reported by
     /// [`check_legality_with_deps`]. A probe the solver cannot decide
     /// keeps scanning (a later probe may still prove a violation) and
     /// only reports `Unknown` if no proven-feasible probe turns up.
-    fn dep_outcome(&self, dep: &Dependence, budget: &Budget) -> DepOutcome {
+    fn dep_outcome(&self, dep: &Dependence) -> DepOutcome {
         let ties = self.src_ties[dep.src].and(&self.tgt_ties[dep.dst]);
         let mut undecided = false;
         for order_disjunct in &dep.systems {
             let base = order_disjunct.and(&ties);
             for bad in &self.bad_order {
                 let probe = base.and(bad);
-                match probe.decide(budget) {
+                match probe.decide(&Budget::default()) {
                     Verdict::Yes => return DepOutcome::Violated(probe),
                     Verdict::No => {}
                     Verdict::Unknown => undecided = true,
@@ -308,7 +298,7 @@ impl LegalityContext {
     /// order-independent, `Yes`/`No` verdicts match
     /// [`Self::dep_outcome`]. `Yes` short-circuits even past undecided
     /// probes (a proven violation trumps an unknown one).
-    fn is_violated(&self, dep: &Dependence) -> Verdict {
+    fn is_violated(&self, dep: &Dependence, budget: &Budget) -> Verdict {
         let ties = self.src_ties[dep.src].and(&self.tgt_ties[dep.dst]);
         let mut probes: Vec<System> = Vec::new();
         for order_disjunct in &dep.systems {
@@ -320,7 +310,7 @@ impl LegalityContext {
         probes.sort_by_key(System::len);
         let mut undecided = false;
         for probe in &probes {
-            match probe.decide(&Budget::default()) {
+            match probe.decide(budget) {
                 Verdict::Yes => return Verdict::Yes,
                 Verdict::No => {}
                 Verdict::Unknown => undecided = true,

@@ -48,7 +48,6 @@ pub mod span;
 pub use blocking::{Blocking, CutSet};
 pub use codegen::{naive, scan, simplify_ast};
 pub use legality::{
-    check_legality, check_legality_with_deps, check_legality_with_deps_budget, is_legal_with_deps,
-    LegalityReport, Violation,
+    check_legality, check_legality_with_deps, decide_legality, Legality, LegalityReport, Violation,
 };
 pub use shackle::Shackle;

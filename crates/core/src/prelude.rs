@@ -18,13 +18,12 @@
 
 pub use crate::codegen::{naive::generate_naive, scan::generate_scanned};
 pub use crate::search::{
-    candidate_shackles, complete_product, complete_product_with_deps, enumerate_legal,
-    enumerate_legal_with_deps, grid_shapes, reblock, two_phase, width_grid, Candidate,
-    SearchConfig, TwoPhaseOutcome,
+    candidate_shackles, complete_product, enumerate_legal, grid_shapes, reblock, two_phase,
+    width_grid, Candidate, SearchConfig, TwoPhaseOutcome,
 };
 pub use crate::{
-    check_legality, check_legality_with_deps, is_legal_with_deps, Blocking, CutSet, LegalityReport,
-    Shackle, Violation,
+    check_legality, check_legality_with_deps, decide_legality, Blocking, CutSet, Legality,
+    LegalityReport, Shackle, Violation,
 };
 pub use shackle_ir::deps::{dependences, Dependence};
 pub use shackle_ir::{kernels, ArrayDecl, ArrayRef, Program, Statement, StmtId};

@@ -14,7 +14,9 @@
 //! * candidates are filtered by the exact Theorem 1 legality test;
 //! * products are grown greedily using Theorem 2 ("If there is no
 //!   statement left which has an unconstrained reference, then there is
-//!   no benefit to be obtained from extending the product").
+//!   no benefit to be obtained from extending the product"), and need
+//!   no second legality test: "a product of two shackles is always
+//!   legal if the two shackles are legal by themselves" (§6).
 //!
 //! Ranking candidates needs a cost model (§8 again); this module keeps
 //! the framework cost-model-agnostic: [`enumerate_legal`] returns every
@@ -22,10 +24,10 @@
 //! benchmark harness scores with the cache simulator; see the
 //! `auto_shackle` example).
 
-use crate::legality::LegalityContext;
-use crate::{is_legal_with_deps, par, span, Blocking, CutSet, Shackle};
-use shackle_ir::deps::{dependences, Dependence};
+use crate::{decide_legality, par, span, Blocking, CutSet, Legality, Shackle};
+use shackle_ir::deps::dependences;
 use shackle_ir::{ArrayRef, Program, StmtId};
+use shackle_polyhedra::Budget;
 use std::sync::LazyLock;
 
 /// Candidates tested by [`candidate_verdicts`], published to the probe
@@ -93,51 +95,44 @@ pub struct Candidate {
 /// assert_eq!(legal.len(), 6);
 /// ```
 pub fn enumerate_legal(program: &Program, config: &SearchConfig) -> Vec<Candidate> {
-    let deps = dependences(program);
-    enumerate_legal_with_deps(program, config, &deps)
-}
-
-/// As [`enumerate_legal`], reusing precomputed dependences: the
-/// distinct legal candidates of [`candidate_verdicts`].
-pub fn enumerate_legal_with_deps(
-    program: &Program,
-    config: &SearchConfig,
-    deps: &[Dependence],
-) -> Vec<Candidate> {
-    legal_candidates(program, &candidate_verdicts(program, config, deps))
+    let verdicts = candidate_verdicts(program, config, &Budget::default());
+    legal_candidates(program, &verdicts)
 }
 
 /// Every raw candidate of [`candidate_shackles`] paired with its
-/// Theorem-1 verdict, in enumeration order. Candidates are
-/// legality-checked in parallel over [`par`] workers (one early-exit
-/// test each) and reassembled in order, so the result is identical at
-/// any `SHACKLE_THREADS` setting. The search pipeline
-/// (`shackle_serve::pipeline::auto_search`) reports every verdict,
-/// legal or not; everyone else wants [`legal_candidates`] of it.
+/// Theorem-1 verdict under `budget`, in enumeration order: the one
+/// legality pass of a search. The program's dependences are computed
+/// once and shared; candidates are decided in parallel over [`par`]
+/// workers (one early-exit [`decide_legality`] each) and reassembled in
+/// order, so the result is identical at any `SHACKLE_THREADS` setting.
+/// The search pipeline (`shackle_serve::pipeline::auto_search`) reports
+/// every verdict and the daemon refuses on an undecided one; everyone
+/// else wants [`legal_candidates`] of it.
 pub fn candidate_verdicts(
     program: &Program,
     config: &SearchConfig,
-    deps: &[Dependence],
-) -> Vec<(Shackle, bool)> {
+    budget: &Budget,
+) -> Vec<(Shackle, Legality)> {
+    let deps = dependences(program);
     let _phase = shackle_probe::span("enumerate");
     let worklist = candidate_shackles(program, config);
     let verdicts = par::map(&worklist, |shackle| {
-        is_legal_with_deps(program, std::slice::from_ref(shackle), deps)
+        decide_legality(program, std::slice::from_ref(shackle), &deps, budget)
     });
     if shackle_probe::enabled() {
         CANDIDATES.add(worklist.len() as u64);
-        LEGAL.add(verdicts.iter().filter(|&&v| v).count() as u64);
+        LEGAL.add(verdicts.iter().filter(|&&v| v == Legality::Legal).count() as u64);
     }
     worklist.into_iter().zip(verdicts).collect()
 }
 
-/// The legal candidates of a [`candidate_verdicts`] list, deduplicated
-/// across dimension orders with identical refs, each with its
-/// Theorem 2 diagnosis.
-pub fn legal_candidates(program: &Program, verdicts: &[(Shackle, bool)]) -> Vec<Candidate> {
+/// The proven-legal candidates of a [`candidate_verdicts`] list
+/// (undecided counts as illegal), deduplicated across dimension orders
+/// with identical refs, each with its Theorem 2 diagnosis.
+pub fn legal_candidates(program: &Program, verdicts: &[(Shackle, Legality)]) -> Vec<Candidate> {
     let mut out: Vec<Candidate> = Vec::new();
-    for (shackle, legal) in verdicts {
-        if *legal && !out.iter().any(|c| &c.shackle == shackle) {
+    for (shackle, verdict) in verdicts {
+        if *verdict == Legality::Legal && !out.iter().any(|c| &c.shackle == shackle) {
             out.push(Candidate {
                 shackle: shackle.clone(),
                 unconstrained: span::unconstrained_refs(program, std::slice::from_ref(shackle)),
@@ -249,10 +244,14 @@ fn cross_product(choices: &[Vec<ArrayRef>]) -> Vec<Vec<ArrayRef>> {
 /// Grow a product greedily until Theorem 2 reports no unconstrained
 /// references (or no candidate helps): the §6.2 recipe automated.
 ///
-/// Starting from `seed`, repeatedly conjoin the legal candidate that
-/// most reduces the number of unconstrained references; ties broken by
-/// enumeration order. Every prefix of the result is legal (the product
-/// of legal shackles is legal).
+/// Starting from `seed`, repeatedly conjoin the candidate that most
+/// reduces the number of unconstrained references; ties broken by
+/// enumeration order, so the grown product is identical at any thread
+/// count. Growth asks the solver nothing: the seed's factors and every
+/// candidate must be legal on their own (as [`enumerate_legal`] returns
+/// them), and then every prefix of the result is legal by §6 — "a
+/// product of two shackles is always legal if the two shackles are
+/// legal by themselves".
 ///
 /// # Examples
 ///
@@ -270,57 +269,23 @@ pub fn complete_product(
     seed: Vec<Shackle>,
     candidates: &[Candidate],
 ) -> Vec<Shackle> {
-    let deps: Vec<Dependence> = dependences(program);
-    complete_product_with_deps(program, seed, candidates, &deps)
-}
-
-/// As [`complete_product`], reusing precomputed dependences. Each
-/// greedy round evaluates every candidate extension in parallel over
-/// [`par`] workers; the winner is the minimum of `(remaining
-/// unconstrained refs, enumeration index)`, exactly the serial greedy
-/// choice, so the grown product is identical at any thread count.
-pub fn complete_product_with_deps(
-    program: &Program,
-    seed: Vec<Shackle>,
-    candidates: &[Candidate],
-    deps: &[Dependence],
-) -> Vec<Shackle> {
     let _phase = shackle_probe::span("grow");
     let mut product = seed;
     loop {
-        let open = span::unconstrained_refs(program, &product);
-        if open.is_empty() {
+        let open = span::unconstrained_refs(program, &product).len();
+        if open == 0 {
             return product;
         }
-        // The greedy winner is the minimum of `(remaining unconstrained
-        // refs, enumeration index)` over *legal* extensions. The
-        // geometric score needs no legality, so compute it for every
-        // candidate first (in parallel), then test legality lazily in
-        // ranked order: the first legal candidate IS the minimum, and
-        // the expensive Theorem-1 queries run for a handful of
-        // candidates instead of all of them. Every candidate extends
-        // the same prefix, so its Theorem-1 context is built once per
-        // round and extended per probe.
-        let ranked: Vec<(usize, usize)> = {
-            let mut v: Vec<(usize, usize)> = par::map(candidates, |c| {
-                let mut trial = product.clone();
-                trial.push(c.shackle.clone());
-                span::unconstrained_refs(program, &trial).len()
-            })
-            .into_iter()
-            .enumerate()
-            .map(|(i, rem)| (rem, i))
-            .filter(|&(rem, _)| rem < open.len())
-            .collect();
-            v.sort_unstable();
-            v
-        };
-        let prefix = LegalityContext::new(program, &product);
-        let best = ranked.into_iter().find(|&(_, i)| {
-            prefix
-                .extended(program, &candidates[i].shackle, product.len())
-                .is_legal(deps)
-        });
+        let best = par::map(candidates, |c| {
+            let mut trial = product.clone();
+            trial.push(c.shackle.clone());
+            span::unconstrained_refs(program, &trial).len()
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(i, remaining)| (remaining, i))
+        .filter(|&(remaining, _)| remaining < open)
+        .min();
         match best {
             Some((_, i)) => product.push(candidates[i].shackle.clone()),
             None => return product, // no candidate helps; stop
@@ -374,28 +339,24 @@ pub fn reblock_cuts(program: &Program, product: &[Shackle], widths: &[Vec<i64>])
 }
 
 /// The re-widening body: `per_cut` holds one width for every cut of
-/// every factor, in product order.
+/// every factor, in product order. `program` is only a parameter
+/// because the frozen `benchmark/` crate passes it to the public
+/// re-wideners (ROADMAP 3a); the factors already carry everything.
 fn rewiden(program: &Program, product: &[Shackle], per_cut: &[i64]) -> Vec<Shackle> {
-    let mut widths = per_cut.iter();
+    debug_assert!(
+        product.iter().all(|f| {
+            f.refs().len() == program.stmts().len() && program.array(f.blocking().array()).is_some()
+        }),
+        "product was not built for program {}",
+        program.name()
+    );
+    let mut rest = per_cut;
     product
         .iter()
         .map(|f| {
-            let cuts: Vec<CutSet> = f
-                .blocking()
-                .cuts()
-                .iter()
-                .zip(&mut widths)
-                .map(|(c, &width)| CutSet {
-                    normal: c.normal.clone(),
-                    width,
-                    direction: c.direction,
-                })
-                .collect();
-            Shackle::new(
-                program,
-                Blocking::new(f.blocking().array(), cuts),
-                f.refs().to_vec(),
-            )
+            let (widths, tail) = rest.split_at(f.coord_count());
+            rest = tail;
+            f.with_widths(widths)
         })
         .collect()
 }
@@ -405,12 +366,11 @@ fn rewiden(program: &Program, product: &[Shackle], per_cut: &[i64]) -> Vec<Shack
 /// each one, deduplicated. Shapes carry the pivot width from `config`;
 /// [`width_grid`] re-widens them across a sweep.
 pub fn grid_shapes(program: &Program, config: &SearchConfig) -> Vec<Vec<Shackle>> {
-    let deps = dependences(program);
-    let legal = enumerate_legal_with_deps(program, config, &deps);
+    let legal = enumerate_legal(program, config);
     let mut shapes: Vec<Vec<Shackle>> = Vec::new();
     for c in &legal {
         let single = vec![c.shackle.clone()];
-        let product = complete_product_with_deps(program, single.clone(), &legal, &deps);
+        let product = complete_product(program, single.clone(), &legal);
         for s in [single, product] {
             if !shapes.contains(&s) {
                 shapes.push(s);

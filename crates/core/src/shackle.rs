@@ -1,6 +1,6 @@
 //! Data shackles (Definition 1 of the paper).
 
-use crate::Blocking;
+use crate::{Blocking, CutSet};
 use shackle_ir::{ArrayRef, Program, StmtId};
 use shackle_polyhedra::Constraint;
 use std::fmt;
@@ -108,6 +108,29 @@ impl Shackle {
             })
             .collect();
         Self::new(program, blocking, refs)
+    }
+
+    /// This shackle with cut `c` set to `widths[c]`: same array,
+    /// normals, directions and shackled references. The references were
+    /// validated against the program when `self` was built and no width
+    /// enters that check, so they are cloned rather than validated
+    /// again — a width sweep re-widens each shape thousands of times.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `widths` holds one width per cut set.
+    pub fn with_widths(&self, widths: &[i64]) -> Self {
+        let cuts = self.blocking.cuts();
+        assert_eq!(widths.len(), cuts.len(), "one width per cut set");
+        let cuts = cuts
+            .iter()
+            .zip(widths)
+            .map(|(c, &width)| CutSet { width, ..c.clone() })
+            .collect();
+        Self {
+            blocking: Blocking::new(self.blocking.array(), cuts),
+            refs: self.refs.clone(),
+        }
     }
 
     /// The blocking.

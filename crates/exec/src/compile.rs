@@ -688,10 +688,14 @@ fn flush_codes<'a>(
     observer: &mut dyn Observer,
 ) {
     scratch.clear();
-    scratch.extend(codes.iter().map(|&c| Access {
-        array: &arrays[((c & 0xff) >> 1) as usize],
-        offset: (c >> 8) as usize,
-        write: c & 1 == 1,
+    scratch.extend(codes.iter().map(|&c| {
+        let index = ((c & 0xff) >> 1) as usize;
+        Access {
+            array: &arrays[index],
+            index,
+            offset: (c >> 8) as usize,
+            write: c & 1 == 1,
+        }
     }));
     observer.record_many(scratch);
 }
@@ -820,10 +824,11 @@ mod tests {
 
     /// Observer that records every access (owned copies).
     #[derive(Default)]
-    struct Collect(Vec<(String, usize, bool)>);
+    struct Collect(Vec<(String, usize, usize, bool)>);
     impl Observer for Collect {
         fn record(&mut self, a: Access<'_>) {
-            self.0.push((a.array.to_string(), a.offset, a.write));
+            self.0
+                .push((a.array.to_string(), a.index, a.offset, a.write));
         }
     }
 
@@ -978,7 +983,7 @@ mod tests {
         let mut o2 = Collect::default();
         let mut w2 = Workspace::for_program(&p, &params(n), |_, _| 1.0);
         execute(&p, &mut w2, &params(n), &mut o2);
-        let tree: Vec<usize> = o2.0.iter().map(|t| t.1).collect();
+        let tree: Vec<usize> = o2.0.iter().map(|t| t.2).collect();
         assert_eq!(obs.flat, tree);
     }
 

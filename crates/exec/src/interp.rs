@@ -17,6 +17,10 @@ use std::collections::BTreeMap;
 pub struct Access<'a> {
     /// Name of the accessed array.
     pub array: &'a str,
+    /// Position of that array in the program's declaration order
+    /// ([`Program::arrays`]): what a layout indexes instead of looking
+    /// the name up on every access.
+    pub index: usize,
     /// Column-major element offset within the array.
     pub offset: usize,
     /// True for stores, false for loads.
@@ -148,6 +152,15 @@ impl Interp<'_> {
             .unwrap_or_else(|| panic!("unbound variable {v} during execution"))
     }
 
+    /// The declaration-order index [`Access::index`] reports.
+    fn array_index(&self, name: &str) -> usize {
+        self.program
+            .arrays()
+            .iter()
+            .position(|decl| decl.name() == name)
+            .unwrap_or_else(|| panic!("unknown array {name}"))
+    }
+
     fn eval_lin(&self, e: &shackle_polyhedra::LinExpr) -> i64 {
         e.eval(&|v| self.lookup(v))
     }
@@ -220,6 +233,7 @@ impl Interp<'_> {
             .iter()
             .map(|e| self.eval_lin(e))
             .collect();
+        let index = self.array_index(stmt.write().array());
         let arr = self
             .workspace
             .array_mut(stmt.write().array())
@@ -228,6 +242,7 @@ impl Interp<'_> {
         arr.data_mut()[offset] = value;
         self.observer.record(Access {
             array: stmt.write().array(),
+            index,
             offset,
             write: true,
         });
@@ -247,8 +262,10 @@ impl Interp<'_> {
                     .unwrap_or_else(|| panic!("unknown array {}", r.array()));
                 let offset = arr.offset(&idx);
                 let v = arr.data()[offset];
+                let index = self.array_index(r.array());
                 self.observer.record(Access {
                     array: r.array(),
+                    index,
                     offset,
                     write: false,
                 });
@@ -402,24 +419,26 @@ mod tests {
 
     #[test]
     fn observer_sees_accesses_in_order() {
-        struct Collect(Vec<(String, usize, bool)>);
+        struct Collect(Vec<(String, usize, usize, bool)>);
         impl Observer for Collect {
             fn record(&mut self, a: Access<'_>) {
-                self.0.push((a.array.to_string(), a.offset, a.write));
+                self.0
+                    .push((a.array.to_string(), a.index, a.offset, a.write));
             }
         }
         let p = kernels::matmul_ijk();
         let mut ws = Workspace::for_program(&p, &params(1), |_, _| 1.0);
         let mut obs = Collect(Vec::new());
         execute(&p, &mut ws, &params(1), &mut obs);
-        // one instance: loads C, A, B then stores C
+        // one instance: loads C, A, B then stores C; the indices are
+        // the declaration order C, A, B
         assert_eq!(
             obs.0,
             vec![
-                ("C".to_string(), 0, false),
-                ("A".to_string(), 0, false),
-                ("B".to_string(), 0, false),
-                ("C".to_string(), 0, true),
+                ("C".to_string(), 0, 0, false),
+                ("A".to_string(), 1, 0, false),
+                ("B".to_string(), 2, 0, false),
+                ("C".to_string(), 0, 0, true),
             ]
         );
     }

@@ -15,13 +15,15 @@ fn params(n: i64) -> BTreeMap<String, i64> {
     BTreeMap::from([("N".to_string(), n)])
 }
 
-/// Records every access in program order for trace comparison.
+/// Records every access in program order for trace comparison:
+/// `(array, index, offset, write)`.
 #[derive(Default)]
-struct Collect(Vec<(String, usize, bool)>);
+struct Collect(Vec<(String, usize, usize, bool)>);
 
 impl Observer for Collect {
     fn record(&mut self, a: Access) {
-        self.0.push((a.array.to_string(), a.offset, a.write));
+        self.0
+            .push((a.array.to_string(), a.index, a.offset, a.write));
     }
 }
 

@@ -33,10 +33,14 @@ impl<F: Fn(&Access<'_>) -> u64> Layout for F {
 
 /// Assigns base addresses to a program's arrays, in declaration order,
 /// aligned to `align` bytes (use the largest cache line size). As a
-/// [`Layout`] it is dense column-major storage: `base + 8·offset`.
+/// [`Layout`] it is dense column-major storage: `base + 8·offset`, the
+/// base found by [`Access::index`] — one indexed load per simulated
+/// access, no name lookup.
 #[derive(Clone, Debug)]
 pub struct AddressMap {
-    bases: BTreeMap<String, u64>,
+    /// Array names and base addresses, both in declaration order.
+    names: Vec<String>,
+    bases: Vec<u64>,
 }
 
 impl AddressMap {
@@ -48,10 +52,12 @@ impl AddressMap {
     /// Panics if a parameter is missing or `align` is zero.
     pub fn for_program(program: &Program, params: &BTreeMap<String, i64>, align: u64) -> Self {
         assert!(align > 0, "alignment must be positive");
-        let mut bases = BTreeMap::new();
+        let mut names = Vec::new();
+        let mut bases = Vec::new();
         let mut at = 0u64;
         for decl in program.arrays() {
-            bases.insert(decl.name().to_string(), at);
+            names.push(decl.name().to_string());
+            bases.push(at);
             let elems: u64 = decl
                 .dims()
                 .iter()
@@ -66,7 +72,7 @@ impl AddressMap {
             at += elems * ELEM_BYTES;
             at = at.div_ceil(align) * align;
         }
-        Self { bases }
+        Self { names, bases }
     }
 
     /// Base address of an array.
@@ -74,21 +80,27 @@ impl AddressMap {
     /// # Panics
     ///
     /// Panics for unknown arrays.
-    #[inline]
     pub fn base(&self, array: &str) -> u64 {
-        *self
-            .bases
-            .get(array)
-            .unwrap_or_else(|| panic!("no base address for array {array}"))
+        let index = self
+            .names
+            .iter()
+            .position(|n| n == array)
+            .unwrap_or_else(|| panic!("no base address for array {array}"));
+        self.bases[index]
     }
 }
 
 impl Layout for AddressMap {
     // `Traced<AddressMap, _>` is instantiated in the calling crate; without
-    // the hints each access pays a cross-crate call on the simulation hot path
+    // the hint each access pays a cross-crate call on the simulation hot path
     #[inline]
     fn address(&self, a: &Access<'_>) -> u64 {
-        self.base(a.array) + a.offset as u64 * ELEM_BYTES
+        debug_assert_eq!(
+            self.names[a.index], a.array,
+            "access index {} does not name array {}",
+            a.index, a.array
+        );
+        self.bases[a.index] + a.offset as u64 * ELEM_BYTES
     }
 }
 
@@ -220,9 +232,17 @@ mod tests {
         BTreeMap::from([("N".to_string(), n)])
     }
 
-    fn read(array: &str, offset: usize) -> Access<'_> {
+    /// A load of `program`'s array `array`, indexed as the exec tiers
+    /// index it: by declaration order.
+    fn read<'a>(program: &Program, array: &'a str, offset: usize) -> Access<'a> {
+        let index = program
+            .arrays()
+            .iter()
+            .position(|d| d.name() == array)
+            .expect("array declared");
         Access {
             array,
+            index,
             offset,
             write: false,
         }
@@ -240,7 +260,49 @@ mod tests {
         assert!(v[1] - v[0] >= 800);
         assert!(v[2] - v[1] >= 800);
         assert_eq!(a % 128, 0);
-        assert_eq!(m.address(&read("C", 3)), c + 24);
+        assert_eq!(m.address(&read(&p, "C", 3)), c + 24);
+    }
+
+    #[test]
+    fn indexed_address_equals_named_base_plus_offset() {
+        for (name, build) in kernels::all() {
+            let p = build();
+            let params = BTreeMap::from([
+                ("N".to_string(), 6),
+                ("P".to_string(), 2),
+                ("S".to_string(), 2),
+            ]);
+            let m = AddressMap::for_program(&p, &params, 128);
+            for (index, decl) in p.arrays().iter().enumerate() {
+                let a = Access {
+                    array: decl.name(),
+                    index,
+                    offset: 5,
+                    write: true,
+                };
+                assert_eq!(
+                    m.address(&a),
+                    m.base(decl.name()) + 5 * ELEM_BYTES,
+                    "{name}: {}",
+                    decl.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "does not name array")]
+    fn index_naming_another_array_trips_the_debug_assert() {
+        let p = kernels::matmul_ijk();
+        let m = AddressMap::for_program(&p, &params(4), 128);
+        // C is declared first; index 1 is A
+        m.address(&Access {
+            array: "C",
+            index: 1,
+            offset: 0,
+            write: false,
+        });
     }
 
     #[test]
@@ -315,7 +377,7 @@ mod tests {
         let p = kernels::banded_cholesky();
         let dense = AddressMap::for_program(&p, &banded_params(10, 2), 128);
         // dense offset of (8, 1) 0-based: i=8, j=1, |i-j| = 7 > 2
-        band_layout("A", 10, 2, dense).address(&read("A", 8 + 10));
+        band_layout("A", 10, 2, dense).address(&read(&p, "A", 8 + 10));
     }
 
     #[test]
@@ -332,7 +394,7 @@ mod tests {
         let dense = AddressMap::for_program(&p, &params(n as i64), 128);
         let layout = band_layout("A", n, bw, dense);
         let span = |array: &str, offsets: Vec<usize>| {
-            let addrs = offsets.iter().map(|&o| layout.address(&read(array, o)));
+            let addrs = offsets.iter().map(|&o| layout.address(&read(&p, array, o)));
             let lo = addrs.clone().min().expect("non-empty");
             (lo, addrs.max().expect("non-empty") + ELEM_BYTES)
         };

@@ -181,6 +181,9 @@ impl LevelStats {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(config.line)`: the line size is a validated power of two,
+    /// so the line of an address is a shift, not a division.
+    line_shift: u32,
     /// Number of sets (`config.sets()`, cached).
     sets: usize,
     /// `sets - 1` when the set count is a power of two, else `0` with
@@ -207,6 +210,7 @@ impl Cache {
         let slots = sets * config.assoc;
         Ok(Self {
             config,
+            line_shift: config.line.trailing_zeros(),
             sets,
             set_mask: sets as u64 - 1,
             pow2_sets: sets.is_power_of_two(),
@@ -260,7 +264,7 @@ impl Cache {
     /// line is filled (evicting the LRU way if the set is full).
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.config.line as u64;
+        let line = addr >> self.line_shift;
         let set = self.set_of(line);
         let base = set * self.config.assoc;
         let ways = &mut self.tags[base..base + self.config.assoc];

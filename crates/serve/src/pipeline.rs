@@ -7,27 +7,33 @@
 //! ([`crate::service`]) — one implementation, so a served response is
 //! byte-identical to a batch run by construction, not by test luck.
 //!
-//! The search runs the candidate space of
-//! [`shackle_core::search::candidate_verdicts`] (early-exit
-//! cheapest-first legality over shared dependences) through greedy
-//! Theorem-2 product growth and two-phase scoring (the `shackle-model`
-//! analytical predictor ranks every product, the exact probe-cache
-//! simulator re-scores only the top [`TOP_K`]), with
-//! [`shackle_core::par`] fan-out for enumeration, growth and scoring,
-//! and renders a textual report that is byte-identical at any thread
-//! count and whatever the polyhedral cache already holds.
+//! The search does each piece of work once. One tri-state Theorem-1
+//! pass per enumerated candidate list
+//! ([`shackle_core::search::candidate_verdicts`], early-exit
+//! cheapest-first over shared dependences, under the caller's
+//! [`Budget`]) is the only time the solver is asked anything: greedy
+//! Theorem-2 growth conjoins proven-legal shackles, which stay legal
+//! by §6. Two-phase scoring follows (the `shackle-model` analytical
+//! predictor ranks every product, the exact probe-cache simulator
+//! re-scores only the top [`TOP_K`]), and the winner's code is the
+//! program its score was simulated from. Enumeration, growth and
+//! scoring fan out over [`shackle_core::par`]; the textual report is
+//! byte-identical at any thread count and whatever the polyhedral cache
+//! already holds.
 
 use shackle_core::search::{
-    candidate_verdicts, complete_product_with_deps, legal_candidates, two_phase, SearchConfig,
+    candidate_verdicts, complete_product, legal_candidates, two_phase, SearchConfig,
 };
-use shackle_core::{scan, span, Shackle};
-use shackle_ir::deps::dependences;
+use shackle_core::{scan, span, Legality, Shackle};
 use shackle_ir::Program;
 use shackle_kernels::trace::trace_execution;
 use shackle_memsim::{ground_truth, CacheConfig};
 use shackle_model::{predict, KernelGeometry};
+use shackle_polyhedra::Budget;
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 /// The pipeline [`auto_search`] runs. There is one; the type survives
 /// because the frozen `benchmark/` crate names `Mode::Memoized`.
@@ -75,6 +81,8 @@ pub const TOP_K: usize = 2;
 /// Run the full auto-shackle search — enumerate, grow, score, select.
 /// `probe_n` is the problem size scored on the probe cache; `init`
 /// seeds the workspace (use an SPD initializer for factorizations).
+/// Legality is decided under the default [`Budget`]; a candidate the
+/// solver cannot decide within it counts as illegal.
 pub fn auto_search(
     program: &Program,
     cfg: &SearchConfig,
@@ -84,11 +92,32 @@ pub fn auto_search(
 ) -> SearchOutcome {
     // Taken only because the frozen `benchmark/` crate passes it.
     let Mode::Memoized = mode;
-    let deps = dependences(program);
+    let admit_all = |_: &[(Shackle, Legality)]| Ok::<(), Infallible>(());
+    match search(program, cfg, probe_n, &init, &Budget::default(), &admit_all) {
+        Ok(outcome) => outcome,
+        Err(never) => match never {},
+    }
+}
 
+/// The search body behind [`auto_search`] and the daemon's `optimize`
+/// ([`crate::service::optimize`]). `budget` bounds the one Theorem-1
+/// pass each enumerated candidate list gets — the forward space and,
+/// when it yields no fully-blocking product, the reversed-cut retry —
+/// and `admit` sees that pass's verdicts before any growth or scoring:
+/// its error stops the search there. Proven verdicts do not depend on
+/// the budget, so every search that completes renders the same report.
+pub(crate) fn search<E>(
+    program: &Program,
+    cfg: &SearchConfig,
+    probe_n: i64,
+    init: &(impl Fn(&str, &[usize]) -> f64 + Sync),
+    budget: &Budget,
+    admit: &impl Fn(&[(Shackle, Legality)]) -> Result<(), E>,
+) -> Result<SearchOutcome, E> {
     // 1. legality verdict per raw candidate; the legal ones, deduped in
     //    enumeration order, seed the growth
-    let verdicts = candidate_verdicts(program, cfg, &deps);
+    let verdicts = candidate_verdicts(program, cfg, budget);
+    admit(&verdicts)?;
     let legal = legal_candidates(program, &verdicts);
 
     // 2. grow each legal seed into a product (Theorem 2), keeping the
@@ -99,7 +128,7 @@ pub fn auto_search(
     let mut partial: Vec<Vec<Shackle>> = Vec::new();
     for c in &legal {
         let seed = vec![c.shackle.clone()];
-        let grown = complete_product_with_deps(program, seed, &legal, &deps);
+        let grown = complete_product(program, seed, &legal);
         if span::unconstrained_refs(program, &grown).is_empty() {
             if !products.contains(&grown) {
                 products.push(grown);
@@ -119,12 +148,12 @@ pub fn auto_search(
             reversed_directions: true,
             ..cfg.clone()
         };
-        let mut out = auto_search(program, &cfg2, probe_n, init, mode);
+        let mut out = search(program, &cfg2, probe_n, init, budget, admit)?;
         out.report = format!(
             "no fully-blocking forward product; retrying with reversed cut sets\n{}",
             out.report
         );
-        return out;
+        return Ok(out);
     }
 
     // 2c. some codes cannot be fully blocked at all — a rank-2
@@ -143,26 +172,37 @@ pub fn auto_search(
     // 3. two-phase scoring: the analytical model ranks every product,
     //    then only the top-K survivors get the exact probe-cache
     //    simulation. Both phases tie-break by product index, so the
-    //    outcome is deterministic.
+    //    outcome is deterministic. A survivor's generated code stays in
+    //    its slot: the winner's is printed from there, not generated a
+    //    second time.
     let params = BTreeMap::from([("N".to_string(), probe_n)]);
     let geom = KernelGeometry::new(program, &params);
-    let model_score = |product: &Vec<Shackle>| predict(&geom, product, &[PROBE_CACHE], 60).cycles;
-    let exact_score = |product: &Vec<Shackle>| {
-        let code = scan::generate_scanned(program, product);
-        ground_truth(&[PROBE_CACHE], 60, |h| {
-            trace_execution(&code, &params, &init, h);
-        })
-        .cycles
-    };
-    let outcome = two_phase(&products, TOP_K, model_score, exact_score);
+    let scored: Vec<(&Vec<Shackle>, OnceLock<Program>)> =
+        products.iter().map(|p| (p, OnceLock::new())).collect();
+    let outcome = two_phase(
+        &scored,
+        TOP_K,
+        |(product, _)| predict(&geom, product, &[PROBE_CACHE], 60).cycles,
+        |(product, code)| {
+            let code = code.get_or_init(|| scan::generate_scanned(program, product));
+            ground_truth(&[PROBE_CACHE], 60, |h| {
+                trace_execution(code, &params, init, h);
+            })
+            .cycles
+        },
+    );
 
     let mut report = String::new();
     let _ = writeln!(report, "candidates {}", verdicts.len());
-    for (s, ok) in &verdicts {
+    for (s, verdict) in &verdicts {
         let _ = writeln!(
             report,
             "candidate {s}: {}",
-            if *ok { "legal" } else { "illegal" }
+            if *verdict == Legality::Legal {
+                "legal"
+            } else {
+                "illegal"
+            }
         );
     }
     if partially_blocking {
@@ -184,7 +224,7 @@ pub fn auto_search(
             for &(i, cycles) in &o.rescored {
                 let _ = writeln!(report, "rescore {i}: {cycles} cycles at N={probe_n}");
             }
-            let code = scan::generate_scanned(program, &products[o.winner]);
+            let code = scored[o.winner].1.get().expect("the winner was rescored");
             let _ = writeln!(report, "winner {}\n{}", o.winner, code);
             (o.rescored.len(), o.winner_score)
         }
@@ -194,12 +234,12 @@ pub fn auto_search(
         }
     };
 
-    SearchOutcome {
+    Ok(SearchOutcome {
         candidates: verdicts.len(),
         legal: legal.len(),
         products: products.len(),
         rescored,
         winner_cycles,
         report,
-    }
+    })
 }

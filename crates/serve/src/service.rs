@@ -6,11 +6,10 @@
 //! is a pure function of the request plus the shared polyhedral cache,
 //! so coalesced duplicates can share one computation safely.
 
-use crate::pipeline::{auto_search, Mode, PROBE_CACHE};
+use crate::pipeline::{search, PROBE_CACHE};
 use crate::proto::{ErrorClass, Response};
-use shackle_core::check_legality_with_deps_budget;
-use shackle_core::search::{candidate_shackles, SearchConfig};
-use shackle_ir::deps::dependences;
+use shackle_core::search::SearchConfig;
+use shackle_core::{Legality, Shackle};
 use shackle_ir::parse::{parse, to_source};
 use shackle_ir::Program;
 use shackle_kernels::gen::spd_ws_init;
@@ -26,11 +25,10 @@ pub const MAX_WIDTH: i64 = 1024;
 /// Per-service knobs, fixed at server construction.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceConfig {
-    /// Budget for the legality preflight: requests whose legality the
-    /// solver cannot decide within it are refused with an
+    /// Budget for the search's legality pass: a request with a
+    /// candidate the solver cannot decide within it is refused with an
     /// [`ErrorClass::Unknown`] error frame instead of silently
-    /// degrading. The preflight's proven queries warm the shared memo
-    /// cache for the search that follows.
+    /// degrading.
     pub budget: Budget,
 }
 
@@ -177,10 +175,12 @@ pub fn prepare_optimize(
     Ok((program, init))
 }
 
-/// The full optimize pipeline: legality preflight under the service
-/// budget, then the canonical memoized search
-/// ([`crate::pipeline::auto_search`]) whose report a batch run would
-/// produce byte-identically.
+/// The full optimize pipeline: the canonical search
+/// ([`crate::pipeline::auto_search`]'s body, so a batch run renders the
+/// same report byte for byte) with its one legality pass under the
+/// service budget. A candidate that pass leaves undecided would make
+/// the search's conservative rejection silent, so the request is
+/// refused — before any growth or scoring — with a structured error.
 pub fn optimize(
     program: &Program,
     probe_n: i64,
@@ -189,46 +189,38 @@ pub fn optimize(
     cfg: &ServiceConfig,
 ) -> Result<Response, ServeError> {
     let _span = shackle_probe::span("optimize");
-
-    // Legality preflight: decide every candidate's dependences under
-    // the service budget. Candidates the solver cannot decide would
-    // make the search's conservative rejection silent — surface them
-    // as a structured refusal instead. The proven probes land in the
-    // shared memo cache, so the search below replays them as hits.
     let search_cfg = SearchConfig {
         width,
         ..Default::default()
     };
-    let raw = candidate_shackles(program, &search_cfg);
-    let deps = dependences(program);
-    let mut undecided = 0usize;
-    {
-        let _span = shackle_probe::span("preflight");
-        for s in &raw {
-            let report = check_legality_with_deps_budget(
-                program,
-                std::slice::from_ref(s),
-                &deps,
-                &cfg.budget,
-            );
-            undecided += report.unknown.len();
+    let refuse_undecided = |verdicts: &[(Shackle, Legality)]| {
+        let undecided = verdicts
+            .iter()
+            .filter(|(_, v)| *v == Legality::Undecided)
+            .count();
+        if undecided == 0 {
+            return Ok(());
         }
-    }
-    if undecided > 0 {
-        return Err(ServeError::new(
+        Err(ServeError::new(
             ErrorClass::Unknown,
             format!(
                 "legality not provable within the service budget: \
-                 {undecided} undecided dependence probe(s) across {} candidate(s)",
-                raw.len()
+                 {undecided} undecided candidate(s) of {}",
+                verdicts.len()
             ),
-        ));
-    }
-
+        ))
+    };
     let init_fn = init.build(probe_n);
     let outcome = {
         let _span = shackle_probe::span("search");
-        auto_search(program, &search_cfg, probe_n, &init_fn, Mode::Memoized)
+        search(
+            program,
+            &search_cfg,
+            probe_n,
+            &init_fn,
+            &cfg.budget,
+            &refuse_undecided,
+        )?
     };
     if outcome.products == 0 {
         return Err(ServeError::new(

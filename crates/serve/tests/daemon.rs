@@ -8,11 +8,12 @@
 //! run in separate processes and cannot interfere.
 
 use shackle_core::par;
-use shackle_core::search::SearchConfig;
+use shackle_core::search::{candidate_shackles, SearchConfig};
 use shackle_ir::kernels;
 use shackle_ir::parse::to_source;
+use shackle_kernels::gen::spd_ws_init;
 use shackle_polyhedra::{cache, Budget};
-use shackle_serve::pipeline::{auto_search, Mode};
+use shackle_serve::pipeline::{auto_search, Mode, TOP_K};
 use shackle_serve::proto::{read_response, send_request};
 use shackle_serve::{Client, ErrorClass, Request, Response, Server, ServiceConfig};
 use std::io::Write;
@@ -165,6 +166,50 @@ fn undecidable_legality_refuses_with_unknown() {
         source: to_source(&kernels::cholesky_right()),
     }) {
         Response::Optimized { winner_cycles, .. } => assert!(winner_cycles > 0),
+        r => panic!("unexpected response {r:?}"),
+    }
+}
+
+/// One pass per request, seen through the product's own counters: a
+/// served optimize decides each enumerated candidate once and generates
+/// each rescored product's code once (the winner's is printed from
+/// there), and answers what the batch path answers.
+#[test]
+fn optimize_decides_each_candidate_once_and_generates_each_survivor_once() {
+    let _g = lock();
+    cache::clear_cache();
+    let program = kernels::cholesky_right();
+    let cfg = SearchConfig {
+        width: 4,
+        ..Default::default()
+    };
+    let batch = auto_search(&program, &cfg, 12, spd_ws_init("A", 12, 3), Mode::Memoized);
+    assert!((1..=TOP_K).contains(&batch.rescored));
+
+    let legality = shackle_probe::counter("core.legality_queries");
+    let codegen = shackle_probe::counter("core.codegen_programs");
+    let was_enabled = shackle_probe::set_enabled(true);
+    let before = (legality.get(), codegen.get());
+    let response = Server::new().with_store(None).handle(Request::Optimize {
+        probe_n: 12,
+        width: 4,
+        init: "spd:A:3".into(),
+        source: to_source(&program),
+    });
+    let counted = (legality.get() - before.0, codegen.get() - before.1);
+    shackle_probe::set_enabled(was_enabled);
+
+    // the forward space blocks cholesky_right fully: one enumerated list
+    let candidates = candidate_shackles(&program, &cfg).len();
+    assert_eq!(counted, (candidates as u64, batch.rescored as u64));
+    match response {
+        Response::Optimized {
+            winner_cycles,
+            report,
+        } => {
+            assert_eq!(winner_cycles, batch.winner_cycles);
+            assert_eq!(report, batch.report);
+        }
         r => panic!("unexpected response {r:?}"),
     }
 }
