@@ -3,27 +3,38 @@
 //! overflow corpus, cross-checked against brute-force enumeration. See
 //! `shackle_polyhedra::audit` for the harness itself.
 //!
-//! Writes `BENCH_poly_audit.json` (schema `shackle-poly-audit-v1`) and
-//! exits non-zero if any verdict disagrees with the oracle — a panic
-//! anywhere in the solver also fails the run, which is the point: this
-//! binary is the CI tripwire for the crate's panic-freedom contract.
+//! The verdict is the exit status: non-zero if any verdict disagrees
+//! with the oracle — a panic anywhere in the solver also fails the run,
+//! which is the point: this binary is the CI tripwire for the crate's
+//! panic-freedom contract.
 //!
 //! `--quick` runs 10 000 systems (the CI smoke size); the default is
-//! 50 000. `--seed N` reruns a specific generator stream.
+//! 50 000. `--seed N` reruns a specific generator stream. Anything else
+//! prints the usage line and exits 2.
 
-use shackle_bench::report::BenchReport;
 use shackle_polyhedra::audit::{run, AuditConfig};
-use shackle_polyhedra::cache;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(0x5eed_cafe);
+fn usage(err: &str) -> ExitCode {
+    eprintln!("poly_audit: {err}\nusage: poly_audit [--quick] [--seed N]");
+    ExitCode::from(2)
+}
+
+fn main() -> ExitCode {
+    let mut quick = false;
+    let mut seed = 0x5eed_cafe_u64;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--seed" => match args.next().map(|v| v.parse()) {
+                Some(Ok(n)) => seed = n,
+                Some(Err(_)) => return usage("--seed: not a number"),
+                None => return usage("--seed needs a value"),
+            },
+            other => return usage(&format!("unknown argument {other:?}")),
+        }
+    }
     let cfg = AuditConfig {
         systems: if quick { 10_000 } else { 50_000 },
         seed,
@@ -31,7 +42,6 @@ fn main() {
     };
 
     let rep = run(&cfg);
-    let stats = cache::stats();
 
     println!(
         "poly_audit: {} systems (seed {:#x}) + {} corpus cases",
@@ -53,36 +63,12 @@ fn main() {
         eprintln!("  MISMATCH: {m}");
     }
 
-    let mut report = BenchReport::new();
-    report.field_str("schema", "shackle-poly-audit-v1");
-    report.field_raw("systems", rep.systems.to_string());
-    report.field_raw("corpus_cases", rep.corpus_cases.to_string());
-    report.field_raw("seed", seed.to_string());
-    report.field_raw(
-        "verdicts",
-        format!(
-            "{{\"feasible\": {}, \"infeasible\": {}, \"unknown\": {}, \"strict_unknown\": {}}}",
-            rep.feasible, rep.infeasible, rep.unknown, rep.strict_unknown
-        ),
-    );
-    report.field_raw("simplify_checked", rep.simplify_checked.to_string());
-    report.field_raw("poly_unknown_counter", stats.unknown_verdicts.to_string());
-    report.section("mismatches");
-    for m in &rep.mismatches {
-        let escaped = m.replace('\\', "\\\\").replace('"', "\\\"");
-        report.row(format!("{{\"finding\": \"{escaped}\"}}"));
-    }
-    report.field_str("verdict", if rep.ok() { "pass" } else { "fail" });
-    report
-        .write("BENCH_poly_audit.json")
-        .expect("write BENCH_poly_audit.json");
-    println!("wrote BENCH_poly_audit.json");
-
     if !rep.ok() {
         eprintln!(
             "poly_audit FAILED: {} oracle mismatches",
             rep.mismatches.len()
         );
-        std::process::exit(1);
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

@@ -5,9 +5,9 @@
 //! shackled code through the IR interpreter with traced memory accesses,
 //! hand-written baselines through their traced entry points — against the
 //! simulated SP-2-like memory hierarchy, and converts (flops, memory
-//! cycles) to MFLOPS with the calibrated [`model`]. The `src/bin/figure*`
-//! binaries print the series; `EXPERIMENTS.md` records paper-vs-measured
-//! for each.
+//! cycles) to MFLOPS with the calibrated [`model`]. The `figures` binary
+//! prints the series, one table per name; `EXPERIMENTS.md` records
+//! paper-vs-measured for each.
 //!
 //! Absolute MFLOPS are not expected to match a 1997 POWER2; the claims
 //! under test are the *shapes*: orderings of the curves, rough ratios,
@@ -30,12 +30,7 @@ use std::collections::BTreeMap;
 /// implementation; `SHACKLE_THREADS` controls both.
 pub use shackle_core::par;
 
-pub mod history;
-pub mod memsweep;
-pub mod modelperf;
 pub mod prelude;
-pub mod report;
-pub mod serveperf;
 
 /// The CPU-side cost model, calibrated to the paper's reported plateaus
 /// (see EXPERIMENTS.md). The *memory* side is always simulated from
@@ -122,7 +117,7 @@ pub fn render_table(title: &str, xlabel: &str, series: &[Series]) -> String {
 /// Run `f` with probe instrumentation enabled and return its result
 /// together with the rendered phase tree.
 ///
-/// The figure binaries wrap their sweep in this to print per-phase
+/// The `figures` binary wraps each sweep in this to print per-phase
 /// timing lines after the table. The probe registry is reset first so
 /// the tree covers exactly this call, and the previous enabled state is
 /// restored afterwards.

@@ -1,9 +1,9 @@
 //! The probe's thread-local span stacks must merge deterministically:
 //! the same figure sweep at any `SHACKLE_THREADS` setting yields
 //! identical span call counts, counter values, and histograms — wall
-//! time is the only thing allowed to differ. This is what makes
-//! `BENCH_profile.json` diffable across CI runs that pick different
-//! worker counts.
+//! time is the only thing allowed to differ. This is what makes the
+//! phase trees `figures` prints and the `benchmark` crate's `--trace 1`
+//! files diffable across runs that pick different worker counts.
 
 use shackle_bench::prelude::*;
 

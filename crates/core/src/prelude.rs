@@ -5,8 +5,8 @@
 //! the IR surface ([`Program`], [`ArrayRef`], dependence analysis, the
 //! built-in kernels) and the polyhedral substrate ([`System`],
 //! [`LinExpr`]). Downstream crates layer their own preludes on top
-//! (`shackle_bench::prelude` adds execution, simulation and
-//! instrumentation).
+//! (`shackle_bench::prelude` adds simulation, tracing and
+//! instrumentation for the figure sweeps).
 //!
 //! ```
 //! use shackle_core::prelude::*;

@@ -1,13 +1,13 @@
 //! The kernel catalogue: every fact about a kernel that more than one
-//! harness needs, declared once.
+//! consumer needs, declared once.
 //!
 //! One [`Entry`] per [`shackle_ir::kernels::all`] builder: its CLI
 //! alias, its extra parameters, the initializer that keeps it
 //! numerically well-posed, its canonical shackles (the [`shackles`] of
 //! the paper's experiments) and the row the search report scores it at.
-//! The CLI, the `shackle-bench` harnesses and the cross-crate
-//! differential tests all iterate [`catalogue`]; *which* kernels a
-//! harness runs at *which* timed sizes stays with the harness as a list
+//! The CLI, the search goldens (`tests/search_identity.rs`) and the
+//! cross-crate differential tests all iterate [`catalogue`]; *which*
+//! kernels a test runs at *which* sizes stays with the test as a list
 //! of names. The catalogue is derived from the `ir` registry, so a
 //! builder added there without a row here panics — naming the kernel —
 //! in every consumer, rather than silently missing from some of them.

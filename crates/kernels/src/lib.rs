@@ -24,10 +24,10 @@
 //!   each written once over a meter that is a no-op when untraced;
 //! * [`gen`] — deterministic workload generators;
 //! * [`shackles`] — the canonical shackles of the paper's experiments;
-//! * [`catalogue`] — one entry per kernel holding what every harness
+//! * [`catalogue`] — one entry per kernel holding what every consumer
 //!   needs to know about it (builder, CLI alias, parameters, safe
 //!   initializer, canonical shackles, search row), read by the CLI,
-//!   the `shackle-bench` harnesses and the differential tests.
+//!   the search goldens and the differential tests.
 //!
 //! The IR forms of the kernels live in [`shackle_ir::kernels`]; this
 //! crate's hand-written pointwise forms are cross-validated against

@@ -13,10 +13,11 @@
 //! The predictor is the first-pass scorer of the two-phase search in
 //! `shackle_core::search` (`two_phase`): thousands of grid candidates
 //! are ranked analytically in microseconds each, and only the top-K
-//! survivors are re-scored with the exact simulator. `BENCH_model.json`
-//! (the `modelperf` harness in `shackle-bench`) validates ranking
-//! accuracy and miss-count error against `StackSim` ground truth on
-//! every in-repo kernel.
+//! survivors are re-scored with the exact simulator. Ranking accuracy
+//! against simulate-everything ground truth is pinned by
+//! `tests/prop_model.rs` and reported per run by the `benchmark`
+//! crate's `autotune_sweep` workload (`model.sim_rank`,
+//! `model.cycle_ratio_geomean`).
 //!
 //! # Example
 //!

@@ -21,7 +21,8 @@
 //! when disabled, [`span`] returns an inert guard without reading the
 //! clock, and [`add`]/[`record`] return after a single relaxed load,
 //! so instrumented hot paths stay within noise of uninstrumented ones
-//! (`perf_report --profile` asserts ≤2% in CI).
+//! (the `benchmark` crate reports the enabled-vs-disabled ratio of a
+//! whole round as `run.trace_overhead`).
 //!
 //! # Determinism across threads
 //!
@@ -34,7 +35,7 @@
 //! The global tables survive for the process lifetime; [`reset`]
 //! zeroes them between measurement sections. Snapshot with
 //! [`profile`], then render via [`Profile::render_tree`] (human) or
-//! [`Profile::to_json`] (machine, `BENCH_profile.json`).
+//! [`Profile::to_json`] (machine).
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -122,8 +122,7 @@ impl Profile {
     }
 
     /// Serialize as a deterministic JSON object with `spans`,
-    /// `counters`, and `histograms` keys (the body of
-    /// `BENCH_profile.json`).
+    /// `counters`, and `histograms` keys.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"spans\": [\n");

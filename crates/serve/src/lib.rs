@@ -6,7 +6,7 @@
 //! accepts kernels over a std-only length-prefixed protocol
 //! ([`proto`]; the `shackle_ir::parse` concrete syntax is the wire
 //! format), runs search → legality → codegen → scoring ([`service`],
-//! on the canonical [`pipeline`] shared with the batch harness), and
+//! on the canonical [`pipeline`] shared with the batch callers), and
 //! returns the transformed code plus predicted cycles. The polyhedral
 //! memo cache persists to disk between processes
 //! (`shackle_polyhedra::cache::{save_to, load_from}`), concurrent
@@ -14,8 +14,8 @@
 //! `quote` path answers in microseconds ([`server`]).
 //!
 //! Run the daemon with the `shackle_serve` binary (`--stdio` for a
-//! pipe, `--tcp ADDR` for a socket); drive it with
-//! `shackle-bench`'s `serveperf` load generator.
+//! pipe, `--tcp ADDR` for a socket); the `benchmark` crate's
+//! `serve_mix` workload is its load generator.
 
 pub mod pipeline;
 pub mod proto;

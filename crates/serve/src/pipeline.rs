@@ -2,10 +2,11 @@
 //! score, select.
 //!
 //! This module is the single source of truth for the end-to-end search
-//! used both by the batch harnesses (`shackle-bench`'s `perf_report`,
-//! `modelperf`) and by the daemon's `optimize` handler
-//! ([`crate::service`]) — one implementation, so a served response is
-//! byte-identical to a batch run by construction, not by test luck.
+//! used both by batch callers (the `benchmark` crate's `compile_cold`
+//! and `host_run` workloads, `tests/search_identity.rs`) and by the
+//! daemon's `optimize` handler ([`crate::service`]) — one
+//! implementation, so a served response is byte-identical to a batch
+//! run by construction, not by test luck.
 //!
 //! The search does each piece of work once. One tri-state Theorem-1
 //! pass per enumerated candidate list
@@ -74,8 +75,9 @@ pub const PROBE_CACHE: CacheConfig = CacheConfig {
 
 /// Survivors of the analytical first pass that get exact probe-cache
 /// simulation (`shackle_core::search::two_phase`). Two is enough for
-/// the handful of grown products this harness ranks; the dense-grid
-/// sweep (`shackle_bench::modelperf`) uses a configurable K, default 8.
+/// the handful of grown products this search ranks; the dense-grid
+/// sweeps (`tests/prop_model.rs`, the `benchmark` crate's
+/// `autotune_sweep`) keep the top 8.
 pub const TOP_K: usize = 2;
 
 /// Run the full auto-shackle search — enumerate, grow, score, select.

@@ -226,8 +226,8 @@ impl Server {
 
     /// Server + cache statistics as one JSON object (the `Stats`
     /// response). Includes the probe span tree when instrumentation is
-    /// enabled, so `serveperf --profile` can render per-request phase
-    /// breakdowns without a sidecar channel.
+    /// enabled, so a client can render per-request phase breakdowns
+    /// without a sidecar channel.
     fn stats_json(&self) -> String {
         let poly = cache::stats();
         cache::publish_stats();

@@ -9,10 +9,11 @@
 //!   of the simulated ground truth (DESIGN.md §"Analytical cost
 //!   model" — the envelope is wide because the model never executes
 //!   anything, but it is bounded both ways);
-//! * a pinned ranking test mirroring the `modelperf` sweep at the CI
-//!   quick grid: on every in-repo kernel, some simulated-optimal
-//!   candidate must survive the analytical top-K cut — the property
-//!   that makes two-phase search exact in practice.
+//! * a pinned ranking test on a three-width grid per kernel (the dense
+//!   grids are the `benchmark` crate's `autotune_sweep` workload): some
+//!   simulated-optimal candidate must survive the analytical top-K cut
+//!   — the property that makes two-phase search exact in practice — and
+//!   the winner must be exactly legal at its swept widths.
 //!
 //! Conflict misses are deliberately out of the model's scope, so the
 //! property test runs fully associative caches; the pinned test uses
@@ -40,7 +41,7 @@ const PROBE_MEM_LATENCY: u64 = 60;
 /// geometries: predicted misses within a factor of 24 of the exact
 /// count, both directions (empirically the worst case over this domain
 /// is ~17x; the mean error on the autotuning grids is far tighter —
-/// see `miss_err_mean` in BENCH_model.json).
+/// see the miss-error column of EXPERIMENTS.md's model table).
 const ENVELOPE: f64 = 24.0;
 
 /// The differential corpus: small problem sizes so a single exact
@@ -159,15 +160,23 @@ fn assert_winner_survives(
         outcome.winner_score, best_sim,
         "{name}: two-phase winner is not simulated-optimal"
     );
+    // the grid assumes legality does not depend on the width; this is
+    // the backstop
+    assert!(
+        check_legality(program, &grid[outcome.winner]).is_legal(),
+        "{name}: swept winner {} must be exactly legal",
+        outcome.winner
+    );
 }
 
 /// Every in-repo kernel keeps its simulated winner inside the model's
 /// top-8 on the quick grid — the pinned acceptance of the two-phase
-/// search (the full dense grids run in `modelperf`).
+/// search (the full dense grids run in `autotune_sweep`).
 #[test]
 fn simulated_winner_in_model_top_k_on_every_kernel() {
     let quick = [4i64, 8, 16];
-    // (kernel, probe size, pivot width) — `modelperf`'s rows
+    // (kernel, probe size, pivot width) — the model table's rows in
+    // EXPERIMENTS.md
     for (kernel, probe_n, pivot) in [
         ("matmul_ijk", 48, 8),
         ("cholesky_right", 80, 16),

@@ -1,25 +1,24 @@
 //! The auto-shackle search is pinned two ways: its outcome on the nine
-//! catalogue search rows (the ones `perf_report` times) equals a
-//! recorded golden, and its report is byte-identical at any thread
-//! count — memoization and parallelism change the cost of the search,
-//! never its result.
+//! catalogue search rows (the ones the `benchmark` crate's
+//! `compile_cold` workload times) equals a recorded golden, and its
+//! report is byte-identical at any thread count — memoization and
+//! parallelism change the cost of the search, never its result.
 //!
 //! The goldens were recorded at commit `f409083`, the last one that
 //! still carried the pre-memoization pipeline (a baseline search mode
 //! run with the polyhedral engine switched off): there the uncached
 //! serial search and the memoized search at 1 and 8 threads all
 //! produced exactly these rows, which is what the deleted
-//! mode-differential tests established. The counts are also the ones
-//! in `BENCH_search.json`.
+//! mode-differential tests established.
 
 use shackle_core::par;
 use shackle_core::search::SearchConfig;
 use shackle_kernels::catalogue::find;
 use shackle_serve::pipeline::{auto_search, Mode, SearchOutcome};
 
-/// One `perf_report` search row — the catalogue kernel, whose entry
-/// supplies program, block width, probe size and initializer — and
-/// what the search must return on it:
+/// One search row — the catalogue kernel, whose entry supplies
+/// program, block width, probe size and initializer — and what the
+/// search must return on it:
 /// `(candidates, legal, products, rescored, winner_cycles)` and the
 /// FNV-1a hash of `SearchOutcome::report`.
 type Row = (&'static str, (usize, usize, usize, usize, u64), u64);

@@ -81,6 +81,24 @@ fn cholesky_product_live_and_replayed() {
     let mut h = probe();
     trace.replay_into(&mut h);
     assert_eq!(h.cycles(), 4560);
+
+    // one stack pass over the same kernel trace answers every geometry
+    // of a line size exactly as a direct replay into each cache does
+    // (`prop_stack` checks this on random addresses only)
+    let grid = [(2, 1), (8, 4), (32, 2)].map(|(kb, assoc)| CacheConfig {
+        size: kb * 1024,
+        line: 128,
+        assoc,
+        latency: 0,
+    });
+    let mut sim = StackSim::new(128, &grid);
+    trace.replay_into(&mut sim);
+    for c in grid {
+        let mut direct = Cache::new(c);
+        trace.replay_into(&mut direct);
+        assert_eq!(sim.stats_for(&c), direct.stats(), "{c:?}");
+    }
+    assert_eq!(sim.stats_for(&grid[1]).misses, 76);
 }
 
 #[test]
