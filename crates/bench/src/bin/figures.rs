@@ -5,13 +5,14 @@
 //! figures [NAME…]
 //! ```
 //!
-//! With no names every entry of [`FIGURES`] runs, in table order (≈ 24 s
+//! With no names every entry of [`FIGURES`] runs, in table order (≈ 20 s
 //! in a release build); with names, those run in the order given. Each
 //! table goes to stdout and is byte-identical at any `SHACKLE_THREADS`;
 //! the probe phase trees go to stderr. Anything that is not a name in
 //! the table prints the usage line and exits 2.
 
 use shackle_bench::prelude::*;
+use shackle_memsim::{AccessSink, Cache};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -201,11 +202,10 @@ fn print_ablation_layout() {
 /// exposing the classic U-shape: tiny blocks cannot amortize reuse,
 /// oversized blocks stop fitting in the cache.
 ///
-/// Each width's trace is captured **once** (`CompactTrace`) and every
-/// cache geometry is derived from a single stack pass: the SP-2 column
-/// reproduces the original direct-simulated numbers exactly, and the
-/// extra capacity columns show where each tiling choice stops fitting —
-/// the multi-configuration view the stack engine makes free.
+/// Each width runs **once** and its accesses fan out into one
+/// standalone `Cache` per geometry ([`FanOut`]): the SP-2 column is the
+/// SP-2 L1 simulated directly, and the extra capacity columns show
+/// where each tiling choice stops fitting.
 fn print_ablation_block_size() {
     let n = 300_i64;
     let p = kernels::cholesky_right();
@@ -221,23 +221,24 @@ fn print_ablation_block_size() {
         assoc: 4,
         latency: 0,
     };
-    let sp2 = mk(64 * 1024);
-    let grid = [mk(16 * 1024), sp2, mk(256 * 1024)];
+    let grid = [mk(16 * 1024), mk(64 * 1024), mk(256 * 1024)];
     let widths = [2i64, 4, 8, 16, 32, 64, 128];
-    // each width is an independent capture + stack pass; sweep them in
-    // parallel and print in width order
+    // each width is an independent execution; sweep them in parallel
+    // and print in width order
     let rows = par::map(&widths, |&width| {
         let factors = shackles::cholesky_product(&p, width);
         let blocked = generate_scanned(&p, &factors);
         let params = BTreeMap::from([("N".to_string(), n)]);
         let init = gen::spd_ws_init("A", n as usize, 5);
-        let (stats, trace) = CompactTrace::capture(&blocked, &params, &init);
-        let mut sim = StackSim::new(128, &grid);
-        trace.replay_into(&mut sim);
-        let cycles = sim.cycles_for(&sp2, 60);
+        let mut caches = grid.map(Cache::new);
+        let stats = trace_execution(&blocked, &params, &init, &mut FanOut(&mut caches));
+        // what a one-level hierarchy over the SP-2 L1 (zero hit latency)
+        // charges: the memory latency per miss
+        let misses = caches[1].stats().misses;
+        let cycles = misses * 60;
         let mflops = model::perf(model::SCALAR_CYCLES_PER_FLOP).mflops(stats.flops, cycles);
-        let ratios: Vec<f64> = grid.iter().map(|c| sim.stats_for(c).miss_ratio()).collect();
-        (sim.stats_for(&sp2).misses, cycles, mflops, ratios)
+        let ratios = caches.map(|c| c.stats().miss_ratio());
+        (misses, cycles, mflops, ratios)
     });
     for (&width, (misses, cycles, mflops, ratios)) in widths.iter().zip(rows) {
         println!(
@@ -246,6 +247,23 @@ fn print_ablation_block_size() {
             100.0 * ratios[1],
             100.0 * ratios[2]
         );
+    }
+}
+
+/// One address stream into several standalone caches.
+struct FanOut<'a>(&'a mut [Cache]);
+
+impl AccessSink for FanOut<'_> {
+    fn push(&mut self, addr: u64) {
+        for c in self.0.iter_mut() {
+            c.access(addr);
+        }
+    }
+
+    fn push_many(&mut self, addrs: &[u64]) {
+        for c in self.0.iter_mut() {
+            c.push_many(addrs);
+        }
     }
 }
 

@@ -8,10 +8,9 @@
 pub use shackle_core::prelude::*;
 
 pub use shackle_exec::{verify, Access};
-pub use shackle_kernels::compact::CompactTrace;
 pub use shackle_kernels::trace::{block_major_address, trace_execution, trace_layout};
 pub use shackle_kernels::{gen, shackles};
-pub use shackle_memsim::{CacheConfig, Hierarchy, StackSim, TlbConfig};
+pub use shackle_memsim::{CacheConfig, Hierarchy, TlbConfig};
 pub use shackle_probe as probe;
 
 pub use crate::{

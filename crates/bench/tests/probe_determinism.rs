@@ -1,18 +1,14 @@
 //! The probe's thread-local span stacks must merge deterministically:
 //! the same figure sweep at any `SHACKLE_THREADS` setting yields
-//! identical span call counts, counter values, and histograms — wall
-//! time is the only thing allowed to differ. This is what makes the
+//! identical span call counts and counter values — wall time is the
+//! only thing allowed to differ. This is what makes the
 //! phase trees `figures` prints and the `benchmark` crate's `--trace 1`
 //! files diffable across runs that pick different worker counts.
 
 use shackle_bench::prelude::*;
 
 /// Everything in a [`probe::Profile`] except wall time.
-type Fingerprint = (
-    Vec<(String, u64)>,
-    Vec<(String, u64)>,
-    Vec<probe::ProfileHistogram>,
-);
+type Fingerprint = (Vec<(String, u64)>, Vec<(String, u64)>);
 
 fn run_sweep(threads: usize) -> Fingerprint {
     // with_threads serializes the process-global override and restores
@@ -34,7 +30,6 @@ fn run_sweep(threads: usize) -> Fingerprint {
             .map(|s| (s.path.clone(), s.calls))
             .collect(),
         profile.counters.clone(),
-        profile.histograms.clone(),
     )
 }
 

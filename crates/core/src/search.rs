@@ -314,30 +314,6 @@ pub fn reblock(program: &Program, product: &[Shackle], widths: &[i64]) -> Vec<Sh
     rewiden(program, product, &per_cut)
 }
 
-/// Re-widen a product with *independent per-cut widths* (rectangular
-/// blocks): `widths[f][c]` is the width of factor `f`'s cut `c`. Where
-/// [`reblock`] keeps every cut of a factor at one width (square
-/// blocks), this generalization lets a two-dimensional blocking use a
-/// tall-and-narrow or short-and-wide block — with column-major storage
-/// a cache line spans consecutive rows of one column, so the best
-/// block is often not square.
-///
-/// # Panics
-///
-/// Panics unless `widths` pairs one width with every cut of every
-/// factor.
-pub fn reblock_cuts(program: &Program, product: &[Shackle], widths: &[Vec<i64>]) -> Vec<Shackle> {
-    assert_eq!(widths.len(), product.len(), "one width list per factor");
-    for (f, ws) in product.iter().zip(widths) {
-        assert_eq!(
-            ws.len(),
-            f.blocking().cuts().len(),
-            "one width per cut of the factor"
-        );
-    }
-    rewiden(program, product, &widths.concat())
-}
-
 /// The re-widening body: `per_cut` holds one width for every cut of
 /// every factor, in product order. `program` is only a parameter
 /// because the frozen `benchmark/` crate passes it to the public
@@ -807,22 +783,6 @@ mod tests {
             .collect();
         assert_eq!(first, vec![4, 4]);
         assert_eq!(second, vec![4, 8]);
-    }
-
-    #[test]
-    fn reblock_cuts_panics_on_width_count_mismatch() {
-        let p = kernels::matmul_ijk();
-        let legal = enumerate_legal(
-            &p,
-            &SearchConfig {
-                width: 8,
-                arrays: Some(vec!["C".to_string()]),
-                ..Default::default()
-            },
-        );
-        let shape = vec![legal[0].shackle.clone()];
-        let out = std::panic::catch_unwind(|| reblock_cuts(&p, &shape, &[vec![4]]));
-        assert!(out.is_err(), "two cuts need two widths");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! in the outer loop — a stride-`n` access pattern on column-major
 //! arrays. Shackling both statements to `B[i-1,k]` with 1×1 blocks
 //! walked in storage order yields the fused, interchanged, stride-1 code
-//! the paper reports is 8.9× faster at n = 1000.
+//! the paper reports is 8.9× faster at n = 1000 — generated from
+//! `shackle_ir::kernels::adi` by `shackles::adi_storage_order`; only the
+//! input code is written here.
 
 use crate::Mat;
 
@@ -33,55 +35,10 @@ pub fn adi_input(x: &mut Mat, a: &Mat, b: &mut Mat) {
     }
 }
 
-/// The transformed code of Figure 14(ii): loops fused and interchanged,
-/// so both updates stream down each column with stride 1.
-///
-/// # Panics
-///
-/// Panics if the three matrices differ in shape.
-pub fn adi_transformed(x: &mut Mat, a: &Mat, b: &mut Mat) {
-    let n = x.rows();
-    assert!(
-        a.rows() == n && b.rows() == n && x.cols() == a.cols() && a.cols() == b.cols(),
-        "ADI arrays must agree in shape"
-    );
-    let m = x.cols();
-    for k in 0..m {
-        for i in 1..n {
-            let xv = x.at(i, k) - x.at(i - 1, k) * a.at(i, k) / b.at(i - 1, k);
-            x.set(i, k, xv);
-            let bv = b.at(i, k) - a.at(i, k) * a.at(i, k) / b.at(i - 1, k);
-            b.set(i, k, bv);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::random_mat;
-
-    #[test]
-    fn transformed_matches_input() {
-        for n in [1usize, 2, 5, 33] {
-            let a = random_mat(n, n, 1);
-            // keep B safely away from zero
-            let b0 = {
-                let mut b = random_mat(n, n, 2);
-                for v in b.data_mut() {
-                    *v += 2.0;
-                }
-                b
-            };
-            let x0 = random_mat(n, n, 3);
-            let (mut x1, mut b1) = (x0.clone(), b0.clone());
-            adi_input(&mut x1, &a, &mut b1);
-            let (mut x2, mut b2) = (x0.clone(), b0.clone());
-            adi_transformed(&mut x2, &a, &mut b2);
-            assert!(x1.max_rel_diff(&x2) < 1e-12, "X mismatch at n={n}");
-            assert!(b1.max_rel_diff(&b2) < 1e-12, "B mismatch at n={n}");
-        }
-    }
 
     #[test]
     fn first_row_untouched() {
@@ -93,7 +50,7 @@ mod tests {
         }
         let mut x = random_mat(n, n, 6);
         let x00 = x.at(0, 2);
-        adi_transformed(&mut x, &a, &mut b);
+        adi_input(&mut x, &a, &mut b);
         assert_eq!(x.at(0, 2), x00);
     }
 }

@@ -3,12 +3,12 @@
 //! The input code is ordinary right-looking Cholesky restricted to the
 //! band (§7, caveat (i)); the storage transformation to LAPACK band
 //! layout — only the band stored, column by column — is caveat (ii),
-//! applied to the compiler-generated blocked code as a post-pass. Here:
+//! applied to the compiler-generated blocked code as a post-pass (the
+//! generated code runs through `trace::band_layout`). Here:
 //!
 //! * [`BandMat`] — LAPACK-style lower band storage;
 //! * [`banded_cholesky_dense`] — the input code on dense storage;
 //! * [`pbtrf_pointwise`] — the same computation on band storage;
-//! * [`pbtrf_shackled`] — the compiler-blocked code on band storage;
 //! * [`pbtrf_lapack`] — LAPACK `dpbtrf`-style blocked factorization.
 
 use crate::traced::Meter;
@@ -157,91 +157,6 @@ pub fn pbtrf_pointwise(a: &mut BandMat) {
     }
 }
 
-/// The compiler-blocked banded code on band storage: the Cholesky
-/// shackle's block structure with every range clipped to the band
-/// (the paper's post-pass data transformation applied to Figure 7).
-///
-/// # Panics
-///
-/// Panics if `nb == 0` or not positive definite.
-pub fn pbtrf_shackled(a: &mut BandMat, nb: usize) {
-    assert!(nb > 0, "block size must be positive");
-    let (n, p) = (a.n(), a.p());
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + nb).min(n);
-        // (i) updates from the left to the diagonal block
-        for j in j0.saturating_sub(p)..j0 {
-            let hi = (j + p + 1).min(j1);
-            for t6 in j0..hi {
-                for t7 in t6..hi {
-                    let v = a.at(t7, t6) - a.at(t7, j) * a.at(t6, j);
-                    a.set(t7, t6, v);
-                }
-            }
-        }
-        // (ii) baby Cholesky of the diagonal block
-        for j in j0..j1 {
-            let d = a.at(j, j);
-            assert!(d > 0.0, "not positive definite at pivot {j}");
-            let d = d.sqrt();
-            a.set(j, j, d);
-            let hi = (j + p + 1).min(j1);
-            for i in (j + 1)..hi {
-                let v = a.at(i, j) / d;
-                a.set(i, j, v);
-            }
-            for t6 in (j + 1)..hi {
-                for t7 in t6..hi {
-                    let v = a.at(t7, t6) - a.at(t7, j) * a.at(t6, j);
-                    a.set(t7, t6, v);
-                }
-            }
-        }
-        // off-diagonal row blocks intersecting the band
-        let mut i0 = j1;
-        while i0 < n && i0 <= j1 - 1 + p {
-            let i1 = (i0 + nb).min(n);
-            // (iii) updates from the left
-            for j in i0.saturating_sub(p)..j0 {
-                for t6 in j0..j1 {
-                    if t6 > j + p {
-                        continue;
-                    }
-                    let lo = i0.max(j.max(t6));
-                    let hi = (j + p + 1).min(i1).min(t6 + p + 1);
-                    for t7 in lo..hi {
-                        let v = a.at(t7, t6) - a.at(t7, j) * a.at(t6, j);
-                        a.set(t7, t6, v);
-                    }
-                }
-            }
-            // (iv) interleaved scaling and local updates
-            for j in j0..j1 {
-                let d = a.at(j, j);
-                let hi = (j + p + 1).min(i1);
-                for t5 in i0.max(j + 1)..hi {
-                    let v = a.at(t5, j) / d;
-                    a.set(t5, j, v);
-                }
-                for t6 in (j + 1)..j1 {
-                    if t6 > j + p {
-                        continue;
-                    }
-                    let lo = i0.max(t6);
-                    let hi = (j + p + 1).min(i1).min(t6 + p + 1);
-                    for t7 in lo..hi {
-                        let v = a.at(t7, t6) - a.at(t7, j) * a.at(t6, j);
-                        a.set(t7, t6, v);
-                    }
-                }
-            }
-            i0 = i1;
-        }
-        j0 = j1;
-    }
-}
-
 /// LAPACK `dpbtrf`-style blocked banded Cholesky: per block column,
 /// factor the diagonal block, triangular-solve the sub-band panel, and
 /// symmetric-update the trailing window — the structure that "starts
@@ -377,18 +292,6 @@ mod tests {
                     assert!((band.at(i, j) - dense.at(i, j)).abs() < 1e-10, "({i},{j})");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn shackled_matches_pointwise() {
-        for (n, p, nb) in [(20, 4, 4), (25, 6, 5), (30, 3, 8), (16, 7, 4)] {
-            let a0 = random_banded_spd(n, p, 3);
-            let mut gold = BandMat::from_dense(&a0, p);
-            pbtrf_pointwise(&mut gold);
-            let mut c = BandMat::from_dense(&a0, p);
-            pbtrf_shackled(&mut c, nb);
-            assert!(band_diff(&gold, &c) < 1e-10, "n={n} p={p} nb={nb}");
         }
     }
 

@@ -1,7 +1,7 @@
-//! Native matrix-multiplication variants: the Figure 3 / Figure 10
-//! codes.
+//! Native matrix multiplication: the input code of Figure 1(i). The
+//! blocked Figure 3 / Figure 10 codes are generated from
+//! `shackle_ir::kernels::matmul`.
 
-use crate::blas::{dgemm_nn, Block};
 use crate::Mat;
 
 /// The input I-J-K code of Figure 1(i): `C += A·B`, no blocking.
@@ -24,124 +24,21 @@ pub fn matmul_ijk(c: &mut Mat, a: &Mat, b: &Mat) {
     }
 }
 
-/// The Figure 3 code: all three loops tiled by `nb` (the product shackle
-/// `M_C × M_A`), scalar inner loops.
-///
-/// # Panics
-///
-/// Panics on dimension mismatch or `nb == 0`.
-pub fn matmul_blocked(c: &mut Mat, a: &Mat, b: &Mat, nb: usize) {
-    assert!(nb > 0);
-    assert_eq!(a.cols(), b.rows());
-    assert_eq!(c.rows(), a.rows());
-    assert_eq!(c.cols(), b.cols());
-    let (m, n, k) = (c.rows(), c.cols(), a.cols());
-    for i0 in (0..m).step_by(nb) {
-        for j0 in (0..n).step_by(nb) {
-            for k0 in (0..k).step_by(nb) {
-                for i in i0..(i0 + nb).min(m) {
-                    for j in j0..(j0 + nb).min(n) {
-                        let mut s = c.at(i, j);
-                        for p in k0..(k0 + nb).min(k) {
-                            s += a.at(i, p) * b.at(p, j);
-                        }
-                        c.set(i, j, s);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// The Figure 10 code: blocked for two memory levels (`n1` outer blocks
-/// broken into `n2` inner blocks).
-///
-/// # Panics
-///
-/// Panics on dimension mismatch, `n1 == 0`, `n2 == 0`, or `n2 > n1`.
-pub fn matmul_two_level(c: &mut Mat, a: &Mat, b: &Mat, n1: usize, n2: usize) {
-    assert!(n1 > 0 && n2 > 0 && n2 <= n1, "need 0 < n2 <= n1");
-    assert_eq!(a.cols(), b.rows());
-    assert_eq!(c.rows(), a.rows());
-    assert_eq!(c.cols(), b.cols());
-    let (m, n, k) = (c.rows(), c.cols(), a.cols());
-    for i0 in (0..m).step_by(n1) {
-        for j0 in (0..n).step_by(n1) {
-            for k0 in (0..k).step_by(n1) {
-                let (i9, j9, k9) = ((i0 + n1).min(m), (j0 + n1).min(n), (k0 + n1).min(k));
-                for ii in (i0..i9).step_by(n2) {
-                    for jj in (j0..j9).step_by(n2) {
-                        for kk in (k0..k9).step_by(n2) {
-                            for i in ii..(ii + n2).min(i9) {
-                                for j in jj..(jj + n2).min(j9) {
-                                    let mut s = c.at(i, j);
-                                    for p in kk..(kk + n2).min(k9) {
-                                        s += a.at(i, p) * b.at(p, j);
-                                    }
-                                    c.set(i, j, s);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// `C += A·B` through the DGEMM substrate (cache-friendly AXPY kernel).
-pub fn matmul_dgemm(c: &mut Mat, a: &Mat, b: &Mat) {
-    let cb = Block::full(c);
-    dgemm_nn(c, cb, a, Block::full(a), b, Block::full(b));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gen::random_mat;
-
-    fn reference(a: &Mat, b: &Mat) -> Mat {
-        let mut c = Mat::zeros(a.rows(), b.cols());
-        matmul_ijk(&mut c, a, b);
-        c
-    }
-
-    #[test]
-    fn all_variants_agree() {
-        for (m, k, n) in [(7, 5, 9), (16, 16, 16), (33, 17, 25)] {
-            let a = random_mat(m, k, 1);
-            let b = random_mat(k, n, 2);
-            let gold = reference(&a, &b);
-            let mut c1 = Mat::zeros(m, n);
-            matmul_blocked(&mut c1, &a, &b, 8);
-            assert!(gold.max_rel_diff(&c1) < 1e-12);
-            let mut c2 = Mat::zeros(m, n);
-            matmul_two_level(&mut c2, &a, &b, 8, 4);
-            assert!(gold.max_rel_diff(&c2) < 1e-12);
-            let mut c3 = Mat::zeros(m, n);
-            matmul_dgemm(&mut c3, &a, &b);
-            assert!(gold.max_rel_diff(&c3) < 1e-12);
-        }
-    }
 
     #[test]
     fn accumulates_into_c() {
-        let a = random_mat(4, 4, 3);
-        let b = random_mat(4, 4, 4);
-        let mut c = random_mat(4, 4, 5);
-        let mut expect = c.clone();
-        matmul_ijk(&mut expect, &a, &b);
-        matmul_dgemm(&mut c, &a, &b);
-        assert!(expect.max_rel_diff(&c) < 1e-12);
-    }
-
-    #[test]
-    fn block_bigger_than_matrix() {
-        let a = random_mat(3, 3, 6);
-        let b = random_mat(3, 3, 7);
-        let gold = reference(&a, &b);
-        let mut c = Mat::zeros(3, 3);
-        matmul_blocked(&mut c, &a, &b, 100);
-        assert!(gold.max_rel_diff(&c) < 1e-12);
+        let a = Mat::from_fn(2, 2, |i, j| (1 + 2 * i + j) as f64); // [1 2; 3 4]
+        let b = Mat::from_fn(2, 2, |i, j| (5 + 2 * i + j) as f64); // [5 6; 7 8]
+        let mut c = Mat::from_fn(2, 2, |_, _| 1.0);
+        matmul_ijk(&mut c, &a, &b);
+        let expect = [[20.0, 23.0], [44.0, 51.0]];
+        for (i, row) in expect.iter().enumerate() {
+            for (j, &e) in row.iter().enumerate() {
+                assert_eq!(c.at(i, j), e, "({i},{j})");
+            }
+        }
     }
 }

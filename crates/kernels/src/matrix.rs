@@ -57,13 +57,6 @@ impl Mat {
         self.data[j * self.rows + i] = v;
     }
 
-    /// In-place element update.
-    #[inline(always)]
-    pub fn add_assign(&mut self, i: usize, j: usize, v: f64) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[j * self.rows + i] += v;
-    }
-
     /// Raw column-major data.
     pub fn data(&self) -> &[f64] {
         &self.data

@@ -1,22 +1,16 @@
-//! Native QR factorization variants — the curves of the paper's
-//! Figure 12.
+//! Native QR factorization — the hand-written ends of the paper's
+//! Figure 12 (the column-blocked curve between them is generated from
+//! `shackle_ir::kernels::qr` by `shackles::qr_columns`).
 //!
 //! * [`qr_pointwise`] — the input pointwise Householder code (mirrors
 //!   the IR kernel exactly, including the `T`/`W` auxiliaries);
-//! * [`qr_col_blocked`] — the "compiler generated" code: the same
-//!   pointwise algorithm with columns blocked (lazy application of
-//!   pending reflections when a column block is touched — the only
-//!   blocking dependences allow, per §7);
-//! * [`qr_col_blocked_dgemm`] — the same with the reflection-application
-//!   loops in cache-friendly slice form (the "Matrix Multiply replaced
-//!   by DGEMM" analogue);
 //! * [`qr_wy`] — LAPACK-style blocked Householder using the compact-WY
 //!   representation, which exploits the *associativity* of reflections —
 //!   the domain knowledge the paper notes a compiler does not have.
 //!
 //! On exit, column `k` below the diagonal holds the (unnormalized)
 //! Householder vector `v_k`, the upper triangle holds `R`, and the
-//! returned vector holds `vᵀv` per column. All variants produce the same
+//! returned vector holds `vᵀv` per column. Both produce the same
 //! factorization (identical sign conventions).
 
 use crate::traced::Meter;
@@ -74,124 +68,6 @@ pub fn qr_pointwise(a: &mut Mat) -> QrScalars {
                 a.set(i, j, v);
             }
         }
-    }
-    out
-}
-
-/// Apply reflector `k` (vector in column `k` of `a`, `vᵀv = tv`) to
-/// column `j`, rows `k..n`.
-#[inline]
-fn apply_reflector(a: &mut Mat, n: usize, k: usize, tv: f64, j: usize) {
-    let mut w = 0.0;
-    for i in k..n {
-        w += a.at(i, k) * a.at(i, j);
-    }
-    for i in k..n {
-        let v = a.at(i, j) - 2.0 * a.at(i, k) * w / tv;
-        a.set(i, j, v);
-    }
-}
-
-/// Column-blocked pointwise QR: the shackled code. When a column block
-/// is touched, first apply all *pending* earlier reflections to it
-/// (lazy updates), then factor its columns pointwise, applying
-/// within-block reflections eagerly.
-///
-/// # Panics
-///
-/// Panics if `nb == 0` or the matrix is not square.
-pub fn qr_col_blocked(a: &mut Mat, nb: usize) -> QrScalars {
-    assert!(nb > 0, "block size must be positive");
-    assert_eq!(a.rows(), a.cols(), "benchmark QR is square");
-    let n = a.rows();
-    let mut out = QrScalars {
-        vtv: vec![0.0; n],
-        rdiag: vec![0.0; n],
-    };
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + nb).min(n);
-        // pending reflections from all earlier columns
-        for k in 0..j0 {
-            for j in j0..j1 {
-                apply_reflector(a, n, k, out.vtv[k], j);
-            }
-        }
-        // factor within the block
-        for k in j0..j1 {
-            let mut t = a.at(k, k) * a.at(k, k);
-            for i in (k + 1)..n {
-                t += a.at(i, k) * a.at(i, k);
-            }
-            let sgn = if a.at(k, k) < 0.0 { -1.0 } else { 1.0 };
-            out.rdiag[k] = -sgn * t.sqrt();
-            a.set(k, k, a.at(k, k) + sgn * t.sqrt());
-            let mut tv = a.at(k, k) * a.at(k, k);
-            for i in (k + 1)..n {
-                tv += a.at(i, k) * a.at(i, k);
-            }
-            out.vtv[k] = tv;
-            for j in (k + 1)..j1 {
-                apply_reflector(a, n, k, tv, j);
-            }
-        }
-        j0 = j1;
-    }
-    out
-}
-
-/// [`qr_col_blocked`] with the pending-reflection sweep written as
-/// contiguous column-slice operations (dot + AXPY on raw columns) — the
-/// DGEMM-kernel analogue for this memory-bound update.
-///
-/// # Panics
-///
-/// Panics if `nb == 0` or the matrix is not square.
-pub fn qr_col_blocked_dgemm(a: &mut Mat, nb: usize) -> QrScalars {
-    assert!(nb > 0, "block size must be positive");
-    assert_eq!(a.rows(), a.cols(), "benchmark QR is square");
-    let n = a.rows();
-    let ld = n;
-    let mut out = QrScalars {
-        vtv: vec![0.0; n],
-        rdiag: vec![0.0; n],
-    };
-    let mut j0 = 0;
-    while j0 < n {
-        let j1 = (j0 + nb).min(n);
-        for k in 0..j0 {
-            let tv = out.vtv[k];
-            for j in j0..j1 {
-                let data = a.data_mut();
-                let (vcol, ccol) = (k * ld, j * ld);
-                let mut w = 0.0;
-                for i in k..n {
-                    w += data[vcol + i] * data[ccol + i];
-                }
-                let s = 2.0 * w / tv;
-                for i in k..n {
-                    data[ccol + i] -= s * data[vcol + i];
-                }
-            }
-        }
-        for k in j0..j1 {
-            let mut t = a.at(k, k) * a.at(k, k);
-            for i in (k + 1)..n {
-                t += a.at(i, k) * a.at(i, k);
-            }
-            let sgn = if a.at(k, k) < 0.0 { -1.0 } else { 1.0 };
-            out.rdiag[k] = -sgn * t.sqrt();
-            a.set(k, k, a.at(k, k) + sgn * t.sqrt());
-            let mut tv = a.at(k, k) * a.at(k, k);
-            for i in (k + 1)..n {
-                tv += a.at(i, k) * a.at(i, k);
-            }
-            out.vtv[k] = tv;
-            for j in (k + 1)..j1 {
-                apply_reflector(a, n, k, tv, j);
-            }
-        }
-        j0 = j1;
     }
     out
 }
@@ -411,26 +287,6 @@ mod tests {
         assert!((s.rdiag[0].abs() - norm1).abs() < 1e-10);
         // our inputs are positive, so sign(x₁) = +1 and R[0,0] < 0
         assert!(s.rdiag[0] < 0.0);
-    }
-
-    #[test]
-    fn blocked_variants_match_pointwise() {
-        for (n, nb) in [(12, 4), (13, 4), (20, 7), (8, 16)] {
-            let a0 = random_mat(n, n, 2);
-            let mut gold = a0.clone();
-            let s0 = qr_pointwise(&mut gold);
-            let mut b1 = a0.clone();
-            let s1 = qr_col_blocked(&mut b1, nb);
-            assert!(gold.max_rel_diff(&b1) < 1e-9, "col blocked n={n} nb={nb}");
-            let mut b2 = a0.clone();
-            let s2 = qr_col_blocked_dgemm(&mut b2, nb);
-            assert!(gold.max_rel_diff(&b2) < 1e-9, "dgemm n={n} nb={nb}");
-            for k in 0..n {
-                assert!((s0.vtv[k] - s1.vtv[k]).abs() / s0.vtv[k] < 1e-9);
-                assert!((s0.vtv[k] - s2.vtv[k]).abs() / s0.vtv[k] < 1e-9);
-                assert!((s0.rdiag[k] - s1.rdiag[k]).abs() / s0.rdiag[k].abs() < 1e-9);
-            }
-        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Native 2-D Jacobi (heat) relaxation: one out-of-place sweep of the
 //! five-point stencil — the relaxation-code family §9 targets.
 //!
-//! The blocked variant tiles the interior with *independent* block
-//! heights and widths: with column-major storage a cache line spans
-//! consecutive rows of one column, so skinny-in-`i` blocks keep whole
-//! lines live and the best block is typically rectangular.
+//! The generated blocked code (`shackles::jacobi2d_tiles`) tiles the
+//! interior with *independent* block heights and widths: with
+//! column-major storage a cache line spans consecutive rows of one
+//! column, so skinny-in-`i` blocks keep whole lines live and the best
+//! block is typically rectangular.
 
 use crate::Mat;
 
@@ -26,33 +27,6 @@ pub fn jacobi2d_pointwise(v: &mut Mat, u: &Mat) {
         for j in 1..m - 1 {
             let s = u.at(i - 1, j) + u.at(i + 1, j) + u.at(i, j - 1) + u.at(i, j + 1);
             v.set(i, j, 0.25 * s);
-        }
-    }
-}
-
-/// Rectangularly blocked Jacobi sweep: interior tiled into `bi × bj`
-/// blocks. Out-of-place, so any block order is legal; this one walks
-/// blocks in the pointwise order.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or a zero block extent.
-pub fn jacobi2d_blocked(v: &mut Mat, u: &Mat, bi: usize, bj: usize) {
-    assert!(bi > 0 && bj > 0);
-    assert_eq!(v.rows(), u.rows());
-    assert_eq!(v.cols(), u.cols());
-    let (n, m) = (u.rows(), u.cols());
-    if n < 3 || m < 3 {
-        return;
-    }
-    for i0 in (1..n - 1).step_by(bi) {
-        for j0 in (1..m - 1).step_by(bj) {
-            for i in i0..(i0 + bi).min(n - 1) {
-                for j in j0..(j0 + bj).min(m - 1) {
-                    let s = u.at(i - 1, j) + u.at(i + 1, j) + u.at(i, j - 1) + u.at(i, j + 1);
-                    v.set(i, j, 0.25 * s);
-                }
-            }
         }
     }
 }
@@ -87,24 +61,10 @@ mod tests {
     }
 
     #[test]
-    fn blocked_is_bit_identical_to_pointwise() {
-        for (n, bi, bj, seed) in [(9, 2, 5, 2), (16, 4, 4, 3), (23, 7, 1, 4), (3, 10, 10, 5)] {
-            let u = random_mat(n, n, seed);
-            let mut gold = Mat::zeros(n, n);
-            let mut v = Mat::zeros(n, n);
-            jacobi2d_pointwise(&mut gold, &u);
-            jacobi2d_blocked(&mut v, &u, bi, bj);
-            // Same per-element operation order, so bit-identical.
-            assert_eq!(gold.data(), v.data(), "n={n} bi={bi} bj={bj}");
-        }
-    }
-
-    #[test]
     fn degenerate_sizes_are_noops() {
         let u = random_mat(2, 2, 7);
         let mut v = Mat::zeros(2, 2);
         jacobi2d_pointwise(&mut v, &u);
-        jacobi2d_blocked(&mut v, &u, 4, 4);
         assert!(v.data().iter().all(|&x| x == 0.0));
     }
 }

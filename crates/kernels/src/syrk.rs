@@ -2,10 +2,10 @@
 //! triangle only — the BLAS-3 sibling of matmul with a triangular
 //! iteration space.
 //!
-//! The blocked variant takes *independent* block heights and widths
-//! (rectangular blocks): the footprint of a block row of `C` is
-//! asymmetric in the two dimensions, so the best block need not be
-//! square.
+//! The generated blocked code (`shackles::syrk_product`) takes
+//! *independent* block heights and widths: the footprint of a block row
+//! of `C` is asymmetric in the two dimensions, so the best block need
+//! not be square.
 
 use crate::Mat;
 
@@ -24,35 +24,6 @@ pub fn syrk_pointwise(c: &mut Mat, a: &Mat) {
                 s += a.at(i, k) * a.at(j, k);
             }
             c.set(i, j, s);
-        }
-    }
-}
-
-/// Rectangularly blocked SYRK: row blocks of height `bi`, column blocks
-/// of width `bj`, skipping blocks strictly above the diagonal.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or a zero block extent.
-pub fn syrk_blocked(c: &mut Mat, a: &Mat, bi: usize, bj: usize) {
-    assert!(bi > 0 && bj > 0);
-    assert_eq!(c.rows(), c.cols());
-    assert_eq!(c.rows(), a.rows());
-    let n = c.rows();
-    for i0 in (0..n).step_by(bi) {
-        for j0 in (0..n).step_by(bj) {
-            if j0 > i0 + bi - 1 {
-                break; // block entirely above the diagonal
-            }
-            for i in i0..(i0 + bi).min(n) {
-                for j in j0..(j0 + bj).min(n).min(i + 1) {
-                    let mut s = c.at(i, j);
-                    for k in 0..a.cols() {
-                        s += a.at(i, k) * a.at(j, k);
-                    }
-                    c.set(i, j, s);
-                }
-            }
         }
     }
 }
@@ -78,26 +49,6 @@ mod tests {
             for j in (i + 1)..6 {
                 assert_eq!(c.at(i, j), 0.0, "upper triangle must stay untouched");
             }
-        }
-    }
-
-    #[test]
-    fn blocked_agrees_for_square_and_rectangular_blocks() {
-        for (n, k, bi, bj, seed) in [
-            (9, 7, 3, 3, 2),
-            (16, 16, 4, 8, 3),
-            (21, 5, 8, 2, 4),
-            (7, 9, 100, 1, 5),
-        ] {
-            let a = random_mat(n, k, seed);
-            let mut gold = random_mat(n, n, seed + 10);
-            let mut c = gold.clone();
-            syrk_pointwise(&mut gold, &a);
-            syrk_blocked(&mut c, &a, bi, bj);
-            assert!(
-                gold.max_rel_diff_lower(&c) < 1e-12,
-                "n={n} k={k} bi={bi} bj={bj}"
-            );
         }
     }
 }

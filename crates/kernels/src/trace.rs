@@ -3,7 +3,7 @@
 //! Two independent decisions, one trait each: a [`Layout`] says *where*
 //! an element access lands (a byte address), a
 //! [`shackle_memsim::AccessSink`] says *who consumes* the address (a
-//! cache, a hierarchy, a stack simulator, a trace being captured).
+//! cache, a hierarchy, a TLB).
 //! [`Traced`] is the one [`Observer`] joining them. The paper keeps
 //! what is blocked apart from where the data physically lives (§5.3,
 //! §7's band-storage post-pass); so does this module: [`AddressMap`] is
@@ -209,9 +209,8 @@ pub fn trace_layout<S: AccessSink + ?Sized>(
 }
 
 /// [`trace_layout`] with the standard dense [`AddressMap`] (128-byte
-/// aligned) — cycles accumulate in a hierarchy sink, addresses in a
-/// [`crate::compact::CompactTrace`]. Convenience for the figure
-/// harnesses.
+/// aligned) — cycles accumulate in a hierarchy sink, misses in a
+/// standalone cache. Convenience for the figure harnesses.
 pub fn trace_execution<S: AccessSink + ?Sized>(
     program: &Program,
     params: &BTreeMap<String, i64>,

@@ -1,9 +1,10 @@
 //! Native triangular back-solve: the §8 reversed-traversal kernel.
 //!
 //! Solves `U·x = b` for upper-triangular `U`, in place on `x`, walking
-//! unknowns from the last to the first. The blocked variant walks the
-//! *blocks* bottom-to-top too — the reversed cut-set traversal of §8 —
-//! which is the only legal order: data flows from high indices to low.
+//! unknowns from the last to the first. The generated blocked code
+//! (`shackles::backsolve_reversed`) walks the *blocks* bottom-to-top
+//! too — the reversed cut-set traversal of §8 — which is the only legal
+//! order: data flows from high indices to low.
 
 use crate::Mat;
 
@@ -21,38 +22,6 @@ pub fn backsolve_pointwise(x: &mut [f64], u: &Mat) {
         x[i] /= u.at(i, i);
         for j in 0..i {
             x[j] -= u.at(j, i) * x[i];
-        }
-    }
-}
-
-/// Blocked back-solve: unknowns in blocks of `nb`, blocks visited
-/// bottom-to-top (the reversed §8 traversal); within a block the
-/// pointwise order, then one blocked update of everything above.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or `nb == 0`.
-pub fn backsolve_blocked(x: &mut [f64], u: &Mat, nb: usize) {
-    assert!(nb > 0);
-    assert_eq!(u.rows(), u.cols());
-    assert_eq!(x.len(), u.rows());
-    let n = x.len();
-    let blocks = n.div_ceil(nb);
-    for b in (0..blocks).rev() {
-        let lo = b * nb;
-        let hi = ((b + 1) * nb).min(n);
-        // Solve the diagonal block.
-        for i in (lo..hi).rev() {
-            x[i] /= u.at(i, i);
-            for j in lo..i {
-                x[j] -= u.at(j, i) * x[i];
-            }
-        }
-        // Update everything above the block.
-        for i in lo..hi {
-            for j in 0..lo {
-                x[j] -= u.at(j, i) * x[i];
-            }
         }
     }
 }
@@ -96,22 +65,6 @@ mod tests {
             for (i, bi) in b.iter().enumerate() {
                 let row: f64 = (i..n).map(|j| u.at(i, j) * x[j]).sum();
                 assert!((row - bi).abs() < 1e-9, "n={n} row {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_matches_pointwise_bitwise_order_aside() {
-        for (n, nb, seed) in [(9, 3, 5), (16, 5, 6), (21, 8, 7), (5, 100, 8)] {
-            let u = random_upper(n, seed);
-            let b: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64).collect();
-            let mut gold = b.clone();
-            backsolve_pointwise(&mut gold, &u);
-            let mut x = b.clone();
-            backsolve_blocked(&mut x, &u, nb);
-            for i in 0..n {
-                let rel = (gold[i] - x[i]).abs() / gold[i].abs().max(1.0);
-                assert!(rel < 1e-10, "n={n} nb={nb} i={i}");
             }
         }
     }

@@ -1,110 +1,44 @@
-//! Property tests for the native kernels and the BLAS substrate:
-//! every blocked/BLAS variant agrees with its pointwise reference over
-//! random shapes, block sizes and inputs.
+//! Property tests for the hand-written kernels that survive as oracles
+//! and traced baselines: each native-only baseline agrees with its
+//! pointwise reference over random shapes, block sizes and inputs.
 
 use proptest::prelude::*;
-use shackle_kernels::banded::{
-    banded_cholesky_dense, pbtrf_lapack, pbtrf_pointwise, pbtrf_shackled, BandMat,
-};
-use shackle_kernels::blas::{dgemm_nn, Block};
-use shackle_kernels::cholesky::{
-    cholesky_lapack, cholesky_pointwise, cholesky_shackled, cholesky_shackled_dgemm,
-};
-use shackle_kernels::gauss::{gauss_blocked_dgemm, gauss_pointwise, gauss_shackled};
+use shackle_kernels::banded::{banded_cholesky_dense, pbtrf_lapack, pbtrf_pointwise, BandMat};
+use shackle_kernels::cholesky::cholesky_pointwise;
 use shackle_kernels::gen::{random_banded_spd, random_mat, random_spd};
-use shackle_kernels::matmul::{matmul_blocked, matmul_ijk, matmul_two_level};
-use shackle_kernels::qr::{qr_col_blocked, qr_col_blocked_dgemm, qr_pointwise, qr_wy};
-use shackle_kernels::Mat;
+use shackle_kernels::qr::{qr_pointwise, qr_wy};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn matmul_variants_agree(
-        m in 1usize..24, k in 1usize..24, n in 1usize..24,
-        nb in 1usize..12, n2 in 1usize..6, seed in 0u64..1000,
-    ) {
-        let a = random_mat(m, k, seed);
-        let b = random_mat(k, n, seed + 1);
-        let mut gold = Mat::zeros(m, n);
-        matmul_ijk(&mut gold, &a, &b);
-        let mut c1 = Mat::zeros(m, n);
-        matmul_blocked(&mut c1, &a, &b, nb);
-        prop_assert!(gold.max_rel_diff(&c1) < 1e-12);
-        let n2 = n2.min(nb);
-        let mut c2 = Mat::zeros(m, n);
-        matmul_two_level(&mut c2, &a, &b, nb, n2);
-        prop_assert!(gold.max_rel_diff(&c2) < 1e-12);
-        let mut c3 = Mat::zeros(m, n);
-        let cb = Block::full(&c3);
-        dgemm_nn(&mut c3, cb, &a, Block::full(&a), &b, Block::full(&b));
-        prop_assert!(gold.max_rel_diff(&c3) < 1e-12);
-    }
-
-    #[test]
-    fn cholesky_variants_agree(n in 1usize..28, nb in 1usize..12, seed in 0u64..1000) {
-        let a0 = random_spd(n, seed);
-        let mut gold = a0.clone();
-        cholesky_pointwise(&mut gold);
-        for f in [
-            cholesky_shackled as fn(&mut Mat, usize),
-            cholesky_shackled_dgemm,
-            cholesky_lapack,
-        ] {
-            let mut c = a0.clone();
-            f(&mut c, nb);
-            prop_assert!(gold.max_rel_diff_lower(&c) < 1e-9, "n={n} nb={nb}");
-        }
-    }
-
-    #[test]
-    fn qr_variants_agree(n in 1usize..20, nb in 1usize..10, seed in 0u64..1000) {
+    fn qr_wy_matches_pointwise(n in 1usize..20, nb in 1usize..10, seed in 0u64..1000) {
         let a0 = random_mat(n, n, seed);
         let mut gold = a0.clone();
         let s0 = qr_pointwise(&mut gold);
-        for f in [
-            qr_col_blocked as fn(&mut Mat, usize) -> shackle_kernels::qr::QrScalars,
-            qr_col_blocked_dgemm,
-            qr_wy,
-        ] {
-            let mut c = a0.clone();
-            let s = f(&mut c, nb);
-            prop_assert!(gold.max_rel_diff(&c) < 1e-7, "n={n} nb={nb}");
-            for k in 0..n {
-                prop_assert!((s0.rdiag[k] - s.rdiag[k]).abs()
-                    <= 1e-7 * s0.rdiag[k].abs().max(1.0));
-            }
+        let mut c = a0.clone();
+        let s = qr_wy(&mut c, nb);
+        prop_assert!(gold.max_rel_diff(&c) < 1e-7, "n={n} nb={nb}");
+        for k in 0..n {
+            prop_assert!((s0.rdiag[k] - s.rdiag[k]).abs()
+                <= 1e-7 * s0.rdiag[k].abs().max(1.0));
         }
     }
 
     #[test]
-    fn gauss_variants_agree(n in 1usize..24, nb in 1usize..10, seed in 0u64..1000) {
-        let a0 = random_spd(n, seed);
-        let mut gold = a0.clone();
-        gauss_pointwise(&mut gold);
-        for f in [gauss_shackled as fn(&mut Mat, usize), gauss_blocked_dgemm] {
-            let mut c = a0.clone();
-            f(&mut c, nb);
-            prop_assert!(gold.max_rel_diff(&c) < 1e-9, "n={n} nb={nb}");
-        }
-    }
-
-    #[test]
-    fn banded_variants_agree(
+    fn pbtrf_lapack_matches_pointwise(
         n in 2usize..30, p_plus in 1usize..8, nb in 1usize..8, seed in 0u64..1000,
     ) {
         let p = p_plus.min(n - 1);
         let a0 = random_banded_spd(n, p, seed);
         let mut gold = BandMat::from_dense(&a0, p);
         pbtrf_pointwise(&mut gold);
-        for f in [pbtrf_shackled as fn(&mut BandMat, usize), pbtrf_lapack] {
-            let mut c = BandMat::from_dense(&a0, p);
-            f(&mut c, nb);
-            prop_assert!(
-                gold.to_dense_lower().max_rel_diff_lower(&c.to_dense_lower()) < 1e-9,
-                "n={n} p={p} nb={nb}"
-            );
-        }
+        let mut c = BandMat::from_dense(&a0, p);
+        pbtrf_lapack(&mut c, nb);
+        prop_assert!(
+            gold.to_dense_lower().max_rel_diff_lower(&c.to_dense_lower()) < 1e-9,
+            "n={n} p={p} nb={nb}"
+        );
     }
 
     /// Band storage round-trip: `from_dense` → `to_dense_lower` is the

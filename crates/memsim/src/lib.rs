@@ -9,20 +9,14 @@
 //! [`Hierarchy::two_level`]), and [`PerfModel`] converts flop counts and
 //! memory cycles into the MFLOPS numbers the paper plots.
 //!
-//! Two engines share the address-level semantics:
+//! There is one engine: the **direct** simulator ([`Cache`],
+//! [`Hierarchy`]) runs an address stream through one concrete geometry
+//! — generation-stamp LRU over flat way arrays. A multi-configuration
+//! sweep is one execution fanned out into several standalone caches.
 //!
-//! * the **direct** simulator ([`Cache`], [`Hierarchy`]) replays a
-//!   trace through one concrete geometry — generation-stamp LRU over
-//!   flat way arrays, the only engine for coupled multi-level
-//!   hierarchies and TLBs;
-//! * the **stack** engine ([`StackSim`]) computes per-set LRU stack
-//!   distances in one pass and derives exact, bit-identical hit/miss
-//!   counts for *every* power-of-two-set configuration of a line size
-//!   at once — the engine behind multi-configuration sweeps.
-//!
-//! Every consumer of an address stream — both engines, the TLB, whole
+//! Every consumer of an address stream — a cache, the TLB, whole
 //! hierarchies — implements the unified [`AccessSink`] trait, so trace
-//! producers are written once and replay anywhere. The crate is
+//! producers are written once and feed anything. The crate is
 //! deliberately address-based and depends only on the std-only
 //! `shackle-probe` instrumentation layer; the adapter that turns
 //! interpreter accesses into addresses lives in `shackle-kernels`.
@@ -50,13 +44,11 @@
 mod cache;
 mod hierarchy;
 mod sink;
-mod stack;
 mod tlb;
 mod truth;
 
 pub use cache::{Cache, CacheConfig, ConfigError, LevelStats};
 pub use hierarchy::{Hierarchy, PerfModel};
 pub use sink::AccessSink;
-pub use stack::{direct_sweep, stack_sweep, StackSim};
 pub use tlb::{Tlb, TlbConfig};
 pub use truth::{ground_truth, GroundTruth};

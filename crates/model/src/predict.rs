@@ -73,8 +73,8 @@ static DEBUG: LazyLock<bool> = LazyLock::new(|| std::env::var_os("SHACKLE_MODEL_
 pub struct ModelConfig {
     /// Fraction of nominal capacity usable before the model declares a
     /// working set streaming (associativity conflicts and alignment
-    /// slop eat the rest; calibrated against `StackSim` in
-    /// `tests/prop_model.rs`).
+    /// slop eat the rest; held to the direct simulator's
+    /// `ground_truth` by the envelope in `tests/prop_model.rs`).
     pub capacity_fraction: f64,
 }
 

@@ -213,38 +213,6 @@ pub struct PolyStats {
     pub evictions: u64,
 }
 
-impl PolyStats {
-    /// Fraction of feasibility queries served from the cache, in
-    /// `[0, 1]`; `0` when no queries ran.
-    pub fn feasibility_hit_rate(&self) -> f64 {
-        if self.feasibility_queries == 0 {
-            0.0
-        } else {
-            self.feasibility_hits as f64 / self.feasibility_queries as f64
-        }
-    }
-
-    /// Fraction of projection queries served from the cache, in
-    /// `[0, 1]`; `0` when no queries ran.
-    pub fn projection_hit_rate(&self) -> f64 {
-        if self.projection_queries == 0 {
-            0.0
-        } else {
-            self.projection_hits as f64 / self.projection_queries as f64
-        }
-    }
-
-    /// Fraction of gist queries served from the cache, in `[0, 1]`;
-    /// `0` when no queries ran.
-    pub fn gist_hit_rate(&self) -> f64 {
-        if self.gist_queries == 0 {
-            0.0
-        } else {
-            self.gist_hits as f64 / self.gist_queries as f64
-        }
-    }
-}
-
 /// Snapshot the global counters.
 pub fn stats() -> PolyStats {
     PolyStats {

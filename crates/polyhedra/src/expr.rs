@@ -62,16 +62,6 @@ impl LinExpr {
         self.constant
     }
 
-    /// Alias for [`Self::constant_part`], reads well in tests.
-    pub fn constant_value(&self) -> i64 {
-        self.constant
-    }
-
-    /// Shorthand used widely in this workspace.
-    pub fn constant_term(&self) -> i64 {
-        self.constant
-    }
-
     /// The coefficient of `name` (0 if absent).
     pub fn coeff(&self, name: &str) -> i64 {
         self.terms.get(name).copied().unwrap_or(0)

@@ -142,19 +142,6 @@ impl System {
         }
     }
 
-    /// A system over the given variables with no constraints yet.
-    pub fn with_vars<I, S>(names: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut s = Self::new();
-        for n in names {
-            s.ensure_var(&n.into());
-        }
-        s
-    }
-
     /// A constraint-free system sharing an existing variable universe
     /// (no per-name allocation; see the `vars` field).
     pub(crate) fn with_vars_arc(vars: Arc<Vec<String>>) -> Self {

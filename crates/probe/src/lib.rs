@@ -13,14 +13,11 @@
 //!   into a global table keyed by path.
 //! - **Counters** ([`counter`], [`add`]): monotonic `u64` cells
 //!   registered by static name, updated with relaxed atomics.
-//! - **Histograms** ([`histogram`], [`record`]): 65 log2 buckets
-//!   (value 0, then one bucket per power of two), each a relaxed
-//!   atomic, for cheap distribution capture (e.g. batch sizes).
 //!
 //! Everything is gated by one process-global flag ([`set_enabled`]):
 //! when disabled, [`span`] returns an inert guard without reading the
-//! clock, and [`add`]/[`record`] return after a single relaxed load,
-//! so instrumented hot paths stay within noise of uninstrumented ones
+//! clock, and [`add`] returns after a single relaxed load, so
+//! instrumented hot paths stay within noise of uninstrumented ones
 //! (the `benchmark` crate reports the enabled-vs-disabled ratio of a
 //! whole round as `run.trace_overhead`).
 //!
@@ -43,8 +40,8 @@ mod metrics;
 mod report;
 mod span;
 
-pub use metrics::{add, counter, histogram, record, Counter, Histogram};
-pub use report::{Profile, ProfileHistogram, ProfileSpan};
+pub use metrics::{add, counter, Counter};
+pub use report::{Profile, ProfileSpan};
 pub use span::{current_path, span, with_path, PathGuard, Span};
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,15 +55,14 @@ pub fn set_enabled(on: bool) -> bool {
 }
 
 /// Whether instrumentation is currently enabled (one relaxed load —
-/// this is the entire disabled-path cost of [`add`] and [`record`]).
+/// this is the entire disabled-path cost of [`add`]).
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Zero every span, counter, and histogram. Registered counter and
-/// histogram handles remain valid (they are `&'static`); only their
-/// values reset.
+/// Zero every span and counter. Registered counter handles remain
+/// valid (they are `&'static`); only their values reset.
 pub fn reset() {
     span::reset_spans();
     metrics::reset_metrics();
@@ -103,12 +99,10 @@ mod tests {
         {
             let _s = span("dead");
             add("dead.count", 5);
-            record("dead.hist", 7);
         }
         let p = profile();
         assert!(p.spans.is_empty());
         assert!(p.counters.iter().all(|(_, v)| *v == 0));
-        assert!(p.histograms.iter().all(|h| h.total == 0));
         assert!(current_path().is_empty());
     }
 
@@ -178,24 +172,5 @@ mod tests {
         assert!(p.counters.contains(&("t.gauge".to_string(), 41)));
         reset();
         assert_eq!(counter("t.counter").get(), 0);
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2() {
-        let _l = testlock::hold();
-        set_enabled(true);
-        reset();
-        for v in [0u64, 1, 1, 2, 3, 4, 7, 8, u64::MAX] {
-            record("t.hist", v);
-        }
-        set_enabled(false);
-        let h = histogram("t.hist");
-        assert_eq!(h.total(), 9);
-        let snap = h.snapshot();
-        // (bucket lower bound, count)
-        assert_eq!(
-            snap,
-            vec![(0, 1), (1, 2), (2, 2), (4, 2), (8, 1), (1u64 << 63, 1)]
-        );
     }
 }

@@ -1,4 +1,4 @@
-//! Named atomic counters and log2-bucketed histograms.
+//! Named atomic counters.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,69 +29,7 @@ impl Counter {
     }
 }
 
-/// A histogram over `u64` values with 65 log2 buckets: bucket 0 holds
-/// the value 0 and bucket `i ≥ 1` holds values in
-/// `[2^(i-1), 2^i - 1]`. Recording is one relaxed `fetch_add`.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; 65],
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    #[inline]
-    fn bucket_index(value: u64) -> usize {
-        (u64::BITS - value.leading_zeros()) as usize
-    }
-
-    /// Lower bound of bucket `i` (0, then successive powers of two).
-    fn bucket_floor(index: usize) -> u64 {
-        if index == 0 {
-            0
-        } else {
-            1u64 << (index - 1)
-        }
-    }
-
-    /// Record one observation of `value`.
-    #[inline]
-    pub fn observe(&self, value: u64) {
-        self.buckets[Self::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total number of recorded observations.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
-    }
-
-    /// Non-empty buckets as `(lower bound, count)`, ascending.
-    pub fn snapshot(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let count = b.load(Ordering::Relaxed);
-                (count > 0).then(|| (Self::bucket_floor(i), count))
-            })
-            .collect()
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
 static COUNTERS: LazyLock<Mutex<BTreeMap<&'static str, &'static Counter>>> =
-    LazyLock::new(|| Mutex::new(BTreeMap::new()));
-
-static HISTOGRAMS: LazyLock<Mutex<BTreeMap<&'static str, &'static Histogram>>> =
     LazyLock::new(|| Mutex::new(BTreeMap::new()));
 
 /// Look up (registering on first use) the counter named `name`. The
@@ -113,33 +51,9 @@ pub fn add(name: &'static str, n: u64) {
     }
 }
 
-/// Look up (registering on first use) the histogram named `name`.
-pub fn histogram(name: &'static str) -> &'static Histogram {
-    let mut table = HISTOGRAMS.lock().unwrap_or_else(|e| e.into_inner());
-    table
-        .entry(name)
-        .or_insert_with(|| Box::leak(Box::new(Histogram::new())))
-}
-
-/// Record `value` in the histogram named `name` if instrumentation is
-/// enabled; a single relaxed load otherwise.
-#[inline]
-pub fn record(name: &'static str, value: u64) {
-    if crate::enabled() {
-        histogram(name).observe(value);
-    }
-}
-
 pub(crate) fn reset_metrics() {
     for c in COUNTERS.lock().unwrap_or_else(|e| e.into_inner()).values() {
         c.set(0);
-    }
-    for h in HISTOGRAMS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .values()
-    {
-        h.reset();
     }
 }
 
@@ -149,18 +63,5 @@ pub(crate) fn snapshot_counters() -> Vec<(String, u64)> {
         .unwrap_or_else(|e| e.into_inner())
         .iter()
         .map(|(name, c)| (name.to_string(), c.get()))
-        .collect()
-}
-
-pub(crate) fn snapshot_histograms() -> Vec<crate::report::ProfileHistogram> {
-    HISTOGRAMS
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .iter()
-        .map(|(name, h)| crate::report::ProfileHistogram {
-            name: name.to_string(),
-            total: h.total(),
-            buckets: h.snapshot(),
-        })
         .collect()
 }

@@ -18,20 +18,8 @@ pub struct ProfileSpan {
     pub wall_ns: u128,
 }
 
-/// One histogram's snapshot.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProfileHistogram {
-    /// Registered name.
-    pub name: String,
-    /// Total observations.
-    pub total: u64,
-    /// Non-empty `(bucket lower bound, count)` pairs, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-/// An immutable snapshot of every span, counter, and histogram,
-/// deterministically ordered (spans by path components, metrics by
-/// name).
+/// An immutable snapshot of every span and counter, deterministically
+/// ordered (spans by path components, counters by name).
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Spans, sorted so every parent precedes its children.
@@ -39,8 +27,6 @@ pub struct Profile {
     /// `(name, value)` counter pairs, sorted by name. Counters that
     /// were registered but never touched appear with value 0.
     pub counters: Vec<(String, u64)>,
-    /// Histogram snapshots, sorted by name.
-    pub histograms: Vec<ProfileHistogram>,
 }
 
 pub(crate) fn snapshot() -> Profile {
@@ -59,7 +45,6 @@ pub(crate) fn snapshot() -> Profile {
     Profile {
         spans,
         counters: crate::metrics::snapshot_counters(),
-        histograms: crate::metrics::snapshot_histograms(),
     }
 }
 
@@ -112,17 +97,11 @@ impl Profile {
                 out.push_str(&format!("  {name:<38} {value:>14}\n"));
             }
         }
-        for h in self.histograms.iter().filter(|h| h.total > 0) {
-            out.push_str(&format!("histogram {} ({} obs):\n", h.name, h.total));
-            for (floor, count) in &h.buckets {
-                out.push_str(&format!("  >= {floor:<12} {count:>14}\n"));
-            }
-        }
         out
     }
 
-    /// Serialize as a deterministic JSON object with `spans`,
-    /// `counters`, and `histograms` keys.
+    /// Serialize as a deterministic JSON object with `spans` and
+    /// `counters` keys.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str("  \"spans\": [\n");
@@ -142,24 +121,6 @@ impl Profile {
             let comma = if first { "" } else { "," };
             first = false;
             out.push_str(&format!("{comma}\n    \"{}\": {value}", json_escape(name)));
-        }
-        out.push_str(if first { "},\n" } else { "\n  },\n" });
-        out.push_str("  \"histograms\": {");
-        first = true;
-        for h in &self.histograms {
-            let comma = if first { "" } else { "," };
-            first = false;
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(floor, count)| format!("{{\"ge\": {floor}, \"count\": {count}}}"))
-                .collect();
-            out.push_str(&format!(
-                "{comma}\n    \"{}\": {{\"total\": {}, \"buckets\": [{}]}}",
-                json_escape(&h.name),
-                h.total,
-                buckets.join(", ")
-            ));
         }
         out.push_str(if first { "}\n" } else { "\n  }\n" });
         out.push('}');
@@ -181,7 +142,6 @@ mod tests {
             let _a = crate::span("a");
             let _b = crate::span("b");
             crate::add("n", 2);
-            crate::record("h", 3);
         }
         crate::set_enabled(false);
         let json = crate::profile().to_json();
@@ -189,7 +149,6 @@ mod tests {
         assert!(json.contains("{\"path\": \"a\", \"calls\": 1, \"wall_ns\": "));
         assert!(json.contains("{\"path\": \"a/b\", \"calls\": 1, \"wall_ns\": "));
         assert!(json.contains("\"n\": 2"));
-        assert!(json.contains("\"h\": {\"total\": 1, \"buckets\": [{\"ge\": 2, \"count\": 1}]}"));
         assert!(json.ends_with("}\n"));
     }
 

@@ -6,7 +6,7 @@
 //! evaluation needs: an Omega-test polyhedral engine, a loop-nest IR
 //! with exact dependence analysis, a reference interpreter, a cache
 //! simulator standing in for the paper's IBM SP-2, and the dense
-//! linear-algebra kernels and BLAS-3 baselines of §7.
+//! linear-algebra kernels and traced LAPACK-style baselines of §7.
 //!
 //! This facade crate re-exports the workspace members:
 //!
@@ -18,8 +18,8 @@
 //! | [`exec`] | `shackle-exec` | interpreter, equivalence harness |
 //! | [`memsim`] | `shackle-memsim` | cache hierarchies, MFLOPS model |
 //! | [`model`] | `shackle-model` | analytical per-level miss predictor (search first pass) |
-//! | [`kernels`] | `shackle-kernels` | native kernels, BLAS substrate, canonical shackles |
-//! | [`probe`] | `shackle-probe` | structured instrumentation: phase spans, counters, histograms |
+//! | [`kernels`] | `shackle-kernels` | kernel catalogue, canonical shackles, pointwise oracles, traced baselines |
+//! | [`probe`] | `shackle-probe` | structured instrumentation: phase spans, counters |
 //!
 //! [`prelude`] flattens the common surface of all of them into one
 //! `use data_shackle::prelude::*;`.
@@ -88,14 +88,13 @@ pub mod prelude {
         compile, execute, execute_compiled, verify, Access, CompiledProgram, ExecStats,
         NullObserver, Observer, Workspace,
     };
-    pub use shackle_kernels::compact::CompactTrace;
     pub use shackle_kernels::trace::{
         trace_execution, trace_layout, AddressMap, Layout, Traced, ELEM_BYTES,
     };
     pub use shackle_kernels::{gen, shackles, traced};
     pub use shackle_memsim::{
         ground_truth, AccessSink, Cache, CacheConfig, ConfigError, GroundTruth, Hierarchy,
-        LevelStats, PerfModel, StackSim, Tlb, TlbConfig,
+        LevelStats, PerfModel, Tlb, TlbConfig,
     };
     pub use shackle_model::{predict, predict_with, KernelGeometry, ModelConfig, Prediction};
     pub use shackle_probe as probe;

@@ -1,10 +1,10 @@
 //! Golden numbers for the one path from a running kernel to a simulated
 //! miss: every producer of access streams (bytecode engine through
-//! `trace_execution`, capture/replay, band and block-major layouts, the
-//! two hand-written traced baselines) against constants recorded at
-//! `3d81b98`. Tier-1 runs only the root package, so this is where a
-//! changed address, a dropped access or a reordered flop in
-//! `shackle-kernels` becomes visible to it.
+//! `trace_execution`, one execution fanned out into several caches,
+//! band and block-major layouts, the two hand-written traced baselines)
+//! against constants recorded at `3d81b98`. Tier-1 runs only the root
+//! package, so this is where a changed address, a dropped access or a
+//! reordered flop in `shackle-kernels` becomes visible to it.
 
 use data_shackle::kernels::banded::{pbtrf_lapack, BandMat};
 use data_shackle::kernels::qr::qr_wy;
@@ -75,30 +75,31 @@ fn cholesky_product_live_and_replayed() {
     );
     assert_eq!(seen(&h), (45060, 76, 4560));
 
-    let (captured, trace) = CompactTrace::capture(&blocked, &params(40), &init);
-    assert_eq!(captured, golden);
-    assert_eq!(trace.len(), 45060);
-    let mut h = probe();
-    trace.replay_into(&mut h);
-    assert_eq!(h.cycles(), 4560);
-
-    // one stack pass over the same kernel trace answers every geometry
-    // of a line size exactly as a direct replay into each cache does
-    // (`prop_stack` checks this on random addresses only)
-    let grid = [(2, 1), (8, 4), (32, 2)].map(|(kb, assoc)| CacheConfig {
-        size: kb * 1024,
-        line: 128,
-        assoc,
-        latency: 0,
-    });
-    let mut sim = StackSim::new(128, &grid);
-    trace.replay_into(&mut sim);
-    for c in grid {
-        let mut direct = Cache::new(c);
-        trace.replay_into(&mut direct);
-        assert_eq!(sim.stats_for(&c), direct.stats(), "{c:?}");
+    // one execution fanned out into three standalone caches of one line
+    // size, as `figures ablation_block_size` does per width (misses
+    // recorded from the retired stack engine's pass over this trace)
+    struct FanOut([Cache; 3]);
+    impl AccessSink for FanOut {
+        fn push(&mut self, addr: u64) {
+            for c in &mut self.0 {
+                c.access(addr);
+            }
+        }
     }
-    assert_eq!(sim.stats_for(&grid[1]).misses, 76);
+    let mut fan = FanOut([(2, 1), (8, 4), (32, 2)].map(|(kb, assoc)| {
+        Cache::new(CacheConfig {
+            size: kb * 1024,
+            line: 128,
+            assoc,
+            latency: 0,
+        })
+    }));
+    assert_eq!(
+        trace_execution(&blocked, &params(40), &init, &mut fan),
+        golden
+    );
+    let hit_miss = fan.0.map(|c| (c.stats().hits, c.stats().misses));
+    assert_eq!(hit_miss, [(41837, 3223), (44984, 76), (44984, 76)]);
 }
 
 #[test]
