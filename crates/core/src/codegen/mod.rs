@@ -21,7 +21,7 @@
 
 pub mod naive;
 pub mod scan;
-pub mod simplify_ast;
+mod simplify_ast;
 
 use crate::Shackle;
 use shackle_ir::Program;

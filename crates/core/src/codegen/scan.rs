@@ -97,14 +97,16 @@ pub fn generate_scanned(program: &Program, factors: &[Shackle]) -> Program {
     };
     let all: Vec<StmtId> = (0..program.stmts().len()).collect();
     let body = scanner.gen_block(&all, 0, &mut Vec::new(), &System::new());
-    let out = Program::new(
+    let mut stmts = scanner.new_stmts;
+    let body = simplify_ast::simplify_nodes(body, &mut stmts);
+    // the one validation of the generated program
+    Program::new(
         format!("{}-shackled", program.name()),
         program.params().to_vec(),
         program.arrays().to_vec(),
-        scanner.new_stmts,
+        stmts,
         body,
-    );
-    simplify_ast::simplify_program(&out)
+    )
 }
 
 struct Scanner<'a> {

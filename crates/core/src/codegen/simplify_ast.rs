@@ -6,28 +6,16 @@
 //! the scanner's output for the ADI kernel (blocked 1×1) into the
 //! fused-and-interchanged loop nest of the paper's Figure 14(ii).
 
-use shackle_ir::{Bound, Node, Program, Statement};
+use shackle_ir::{Bound, Loop, Node, Statement};
 use shackle_polyhedra::LinExpr;
 
-/// Simplify a program's loop tree; statements may be rewritten (their
-/// subscripts inherit substituted loop variables).
-pub fn simplify_program(p: &Program) -> Program {
-    let mut stmts = p.stmts().to_vec();
-    let body = simplify_nodes(p.body(), &mut stmts);
-    Program::new(
-        p.name().to_string(),
-        p.params().to_vec(),
-        p.arrays().to_vec(),
-        stmts,
-        body,
-    )
-}
-
-fn simplify_nodes(nodes: &[Node], stmts: &mut Vec<Statement>) -> Vec<Node> {
-    let mut out = Vec::new();
+/// Simplify a loop tree, consuming it; statements may be rewritten
+/// (their subscripts inherit substituted loop variables).
+pub(crate) fn simplify_nodes(nodes: Vec<Node>, stmts: &mut [Statement]) -> Vec<Node> {
+    let mut out = Vec::with_capacity(nodes.len());
     for n in nodes {
         match n {
-            Node::Stmt(id) => out.push(Node::Stmt(*id)),
+            Node::Stmt(_) => out.push(n),
             Node::If(cs, body) => {
                 let body = simplify_nodes(body, stmts);
                 if body.is_empty() {
@@ -43,7 +31,7 @@ fn simplify_nodes(nodes: &[Node], stmts: &mut Vec<Statement>) -> Vec<Node> {
                             dead = true;
                             break;
                         }
-                        None => kept.push(c.clone()),
+                        None => kept.push(c),
                     }
                 }
                 if dead {
@@ -56,16 +44,26 @@ fn simplify_nodes(nodes: &[Node], stmts: &mut Vec<Statement>) -> Vec<Node> {
                 }
             }
             Node::Loop(l) => {
-                let body = simplify_nodes(&l.body, stmts);
+                let Loop {
+                    var,
+                    lower,
+                    upper,
+                    body,
+                } = *l;
+                let mut body = simplify_nodes(body, stmts);
                 if body.is_empty() {
                     continue;
                 }
-                if let Some(e) = degenerate_value(&l.lower, &l.upper) {
-                    out.extend(substitute_nodes(&body, &l.var, &e, stmts));
+                if let Some(e) = degenerate_value(&lower, &upper) {
+                    substitute_nodes(&mut body, &var, &e, stmts);
+                    out.extend(body);
                 } else {
-                    let mut l2 = (**l).clone();
-                    l2.body = body;
-                    out.push(Node::Loop(Box::new(l2)));
+                    out.push(Node::Loop(Box::new(Loop {
+                        var,
+                        lower,
+                        upper,
+                        body,
+                    })));
                 }
             }
         }
@@ -88,49 +86,43 @@ fn degenerate_value(lower: &Bound, upper: &Bound) -> Option<LinExpr> {
     }
 }
 
-fn substitute_nodes(
-    nodes: &[Node],
-    var: &str,
-    e: &LinExpr,
-    stmts: &mut Vec<Statement>,
-) -> Vec<Node> {
-    nodes
-        .iter()
-        .map(|n| match n {
-            Node::Stmt(id) => {
-                stmts[*id] = stmts[*id].substitute(var, e);
-                Node::Stmt(*id)
+/// Replace `var` by `e` throughout `nodes`, in place.
+fn substitute_nodes(nodes: &mut [Node], var: &str, e: &LinExpr, stmts: &mut [Statement]) {
+    for n in nodes {
+        match n {
+            Node::Stmt(id) => stmts[*id] = stmts[*id].substitute(var, e),
+            Node::If(cs, body) => {
+                for c in cs.iter_mut() {
+                    *c = c.substitute(var, e);
+                }
+                substitute_nodes(body, var, e, stmts);
             }
-            Node::If(cs, body) => Node::If(
-                cs.iter().map(|c| c.substitute(var, e)).collect(),
-                substitute_nodes(body, var, e, stmts),
-            ),
             Node::Loop(l) => {
-                let mut l2 = (**l).clone();
-                for t in l2.lower.terms.iter_mut().chain(l2.upper.terms.iter_mut()) {
+                for t in l.lower.terms.iter_mut().chain(l.upper.terms.iter_mut()) {
                     t.expr = t.expr.substitute(var, e);
                 }
                 // an inner loop re-binding the same name shadows it
-                if l2.var != var {
-                    l2.body = substitute_nodes(&l.body, var, e, stmts);
+                if l.var != var {
+                    substitute_nodes(&mut l.body, var, e, stmts);
                 }
-                Node::Loop(Box::new(l2))
             }
-        })
-        .collect()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, ScalarExpr};
+    use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, Program, ScalarExpr};
     use shackle_polyhedra::Constraint;
 
     fn n() -> LinExpr {
         LinExpr::var("N")
     }
 
-    fn simple_program(body: Vec<Node>, stmts: Vec<Statement>) -> Program {
+    /// The simplified tree as a (validated) program.
+    fn simplified(body: Vec<Node>, mut stmts: Vec<Statement>) -> Program {
+        let body = simplify_nodes(body, &mut stmts);
         Program::new(
             "t",
             vec!["N".into()],
@@ -156,9 +148,7 @@ mod tests {
                 vec![stmt(0)],
             )],
         )];
-        let p = simple_program(body, vec![s]);
-        let q = simplify_program(&p);
-        let text = q.to_string();
+        let text = simplified(body, vec![s]).to_string();
         assert!(!text.contains("do i"), "{text}");
         assert!(text.contains("A[k + 1, k]"), "{text}");
     }
@@ -176,8 +166,7 @@ mod tests {
                 vec![stmt(0)],
             )],
         )];
-        let p = simple_program(body, vec![s]);
-        let q = simplify_program(&p);
+        let q = simplified(body, vec![s]);
         assert!(!q.to_string().contains("if"), "{}", q);
     }
 
@@ -194,11 +183,10 @@ mod tests {
                 vec![stmt(0)],
             )],
         )];
-        // validation requires each stmt exactly once *before*
-        // simplification; afterwards the statement body is dropped, so
-        // construct directly and only check the node transformation.
+        // the statement's region is dropped, so no valid program is
+        // left to construct: only check the node transformation
         let mut stmts = vec![s0];
-        let out = simplify_nodes(&body, &mut stmts);
+        let out = simplify_nodes(body, &mut stmts);
         assert!(out.is_empty());
     }
 
@@ -214,7 +202,7 @@ mod tests {
             vec![loop_("x", LinExpr::constant(1), n(), vec![stmt(0)])],
         )];
         let mut stmts = vec![s];
-        let out = simplify_nodes(&body, &mut stmts);
+        let out = simplify_nodes(body, &mut stmts);
         // outer eliminated, inner loop kept, subscripts still use x
         assert_eq!(out.len(), 1);
         assert!(stmts[0].to_string().contains("A[x, x]"));

@@ -46,7 +46,7 @@ pub mod search;
 pub mod span;
 
 pub use blocking::{Blocking, CutSet};
-pub use codegen::{naive, scan, simplify_ast};
+pub use codegen::{naive, scan};
 pub use legality::{
     check_legality, check_legality_with_deps, decide_legality, Legality, LegalityReport, Violation,
 };

@@ -4,6 +4,7 @@ use crate::{Blocking, CutSet};
 use shackle_ir::{ArrayRef, Program, StmtId};
 use shackle_polyhedra::Constraint;
 use std::fmt;
+use std::sync::Arc;
 
 /// A data shackle: a [`Blocking`] of one array together with one
 /// *shackled reference* per statement (§4.1).
@@ -35,7 +36,9 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq)]
 pub struct Shackle {
     blocking: Blocking,
-    refs: Vec<ArrayRef>,
+    /// Shared: a width sweep re-widens one shape thousands of times and
+    /// no width changes a reference.
+    refs: Arc<[ArrayRef]>,
 }
 
 impl Shackle {
@@ -79,7 +82,10 @@ impl Shackle {
                 }
             }
         }
-        Self { blocking, refs }
+        Self {
+            blocking,
+            refs: refs.into(),
+        }
     }
 
     /// The paper's most common choice: shackle every statement through
@@ -113,8 +119,8 @@ impl Shackle {
     /// This shackle with cut `c` set to `widths[c]`: same array,
     /// normals, directions and shackled references. The references were
     /// validated against the program when `self` was built and no width
-    /// enters that check, so they are cloned rather than validated
-    /// again — a width sweep re-widens each shape thousands of times.
+    /// enters that check, so the result shares them with `self` rather
+    /// than validating a copy.
     ///
     /// # Panics
     ///
@@ -129,7 +135,7 @@ impl Shackle {
             .collect();
         Self {
             blocking: Blocking::new(self.blocking.array(), cuts),
-            refs: self.refs.clone(),
+            refs: Arc::clone(&self.refs),
         }
     }
 
@@ -227,6 +233,18 @@ mod tests {
         let p = kernels::matmul_ijk();
         let b = Blocking::square("A", 2, &[0, 1], 25);
         let _ = Shackle::new(&p, b, vec![ArrayRef::vars("A", &["Q", "K"])]);
+    }
+
+    #[test]
+    fn rewidened_shackle_shares_its_references() {
+        let p = kernels::cholesky_right();
+        let s = Shackle::on_writes(&p, Blocking::square("A", 2, &[1, 0], 64));
+        let t = s.with_widths(&[8, 4]);
+        let widths: Vec<i64> = t.blocking().cuts().iter().map(|c| c.width).collect();
+        assert_eq!(widths, vec![8, 4]);
+        assert_eq!(t.refs(), s.refs());
+        // one allocation behind both: a width sweep copies no reference
+        assert!(std::ptr::eq(t.refs().as_ptr(), s.refs().as_ptr()));
     }
 
     #[test]

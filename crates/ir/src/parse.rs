@@ -67,10 +67,11 @@ pub fn to_source(p: &Program) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseError`] naming the offending line for malformed
-/// headers, expressions, bounds, indentation or statements. The
-/// reconstructed program is validated by [`Program::new`] (which panics
-/// on semantic violations like out-of-scope subscripts, as it does for
-/// programs built in Rust).
+/// headers, expressions, bounds, indentation or statements, and — at
+/// the `program` header's line, since they concern the program as a
+/// whole — for the semantic violations [`Program::try_new`] refuses
+/// (out-of-scope variables, undeclared arrays, rank mismatches,
+/// statements not occurring exactly once).
 pub fn parse(src: &str) -> Result<Program, ParseError> {
     let mut name = None;
     let mut params: Vec<String> = Vec::new();
@@ -91,7 +92,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         let indent = line.len() - trimmed.len();
         let trimmed = trimmed.trim_end();
         if let Some(rest) = trimmed.strip_prefix("program ") {
-            name = Some(rest.trim().to_string());
+            name = Some((lineno, rest.trim().to_string()));
         } else if let Some(rest) = trimmed.strip_prefix("param ") {
             params.push(rest.trim().to_string());
         } else if let Some(rest) = trimmed.strip_prefix("array ") {
@@ -114,7 +115,7 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
         }
     }
 
-    let name = name.ok_or(ParseError {
+    let (header, name) = name.ok_or(ParseError {
         line: 1,
         message: "missing `program <name>` header".to_string(),
     })?;
@@ -127,7 +128,10 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
             message: "unexpected indentation".to_string(),
         });
     }
-    Ok(Program::new(name, params, arrays, stmts, body))
+    Program::try_new(name, params, arrays, stmts, body).map_err(|message| ParseError {
+        line: header,
+        message,
+    })
 }
 
 fn parse_nodes(
@@ -338,10 +342,9 @@ fn parse_bound(s: &str, lower: bool, line: usize) -> Result<Bound, ParseError> {
                 return Err(err("ceild/floord need two arguments".into()));
             }
             let e = parse_affine(parts[0].trim(), line)?;
-            let d: i64 = parts[1]
-                .trim()
-                .parse()
-                .map_err(|_| err("bad divisor".into()))?;
+            let d = (parts[1].trim().parse().ok())
+                .filter(|d: &i64| *d >= 1)
+                .ok_or_else(|| err("ceild/floord need a positive integer divisor".into()))?;
             terms.push(BoundTerm::div(e, d));
         } else {
             terms.push(BoundTerm::affine(parse_affine(t, line)?));
@@ -595,6 +598,33 @@ mod tests {
                 p.name()
             );
         }
+    }
+
+    #[test]
+    fn semantic_violations_are_parse_errors_not_panics() {
+        let kernel = |stmt: &str| {
+            format!(
+                "program bad\nparam N\narray A(N, N)\n\n\
+                 do I = 1 .. N\n  do J = 1 .. N\n    S1: {stmt}\n"
+            )
+        };
+        for (stmt, offender) in [
+            // no loop `Q`
+            ("A[I, J] = A[Q, J] + 1", "out-of-scope variable Q"),
+            // one subscript against `array A(N, N)`
+            ("A[I] = A[I, J] + 1", "A[I] does not match rank"),
+            ("B[I, J] = A[I, J] + 1", "undeclared array B"),
+        ] {
+            let err = parse(&kernel(stmt)).expect_err(stmt);
+            assert!(err.message.contains(offender), "{stmt}: {err}");
+            assert_eq!(err.line, 1, "reported at the `program` header");
+        }
+        assert!(parse(&kernel("A[I, J] = A[J, I] + 1")).is_ok());
+        // `BoundTerm::div` asserts a positive divisor: refuse it first
+        let src = "program bad\nparam N\narray A(N)\n\n\
+                   do I = 1 .. floord(N, 0)\n  S1: A[I] = A[I] + 1\n";
+        let err = parse(src).expect_err("zero divisor");
+        assert_eq!((err.line, err.message.contains("divisor")), (5, true));
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::schedule::SchedElem;
 use crate::{ArrayDecl, Statement};
 use shackle_polyhedra::{Constraint, LinExpr, System};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifies a statement within its [`Program`].
@@ -67,14 +66,6 @@ impl Bound {
     pub fn new(terms: Vec<BoundTerm>) -> Self {
         assert!(!terms.is_empty(), "bounds need at least one term");
         Self { terms }
-    }
-
-    /// Variables mentioned by any term.
-    pub fn vars(&self) -> BTreeSet<String> {
-        self.terms
-            .iter()
-            .flat_map(|t| t.expr.vars().map(str::to_string))
-            .collect()
     }
 
     /// Constraints stating `var >= self` (when `lower`) or `var <= self`
@@ -153,7 +144,10 @@ pub fn if_(constraints: Vec<Constraint>, body: Vec<Node>) -> Node {
 /// (outermost first), guards, and `2d+1` schedule vector.
 #[derive(Clone, Debug)]
 pub struct StmtContext {
-    /// Surrounding loop descriptions, outermost first.
+    /// Surrounding loop *headers*, outermost first: `var`, `lower` and
+    /// `upper` of each enclosing loop. `body` is always empty — a
+    /// context describes where a statement sits, not the subtree around
+    /// it; walk [`Program::body`] for the tree.
     pub loops: Vec<Loop>,
     /// Guards from surrounding `If` nodes.
     pub guards: Vec<Constraint>,
@@ -201,8 +195,8 @@ impl Program {
     ///
     /// # Panics
     ///
-    /// Panics (with a descriptive message) if any structural invariant is
-    /// violated — programs are built by code, not parsed from input, so
+    /// Panics (with the message [`Program::try_new`] returns) if any
+    /// structural invariant is violated — for programs built by code,
     /// violations are construction bugs.
     pub fn new(
         name: impl Into<String>,
@@ -211,6 +205,27 @@ impl Program {
         stmts: Vec<Statement>,
         body: Vec<Node>,
     ) -> Self {
+        Self::try_new(name, params, arrays, stmts, body).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Construct and validate a program that did not come from this
+    /// program's own code (the parser's path).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offender if a node refers to an
+    /// unknown statement, a statement does not occur exactly once, a
+    /// bound, guard or subscript uses a variable that is neither a
+    /// parameter nor a surrounding loop variable, an array is
+    /// undeclared, or a reference's subscript count differs from its
+    /// array's rank.
+    pub fn try_new(
+        name: impl Into<String>,
+        params: Vec<String>,
+        arrays: Vec<ArrayDecl>,
+        stmts: Vec<Statement>,
+        body: Vec<Node>,
+    ) -> Result<Self, String> {
         let p = Self {
             name: name.into(),
             params,
@@ -218,8 +233,8 @@ impl Program {
             stmts,
             body,
         };
-        p.validate();
-        p
+        p.validate()?;
+        Ok(p)
     }
 
     /// The program's name.
@@ -276,64 +291,60 @@ impl Program {
     ///
     /// Panics if the statement does not occur in the tree.
     pub fn context(&self, id: StmtId) -> StmtContext {
-        fn walk(
-            nodes: &[Node],
-            id: StmtId,
-            loops: &mut Vec<Loop>,
-            guards: &mut Vec<Constraint>,
-            sched: &mut Vec<SchedElem>,
-        ) -> Option<StmtContext> {
+        /// One step of the path from the root to the statement: the
+        /// node's textual position and what it contributes.
+        enum Step<'a> {
+            Loop(usize, &'a Loop),
+            // Guards are transparent to the schedule: the textual
+            // position of children is the If's own position plus a
+            // sub-position. We fold the If into the schedule as a Text
+            // level to keep positions unambiguous.
+            If(usize, &'a [Constraint]),
+        }
+        fn find<'a>(nodes: &'a [Node], id: StmtId, path: &mut Vec<Step<'a>>) -> Option<usize> {
             for (pos, n) in nodes.iter().enumerate() {
-                match n {
-                    Node::Stmt(s) if *s == id => {
-                        let mut schedule = sched.clone();
-                        schedule.push(SchedElem::Text(pos));
-                        return Some(StmtContext {
-                            loops: loops.clone(),
-                            guards: guards.clone(),
-                            schedule,
-                        });
-                    }
-                    Node::Stmt(_) => {}
-                    Node::Loop(l) => {
-                        loops.push((**l).clone());
-                        sched.push(SchedElem::Text(pos));
-                        sched.push(SchedElem::Var(l.var.clone()));
-                        if let Some(c) = walk(&l.body, id, loops, guards, sched) {
-                            return Some(c);
-                        }
-                        sched.pop();
-                        sched.pop();
-                        loops.pop();
-                    }
-                    Node::If(cs, body) => {
-                        // Guards are transparent to the schedule: the
-                        // textual position of children is the If's own
-                        // position plus a sub-position. We fold the If
-                        // into the schedule as a Text level to keep
-                        // positions unambiguous.
-                        guards.extend(cs.iter().cloned());
-                        sched.push(SchedElem::Text(pos));
-                        if let Some(c) = walk(body, id, loops, guards, sched) {
-                            return Some(c);
-                        }
-                        sched.pop();
-                        for _ in cs {
-                            guards.pop();
-                        }
-                    }
+                let (step, body) = match n {
+                    Node::Stmt(s) if *s == id => return Some(pos),
+                    Node::Stmt(_) => continue,
+                    Node::Loop(l) => (Step::Loop(pos, l), &l.body),
+                    Node::If(cs, body) => (Step::If(pos, cs), body),
+                };
+                path.push(step);
+                if let Some(leaf) = find(body, id, path) {
+                    return Some(leaf);
                 }
+                path.pop();
             }
             None
         }
-        walk(
-            &self.body,
-            id,
-            &mut Vec::new(),
-            &mut Vec::new(),
-            &mut Vec::new(),
-        )
-        .unwrap_or_else(|| panic!("statement {id} does not occur in program {}", self.name))
+        let mut path = Vec::new();
+        let leaf = find(&self.body, id, &mut path)
+            .unwrap_or_else(|| panic!("statement {id} does not occur in program {}", self.name));
+        let mut ctx = StmtContext {
+            loops: Vec::new(),
+            guards: Vec::new(),
+            schedule: Vec::new(),
+        };
+        for step in path {
+            match step {
+                Step::Loop(pos, l) => {
+                    ctx.loops.push(Loop {
+                        var: l.var.clone(),
+                        lower: l.lower.clone(),
+                        upper: l.upper.clone(),
+                        body: Vec::new(),
+                    });
+                    ctx.schedule.push(SchedElem::Text(pos));
+                    ctx.schedule.push(SchedElem::Var(l.var.clone()));
+                }
+                Step::If(pos, cs) => {
+                    ctx.guards.extend(cs.iter().cloned());
+                    ctx.schedule.push(SchedElem::Text(pos));
+                }
+            }
+        }
+        ctx.schedule.push(SchedElem::Text(leaf));
+        ctx
     }
 
     /// Statement ids in textual (program) order.
@@ -352,69 +363,80 @@ impl Program {
         out
     }
 
-    fn validate(&self) {
-        // every statement occurs exactly once
-        let order = self.stmt_order();
-        for id in 0..self.stmts.len() {
-            let count = order.iter().filter(|&&s| s == id).count();
-            assert_eq!(
-                count,
-                1,
+    /// One walk over the tree with the variables in scope on a stack
+    /// (an inner loop re-binding a name shadows it and is popped on the
+    /// way out): bounds are checked where their loop opens, guards where
+    /// their `If` opens, references where their statement sits.
+    fn validate(&self) -> Result<(), String> {
+        fn walk<'a>(
+            p: &'a Program,
+            nodes: &'a [Node],
+            scope: &mut Vec<&'a str>,
+            seen: &mut [usize],
+        ) -> Result<(), String> {
+            for n in nodes {
+                match n {
+                    Node::Stmt(id) => {
+                        let s = p
+                            .stmts
+                            .get(*id)
+                            .ok_or_else(|| format!("node references unknown statement {id}"))?;
+                        seen[*id] += 1;
+                        for (r, _) in s.refs() {
+                            let decl = p
+                                .array(r.array())
+                                .ok_or_else(|| format!("undeclared array {}", r.array()))?;
+                            if r.indices().len() != decl.rank() {
+                                return Err(format!("reference {r} does not match rank of {decl}"));
+                            }
+                            for v in r.indices().iter().flat_map(LinExpr::vars) {
+                                if !scope.contains(&v) {
+                                    return Err(format!(
+                                        "subscript of {r} uses out-of-scope variable {v}"
+                                    ));
+                                }
+                            }
+                        }
+                    }
+                    Node::Loop(l) => {
+                        let terms = l.lower.terms.iter().chain(&l.upper.terms);
+                        for v in terms.flat_map(|t| t.expr.vars()) {
+                            if !scope.contains(&v) {
+                                return Err(format!(
+                                    "bound of loop {} uses out-of-scope variable {v}",
+                                    l.var
+                                ));
+                            }
+                        }
+                        scope.push(&l.var);
+                        walk(p, &l.body, scope, seen)?;
+                        scope.pop();
+                    }
+                    Node::If(cs, body) => {
+                        for g in cs {
+                            for v in g.expr().vars() {
+                                if !scope.contains(&v) {
+                                    return Err(format!(
+                                        "guard {g} uses out-of-scope variable {v}"
+                                    ));
+                                }
+                            }
+                        }
+                        walk(p, body, scope, seen)?;
+                    }
+                }
+            }
+            Ok(())
+        }
+        let mut scope: Vec<&str> = self.params.iter().map(String::as_str).collect();
+        let mut seen = vec![0; self.stmts.len()];
+        walk(self, &self.body, &mut scope, &mut seen)?;
+        match seen.iter().enumerate().find(|(_, &count)| count != 1) {
+            Some((id, count)) => Err(format!(
                 "statement {id} ({}) must occur exactly once, found {count}",
-                self.stmts.get(id).map(|s| s.label()).unwrap_or("?")
-            );
-        }
-        for &id in &order {
-            assert!(
-                id < self.stmts.len(),
-                "node references unknown statement {id}"
-            );
-        }
-        // scoping and arity
-        for id in 0..self.stmts.len() {
-            let ctx = self.context(id);
-            let mut in_scope: BTreeSet<&str> = self.params.iter().map(String::as_str).collect();
-            for (li, l) in ctx.loops.iter().enumerate() {
-                for b in [&l.lower, &l.upper] {
-                    for v in b.vars() {
-                        assert!(
-                            in_scope.contains(v.as_str()),
-                            "bound of loop {} in {} uses out-of-scope variable {v}",
-                            l.var,
-                            self.stmts[id].label()
-                        );
-                    }
-                }
-                let _ = li;
-                in_scope.insert(l.var.as_str());
-            }
-            for (r, _) in self.stmts[id].refs() {
-                let decl = self
-                    .array(r.array())
-                    .unwrap_or_else(|| panic!("undeclared array {}", r.array()));
-                assert_eq!(
-                    r.indices().len(),
-                    decl.rank(),
-                    "reference {r} does not match rank of {decl}"
-                );
-                for ix in r.indices() {
-                    for v in ix.vars() {
-                        assert!(
-                            in_scope.contains(v),
-                            "subscript of {r} uses out-of-scope variable {v}"
-                        );
-                    }
-                }
-            }
-            for g in &ctx.guards {
-                for v in g.expr().vars() {
-                    assert!(
-                        in_scope.contains(v),
-                        "guard {g} uses out-of-scope variable {v} in {}",
-                        self.stmts[id].label()
-                    );
-                }
-            }
+                self.stmts[id].label()
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -535,6 +557,106 @@ mod tests {
             vec![s],
             vec![loop_("I", one(), n(), vec![stmt(0)])],
         );
+    }
+
+    /// `try_new` over one array `C(N)`, one statement per given write
+    /// reference, and `body`: the refusal message.
+    fn refusal(writes: &[ArrayRef], body: Vec<Node>) -> String {
+        let stmts = writes
+            .iter()
+            .enumerate()
+            .map(|(i, w)| Statement::new(format!("S{i}"), w.clone(), ScalarExpr::from(w.clone())))
+            .collect();
+        Program::try_new(
+            "bad",
+            vec!["N".into()],
+            vec![ArrayDecl::new("C", vec![n()])],
+            stmts,
+            body,
+        )
+        .expect_err("the program is invalid")
+    }
+
+    #[test]
+    fn every_rejection_class_is_an_error_naming_the_offender() {
+        let c = |v: &str| ArrayRef::vars("C", &[v]);
+        let q = || LinExpr::var("Q");
+        let over_i = |body| vec![loop_("I", one(), n(), body)];
+        for (message, expected) in [
+            // a statement that is in the table but not in the tree
+            (
+                refusal(&[c("I")], over_i(vec![])),
+                "S0) must occur exactly once, found 0",
+            ),
+            (
+                refusal(&[c("I")], over_i(vec![stmt(0), stmt(0)])),
+                "S0) must occur exactly once, found 2",
+            ),
+            (
+                refusal(&[c("I")], over_i(vec![stmt(0), stmt(3)])),
+                "unknown statement 3",
+            ),
+            (
+                refusal(&[c("I")], vec![loop_("I", one(), q(), vec![stmt(0)])]),
+                "bound of loop I uses out-of-scope variable Q",
+            ),
+            (
+                refusal(
+                    &[c("I")],
+                    over_i(vec![if_(vec![Constraint::ge(q(), one())], vec![stmt(0)])]),
+                ),
+                "uses out-of-scope variable Q",
+            ),
+            (
+                refusal(&[c("Q")], over_i(vec![stmt(0)])),
+                "subscript of C[Q] uses out-of-scope variable Q",
+            ),
+            (
+                refusal(&[ArrayRef::vars("D", &["I"])], over_i(vec![stmt(0)])),
+                "undeclared array D",
+            ),
+            (
+                refusal(&[ArrayRef::vars("C", &["I", "I"])], over_i(vec![stmt(0)])),
+                "reference C[I, I] does not match rank",
+            ),
+            // a loop variable is out of scope once its loop has closed
+            (
+                refusal(
+                    &[c("I"), c("J")],
+                    vec![
+                        loop_("I", one(), n(), vec![loop_("J", one(), n(), vec![stmt(0)])]),
+                        loop_("I", one(), n(), vec![stmt(1)]),
+                    ],
+                ),
+                "subscript of C[J] uses out-of-scope variable J",
+            ),
+        ] {
+            assert!(message.contains(expected), "{message:?} lacks {expected:?}");
+        }
+    }
+
+    #[test]
+    fn lexical_shadowing_is_accepted() {
+        // do N = 1 .. N { do I = 1 .. N { do I = I .. N { S0 } S1 } }:
+        // a loop may re-bind a parameter or an outer loop variable, and
+        // the outer binding is back in scope when the inner loop closes
+        let c = ArrayRef::vars("C", &["I"]);
+        let s = |label: &str| Statement::new(label, c.clone(), ScalarExpr::from(c.clone()));
+        let inner = loop_("I", LinExpr::var("I"), n(), vec![stmt(0)]);
+        let p = Program::new(
+            "shadow",
+            vec!["N".into()],
+            vec![ArrayDecl::new("C", vec![n()])],
+            vec![s("S0"), s("S1")],
+            vec![loop_(
+                "N",
+                one(),
+                n(),
+                vec![loop_("I", one(), n(), vec![inner, stmt(1)])],
+            )],
+        );
+        assert_eq!(p.context(0).iter_vars(), vec!["N", "I", "I"]);
+        assert_eq!(p.context(1).iter_vars(), vec!["N", "I"]);
     }
 
     #[test]

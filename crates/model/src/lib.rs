@@ -45,5 +45,5 @@
 pub mod geometry;
 pub mod predict;
 
-pub use geometry::{KernelGeometry, LoopInfo, RefInfo, StmtGeometry};
+pub use geometry::KernelGeometry;
 pub use predict::{predict, predict_with, LevelPrediction, ModelConfig, Prediction, ELEM_BYTES};

@@ -50,11 +50,9 @@
 //! sharing a factor with the set count) are invisible to any capacity
 //! model.
 
-use crate::geometry::{KernelGeometry, StmtGeometry};
+use crate::geometry::{KernelGeometry, RefInfo, StmtGeometry};
 use shackle_core::Shackle;
-use shackle_ir::ArrayRef;
 use shackle_memsim::CacheConfig;
-use std::collections::BTreeMap;
 use std::sync::LazyLock;
 
 /// Element size the predictor assumes, matching the trace bridge
@@ -112,9 +110,10 @@ pub struct Prediction {
 }
 
 /// How one block coordinate binds to one statement.
+#[derive(Clone, Copy)]
 enum CoordBind {
-    /// The cut windows a single loop variable of the statement.
-    Var { var: String, window: f64 },
+    /// The cut windows a single loop (by index) of the statement.
+    Var { loop_: usize, window: f64 },
     /// The cut's projection is constant within the statement: the
     /// statement does not move along this coordinate.
     Fixed,
@@ -123,87 +122,91 @@ enum CoordBind {
     Opaque,
 }
 
-struct CoordLevel {
-    binds: Vec<CoordBind>, // per statement
+/// Per-candidate blocking structure derived from the product: the
+/// coordinate levels (one per cut of each factor, in product order)
+/// and, per statement, the final loop windows and per-coordinate trip
+/// counts.
+struct BlockStructure {
+    /// Number of coordinate levels.
+    coords: usize,
+    /// Number of statements.
+    stmts: usize,
+    /// Per coordinate, per statement (`k * stmts + id`): how the
+    /// coordinate binds to the statement and its trip count (>= 1).
+    levels: Vec<(CoordBind, f64)>,
+    /// Per loop of every statement (`loop_base + j`): the window the
+    /// whole product leaves it (`None` means unconstrained).
+    windows: Vec<Option<f64>>,
 }
 
-/// Per-candidate blocking structure derived from the product: the
-/// coordinate levels and, per statement, the final variable windows and
-/// per-coordinate trip counts.
-struct BlockStructure {
-    coords: Vec<CoordLevel>,
-    /// Per statement: loop var -> window (absent means unconstrained).
-    windows: Vec<BTreeMap<String, f64>>,
-    /// Per statement, per coordinate: trip count (>= 1).
-    trips: Vec<Vec<f64>>,
+impl BlockStructure {
+    fn level(&self, coord: usize, s: &StmtGeometry) -> (CoordBind, f64) {
+        self.levels[coord * self.stmts + s.id]
+    }
 }
 
 fn build_structure(geom: &KernelGeometry, product: &[Shackle]) -> BlockStructure {
-    let nstmts = geom.stmts.len();
-    let mut coords = Vec::new();
-    let mut windows: Vec<BTreeMap<String, f64>> = vec![BTreeMap::new(); nstmts];
-    let mut trips: Vec<Vec<f64>> = vec![Vec::new(); nstmts];
+    let coords = product.iter().map(Shackle::coord_count).sum();
+    let mut levels = Vec::with_capacity(coords * geom.stmts.len());
+    let mut windows: Vec<Option<f64>> = vec![None; geom.loops];
+    let mut proj: Vec<i64> = Vec::new();
     for f in product {
         for cut in f.blocking().cuts() {
-            let mut binds = Vec::with_capacity(nstmts);
             for s in &geom.stmts {
                 let r = &f.refs()[s.id];
                 // projection of the shackled reference onto the cut,
                 // restricted to the statement's loop variables
-                let mut proj: BTreeMap<String, i64> = BTreeMap::new();
+                proj.clear();
+                proj.resize(s.loops.len(), 0);
                 for (c, ix) in cut.normal.iter().zip(r.indices()) {
                     if *c == 0 {
                         continue;
                     }
                     for (v, k) in ix.iter() {
-                        if s.extent_of(v).is_some() {
-                            *proj.entry(v.to_string()).or_insert(0) += c * k;
+                        if let Some(j) = s.loop_index(v) {
+                            proj[j] += c * k;
                         }
                     }
                 }
-                proj.retain(|_, k| *k != 0);
-                let bind = if proj.is_empty() {
-                    CoordBind::Fixed
-                } else if proj.len() == 1 {
-                    let (v, k) = proj.iter().next().unwrap();
-                    CoordBind::Var {
-                        var: v.clone(),
+                let mut moving = proj.iter().enumerate().filter(|(_, k)| **k != 0);
+                let bind = match (moving.next(), moving.next()) {
+                    (None, _) => CoordBind::Fixed,
+                    (Some((loop_, k)), None) => CoordBind::Var {
+                        loop_,
                         window: (((cut.width - 1) / k.abs()) + 1) as f64,
-                    }
-                } else {
-                    CoordBind::Opaque
+                    },
+                    _ => CoordBind::Opaque,
                 };
-                let t = match &bind {
-                    CoordBind::Var { var, window } => {
-                        let full = s.extent_of(var).unwrap_or(1.0);
-                        let wmax = s.max_extent_of(var).unwrap_or(full);
-                        let before = windows[s.id].get(var).copied().unwrap_or(full).min(full);
+                let trips = match bind {
+                    CoordBind::Var { loop_, window } => {
+                        let l = &s.loops[loop_];
+                        let full = l.avg_extent;
+                        let seen = &mut windows[s.loop_base + loop_];
+                        let before = seen.unwrap_or(full).min(full);
                         // Triangular loop (extent varies with outer
                         // iterations): the expected block count per
                         // invocation is E[ceil(extent/w)] ≈ mean/w + ½
                         // for extents uniform up to the max — ceil of
                         // the mean alone undercounts the wide rows.
-                        let t = if !windows[s.id].contains_key(var) && wmax > full + 0.5 {
+                        let t = if seen.is_none() && l.max_extent > full + 0.5 {
                             (before / window + 0.5).max(1.0)
                         } else {
                             (before / window).ceil().max(1.0)
                         };
-                        let e = windows[s.id].entry(var.clone()).or_insert(full);
-                        *e = e.min(*window).min(full);
+                        *seen = Some(seen.unwrap_or(full).min(window).min(full));
                         t
                     }
                     _ => 1.0,
                 };
-                trips[s.id].push(t);
-                binds.push(bind);
+                levels.push((bind, trips));
             }
-            coords.push(CoordLevel { binds });
         }
     }
     BlockStructure {
         coords,
+        stmts: geom.stmts.len(),
+        levels,
         windows,
-        trips,
     }
 }
 
@@ -228,131 +231,128 @@ fn region_lines(extents: &[f64], dims: &[f64], line_bytes: f64) -> f64 {
     rest * (contig / line_elems).ceil().max(1.0)
 }
 
-/// The variable ranges in effect for one iteration of nest level
+/// The loop ranges in effect for one iteration of nest level
 /// `fixed_upto - 1` of statement `s` — i.e. with the outermost
-/// `fixed_upto` levels held fixed and everything inside sweeping.
+/// `fixed_upto` levels held fixed and everything inside sweeping —
+/// written to `ranges`, one per loop of `s`.
 ///
 /// `wide` selects the worst-case extents ([`LoopInfo::max_extent`])
 /// instead of the means: capacity tests must use them, because a
 /// triangular sweep that fits on average still thrashes for the wide
 /// iterations. Traffic volumes keep the means.
+///
+/// [`LoopInfo::max_extent`]: crate::geometry::LoopInfo::max_extent
 fn body_ranges(
     s: &StmtGeometry,
     bs: &BlockStructure,
     fixed_upto: usize,
     wide: bool,
-) -> BTreeMap<String, f64> {
-    let m = bs.coords.len();
-    let mut ranges = BTreeMap::new();
+    ranges: &mut Vec<f64>,
+) {
+    let m = bs.coords;
+    ranges.clear();
     for (j, l) in s.loops.iter().enumerate() {
-        let lev = m + j;
-        let r = if lev < fixed_upto {
+        let r = if m + j < fixed_upto {
             1.0
         } else {
             // only windows from coordinates held fixed (index <
-            // fixed_upto) bind the variable; sweeping coordinates
-            // release it
+            // fixed_upto) bind the loop; sweeping coordinates release
+            // it
             let mut w = if wide { l.max_extent } else { l.avg_extent };
-            for c in bs.coords.iter().take(fixed_upto.min(m)) {
-                if let CoordBind::Var { var, window } = &c.binds[s.id] {
-                    if var == &l.var {
-                        w = w.min(*window);
+            for k in 0..fixed_upto.min(m) {
+                if let (CoordBind::Var { loop_, window }, _) = bs.level(k, s) {
+                    if loop_ == j {
+                        w = w.min(window);
                     }
                 }
             }
             w.max(1.0)
         };
-        ranges.insert(l.var.clone(), r);
+        ranges.push(r);
     }
-    ranges
 }
 
-/// Per-dimension extents of one reference under the given ranges,
-/// clamped to the array bounds.
-fn ref_extents(aref: &ArrayRef, ranges: &BTreeMap<String, f64>, dims: &[f64]) -> Vec<f64> {
-    aref.indices()
-        .iter()
-        .zip(dims)
-        .map(|(ix, d)| {
-            let mut e = 1.0;
-            for (v, k) in ix.iter() {
-                if let Some(r) = ranges.get(v) {
-                    e += k.abs() as f64 * (r - 1.0);
-                }
-            }
-            e.min(*d).max(1.0)
-        })
-        .collect()
-}
-
-/// Does the reference mention the variable (with a non-zero
-/// coefficient) in any subscript?
-fn mentions(aref: &ArrayRef, var: &str) -> bool {
-    aref.indices()
-        .iter()
-        .any(|ix| ix.iter().any(|(v, k)| v == var && k != 0))
-}
-
-/// Lines touched by one reference under the given ranges: the
-/// column-major box count, capped at the number of distinct index
-/// tuples the reference can produce. The cap matters for correlated
-/// subscripts — `A[J, J]` over a range of 96 touches 96 diagonal
-/// elements (each on its own line at worst), not the 96×96 box the
-/// per-dimension extents describe.
+/// Lines touched by one reference under the given loop ranges: the
+/// column-major box count of its per-dimension extents (clamped to the
+/// array bounds `dims`), capped at the number of distinct index tuples
+/// the reference can produce. The cap matters for correlated subscripts
+/// — `A[J, J]` over a range of 96 touches 96 diagonal elements (each on
+/// its own line at worst), not the 96×96 box the per-dimension extents
+/// describe. `extents` is scratch.
 fn ref_lines(
-    aref: &ArrayRef,
-    ranges: &BTreeMap<String, f64>,
+    r: &RefInfo,
+    ranges: &[f64],
     dims: &[f64],
     line_bytes: f64,
+    extents: &mut Vec<f64>,
 ) -> f64 {
-    let box_lines = region_lines(&ref_extents(aref, ranges, dims), dims, line_bytes);
-    let mut vars: Vec<&str> = aref
-        .indices()
-        .iter()
-        .flat_map(|ix| ix.iter().filter(|(_, k)| *k != 0).map(|(v, _)| v))
-        .collect();
-    vars.sort_unstable();
-    vars.dedup();
-    let tuples: f64 = vars
-        .iter()
-        .map(|v| ranges.get(*v).copied().unwrap_or(1.0).max(1.0))
-        .product();
+    extents.clear();
+    for (terms, d) in r.subscripts.iter().zip(dims) {
+        let mut e = 1.0;
+        for &(j, k) in terms {
+            e += k * (ranges[j] - 1.0);
+        }
+        extents.push(e.min(*d).max(1.0));
+    }
+    let box_lines = region_lines(extents, dims, line_bytes);
+    let tuples: f64 = r.tuple_loops.iter().map(|&j| ranges[j].max(1.0)).product();
     box_lines.min(tuples.max(1.0))
 }
 
-/// Working-set (reuse-distance) estimate, in lines, of a set of
-/// `(statement, ranges)` groups: per array, the *sum* over distinct
-/// references (same subscripts across statements merge by elementwise
-/// max), capped at the whole array. Distinct references into one array
-/// — a pivot row block and a working block — occupy cache
-/// simultaneously even when their extent boxes coincide, so summing is
-/// right and an elementwise-max union under-counts; the cap keeps
-/// overlapping references from exceeding the array itself.
-fn union_ws<'a>(
-    groups: impl Iterator<Item = (&'a StmtGeometry, BTreeMap<String, f64>)>,
-    geom: &KernelGeometry,
-    line_bytes: f64,
-) -> f64 {
-    let mut per_array: BTreeMap<&str, Vec<(&ArrayRef, f64)>> = BTreeMap::new();
-    for (s, ranges) in groups {
+/// Buffers one [`predict_with`] call reuses across cache levels and
+/// statements, so a candidate allocates a handful of vectors, not a
+/// handful per reference.
+#[derive(Default)]
+struct Scratch {
+    ranges: Vec<f64>,
+    extents: Vec<f64>,
+    /// The working set being accumulated: `(reference slot, array,
+    /// lines)` in first-encounter order.
+    working_set: Vec<(usize, usize, f64)>,
+    /// Lines of each whole array, in array-name order.
+    array_lines: Vec<f64>,
+    coord_ws: Vec<f64>,
+    footprints: Vec<f64>,
+    inst_ws: Vec<f64>,
+    inst_trips: Vec<f64>,
+}
+
+impl Scratch {
+    /// Add statement `s`'s references, under `self.ranges`, to the
+    /// working set: equal references (same slot, whatever the
+    /// statement) merge by elementwise max.
+    fn add_to_working_set(&mut self, s: &StmtGeometry, geom: &KernelGeometry, line_bytes: f64) {
         for r in &s.refs {
-            let dims = &geom.arrays[r.aref.array()];
-            let lines = ref_lines(&r.aref, &ranges, dims, line_bytes);
-            let regions = per_array.entry(r.aref.array()).or_default();
-            match regions.iter_mut().find(|(a, _)| *a == &r.aref) {
-                Some((_, u)) => *u = u.max(lines),
-                None => regions.push((&r.aref, lines)),
+            let dims = &geom.arrays[r.array];
+            let lines = ref_lines(r, &self.ranges, dims, line_bytes, &mut self.extents);
+            match self.working_set.iter_mut().find(|e| e.0 == r.slot) {
+                Some(e) => e.2 = e.2.max(lines),
+                None => self.working_set.push((r.slot, r.array, lines)),
             }
         }
     }
-    per_array
-        .iter()
-        .map(|(a, regions)| {
-            let dims = &geom.arrays[*a];
-            let total: f64 = regions.iter().map(|(_, lines)| lines).sum();
-            total.min(region_lines(dims, dims, line_bytes))
-        })
-        .sum()
+
+    /// Working-set (reuse-distance) estimate, in lines, of the
+    /// references accumulated since the last call, which it clears: per
+    /// array, the *sum* over distinct references, capped at the whole
+    /// array. Distinct references into one array — a pivot row block and
+    /// a working block — occupy cache simultaneously even when their
+    /// extent boxes coincide, so summing is right and an elementwise-max
+    /// union under-counts; the cap keeps overlapping references from
+    /// exceeding the array itself. References sum in first-encounter
+    /// order, arrays in name order.
+    fn take_working_set(&mut self) -> f64 {
+        let ws = &self.working_set;
+        let total = (self.array_lines.iter().enumerate())
+            .filter(|(a, _)| ws.iter().any(|e| e.1 == *a))
+            .map(|(a, whole)| {
+                let total: f64 = ws.iter().filter(|e| e.1 == a).map(|e| e.2).sum();
+                total.min(*whole)
+            })
+            .sum();
+        self.working_set.clear();
+        total
+    }
 }
 
 /// Predict traffic through `levels` (fastest first) for `product`
@@ -385,11 +385,12 @@ pub fn predict_with(
         PREDICTS.add(1);
     }
     let bs = build_structure(geom, product);
+    let mut scratch = Scratch::default();
     let total_accesses = geom.accesses;
     let mut preds = Vec::with_capacity(levels.len());
     let mut upstream = total_accesses;
     for cache in levels {
-        let raw = misses_for_level(geom, &bs, cache, cfg);
+        let raw = misses_for_level(geom, &bs, cache, cfg, &mut scratch);
         let misses = raw.min(upstream);
         preds.push(LevelPrediction {
             accesses: upstream.round() as u64,
@@ -417,84 +418,81 @@ fn misses_for_level(
     bs: &BlockStructure,
     cache: &CacheConfig,
     cfg: &ModelConfig,
+    scratch: &mut Scratch,
 ) -> f64 {
     let line_bytes = cache.line as f64;
     let c_eff = cfg.capacity_fraction * cache.size as f64 / line_bytes;
-    let m = bs.coords.len();
+    let m = bs.coords;
     let live = || geom.stmts.iter().filter(|s| s.instances > 0.0);
+
+    scratch.array_lines.clear();
+    for dims in &geom.arrays {
+        scratch
+            .array_lines
+            .push(region_lines(dims, dims, line_bytes));
+    }
 
     // Reuse distance across one iteration of each coordinate level:
     // per-array union over every statement (the coordinate loops are
     // shared by all statements in the scanned code).
-    let coord_ws: Vec<f64> = (0..m)
-        .map(|k| {
-            union_ws(
-                live().map(|s| (s, body_ranges(s, bs, k + 1, true))),
-                geom,
-                line_bytes,
-            )
-        })
-        .collect();
+    scratch.coord_ws.clear();
+    for k in 0..m {
+        for s in live() {
+            body_ranges(s, bs, k + 1, true, &mut scratch.ranges);
+            scratch.add_to_working_set(s, geom, line_bytes);
+        }
+        let ws = scratch.take_working_set();
+        scratch.coord_ws.push(ws);
+    }
 
     let mut total = 0.0;
     for s in live() {
         let nlev = m + s.loops.len();
+        let nrefs = s.refs.len();
         // footprint of one iteration of each level, per reference
-        let footprints: Vec<Vec<f64>> = (0..=nlev)
-            .map(|fu| {
-                let ranges = body_ranges(s, bs, fu, false);
-                s.refs
-                    .iter()
-                    .map(|r| {
-                        let dims = &geom.arrays[r.aref.array()];
-                        ref_lines(&r.aref, &ranges, dims, line_bytes)
-                    })
-                    .collect()
-            })
-            .collect();
+        // (`level * nrefs + ri`)
+        scratch.footprints.clear();
+        for fu in 0..=nlev {
+            body_ranges(s, bs, fu, false, &mut scratch.ranges);
+            for r in &s.refs {
+                let dims = &geom.arrays[r.array];
+                let lines = ref_lines(r, &scratch.ranges, dims, line_bytes, &mut scratch.extents);
+                scratch.footprints.push(lines);
+            }
+        }
         // statement-local reuse distance across one iteration of each
         // instance level
-        let inst_ws: Vec<f64> = (0..s.loops.len())
-            .map(|j| {
-                union_ws(
-                    std::iter::once((s, body_ranges(s, bs, m + j + 1, true))),
-                    geom,
-                    line_bytes,
-                )
-            })
-            .collect();
+        scratch.inst_ws.clear();
+        for j in 0..s.loops.len() {
+            body_ranges(s, bs, m + j + 1, true, &mut scratch.ranges);
+            scratch.add_to_working_set(s, geom, line_bytes);
+            let ws = scratch.take_working_set();
+            scratch.inst_ws.push(ws);
+        }
         // windowed sweep extent of each instance loop
-        let inst_trips: Vec<f64> = s
-            .loops
-            .iter()
-            .map(|l| {
-                bs.windows[s.id]
-                    .get(&l.var)
-                    .copied()
-                    .unwrap_or(l.avg_extent)
-                    .min(l.avg_extent)
-                    .max(1.0)
-            })
-            .collect();
+        scratch.inst_trips.clear();
+        for (j, l) in s.loops.iter().enumerate() {
+            let window = bs.windows[s.loop_base + j].unwrap_or(l.avg_extent);
+            scratch.inst_trips.push(window.min(l.avg_extent).max(1.0));
+        }
+        let (coord_ws, footprints) = (&scratch.coord_ws, &scratch.footprints);
+        let (inst_ws, inst_trips) = (&scratch.inst_ws, &scratch.inst_trips);
 
         for (ri, r) in s.refs.iter().enumerate() {
             let mut fetch = 1.0;
             let mut pure = true;
             for i in (0..nlev).rev() {
                 let (t, depends, ws) = if i < m {
-                    let dep = match &bs.coords[i].binds[s.id] {
-                        CoordBind::Var { var, .. } => mentions(&r.aref, var),
+                    let (bind, trips) = bs.level(i, s);
+                    let dep = match bind {
+                        CoordBind::Var { loop_, .. } => r.mentions[loop_],
                         CoordBind::Fixed => false,
                         CoordBind::Opaque => true,
                     };
-                    (bs.trips[s.id][i], dep, coord_ws[i])
+                    (trips, dep, coord_ws[i])
                 } else {
                     let j = i - m;
-                    (
-                        inst_trips[j],
-                        mentions(&r.aref, &s.loops[j].var),
-                        inst_ws[j],
-                    )
+                    (inst_trips[j], r.mentions[j], inst_ws[j])
                 };
                 if t <= 1.0 + 1e-9 {
                     continue;
@@ -519,12 +517,12 @@ fn misses_for_level(
                         // fresh data each iteration, and lines survive
                         // between consecutive iterations: the sweep
                         // footprint counts it line-merged
-                        fetch = footprints[i][ri];
+                        fetch = footprints[i * nrefs + ri];
                     } else if pure {
                         // partial survival: interpolate between the
                         // line-merged sweep footprint and a full
                         // refetch of the body every iteration
-                        let merged = footprints[i][ri];
+                        let merged = footprints[i * nrefs + ri];
                         fetch = merged + (1.0 - surv) * (fetch * t - merged).max(0.0);
                         pure = false;
                     } else {

@@ -269,6 +269,63 @@ fn protocol_errors_keep_the_connection_alive() {
     accept.join().unwrap();
 }
 
+/// Kernels that are well-formed text but semantically invalid — an
+/// unbound subscript variable, a rank mismatch, an undeclared array —
+/// are `Parse` refusals naming the offender, not worker panics, and the
+/// connection keeps working.
+#[test]
+fn semantically_invalid_kernels_are_parse_refusals() {
+    let _g = lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::new().with_store(None));
+    let srv = Arc::clone(&server);
+    let accept = std::thread::spawn(move || srv.serve_tcp(listener).unwrap());
+
+    let kernel = |stmt: &str| {
+        format!(
+            "program bad\nparam N\narray A(N, N)\n\n\
+             do I = 1 .. N\n  do J = 1 .. N\n    S1: {stmt}\n"
+        )
+    };
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    for (stmt, offender) in [
+        ("A[I, J] = A[Q, J] + 1", "Q"),
+        ("A[I] = A[I, J] + 1", "A[I]"),
+        ("B[I, J] = A[I, J] + 1", "B"),
+    ] {
+        let quote = Request::Quote {
+            probe_n: 24,
+            source: kernel(stmt),
+        };
+        send_request(&mut stream, &quote).unwrap();
+        match read_response(&mut stream).unwrap() {
+            Response::Error { class, message } => {
+                assert_eq!(class, ErrorClass::Parse, "{stmt}: {message}");
+                assert!(message.contains(offender), "{stmt}: {message}");
+            }
+            r => panic!("{stmt}: unexpected response {r:?}"),
+        }
+    }
+    // Same connection, now a valid kernel: still served.
+    let quote = Request::Quote {
+        probe_n: 24,
+        source: kernel("A[I, J] = A[J, I] + 1"),
+    };
+    send_request(&mut stream, &quote).unwrap();
+    match read_response(&mut stream).unwrap() {
+        Response::Quoted { predicted_cycles } => assert!(predicted_cycles > 0),
+        r => panic!("unexpected response {r:?}"),
+    }
+    send_request(&mut stream, &Request::Shutdown).unwrap();
+    assert!(matches!(
+        read_response(&mut stream).unwrap(),
+        Response::ShuttingDown
+    ));
+    drop(stream);
+    accept.join().unwrap();
+}
+
 /// Concurrent identical requests coalesce onto one search: all callers
 /// get equal responses and `serve.coalesced` counts the followers.
 #[test]
