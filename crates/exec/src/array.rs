@@ -122,6 +122,67 @@ impl DenseArray {
     }
 }
 
+/// Why a program's arrays cannot be laid out under a parameter binding.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ExtentError {
+    /// A parameter an extent names has no value in the binding.
+    MissingParameter {
+        /// The unbound parameter.
+        param: String,
+    },
+    /// An extent evaluates to zero or less.
+    NonPositive {
+        /// The array whose extent it is.
+        array: String,
+        /// The value the extent evaluated to.
+        extent: i64,
+    },
+}
+
+impl fmt::Display for ExtentError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ExtentError::MissingParameter { param } => write!(f, "missing parameter {param}"),
+            ExtentError::NonPositive { array, extent } => {
+                write!(f, "extent of {array} must be positive, got {extent}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ExtentError {}
+
+/// The extents of every array `program` declares, in declaration
+/// order, evaluated under `params` — the one place a declaration
+/// becomes a size. Every parameter an extent names must be bound, and
+/// every extent must be positive.
+pub fn array_extents(
+    program: &Program,
+    params: &BTreeMap<String, i64>,
+) -> Result<Vec<Vec<usize>>, ExtentError> {
+    let extent = |decl: &shackle_ir::ArrayDecl, e: &shackle_polyhedra::LinExpr| {
+        if let Some(p) = e.vars().find(|v| !params.contains_key(*v)) {
+            return Err(ExtentError::MissingParameter {
+                param: p.to_string(),
+            });
+        }
+        let extent = e.eval(&|p| params[p]);
+        if extent > 0 {
+            Ok(extent as usize)
+        } else {
+            Err(ExtentError::NonPositive {
+                array: decl.name().to_string(),
+                extent,
+            })
+        }
+    };
+    program
+        .arrays()
+        .iter()
+        .map(|decl| decl.dims().iter().map(|e| extent(decl, e)).collect())
+        .collect()
+}
+
 /// A named collection of arrays: the memory a program executes against.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Workspace {
@@ -139,33 +200,18 @@ impl Workspace {
     ///
     /// # Panics
     ///
-    /// Panics if a parameter needed by an extent is missing or an extent
-    /// is non-positive.
+    /// Panics with the [`ExtentError`] message if a parameter is
+    /// missing or an extent is non-positive.
     pub fn for_program(
         program: &Program,
         params: &BTreeMap<String, i64>,
         init: impl Fn(&str, &[usize]) -> f64,
     ) -> Self {
+        let extents = array_extents(program, params).unwrap_or_else(|e| panic!("{e}"));
         let mut ws = Self::new();
-        for decl in program.arrays() {
-            let dims: Vec<usize> = decl
-                .dims()
-                .iter()
-                .map(|e| {
-                    let v = e.eval(&|p| {
-                        *params
-                            .get(p)
-                            .unwrap_or_else(|| panic!("missing parameter {p}"))
-                    });
-                    assert!(v > 0, "extent of {} must be positive, got {v}", decl.name());
-                    v as usize
-                })
-                .collect();
-            let name = decl.name().to_string();
-            ws.insert(
-                name.clone(),
-                DenseArray::from_fn(dims, |idx| init(&name, idx)),
-            );
+        for (decl, dims) in program.arrays().iter().zip(extents) {
+            let name = decl.name();
+            ws.insert(name, DenseArray::from_fn(dims, |idx| init(name, idx)));
         }
         ws
     }
@@ -264,6 +310,33 @@ mod tests {
         assert_eq!(ws.array("A").unwrap().dims(), &[4, 4]);
         assert_eq!(ws.array("C").unwrap().get(&[2, 2]), 0.0);
         assert_eq!(ws.array("B").unwrap().get(&[1, 3]), 4.0);
+    }
+
+    #[test]
+    fn extents_name_what_is_wrong() {
+        let p = shackle_ir::kernels::matmul_ijk();
+        let bound = |n: i64| BTreeMap::from([("N".to_string(), n)]);
+        assert_eq!(array_extents(&p, &bound(4)), Ok(vec![vec![4, 4]; 3]));
+        let missing = array_extents(&p, &BTreeMap::new()).unwrap_err();
+        assert_eq!(missing, ExtentError::MissingParameter { param: "N".into() });
+        assert_eq!(missing.to_string(), "missing parameter N");
+        let flat = array_extents(&p, &bound(0)).unwrap_err();
+        assert_eq!(
+            flat,
+            ExtentError::NonPositive {
+                array: "C".into(),
+                extent: 0
+            }
+        );
+        assert_eq!(flat.to_string(), "extent of C must be positive, got 0");
+    }
+
+    #[test]
+    #[should_panic(expected = "extent of C must be positive, got -1")]
+    fn workspace_panics_with_the_extent_error() {
+        let p = shackle_ir::kernels::matmul_ijk();
+        let params = BTreeMap::from([("N".to_string(), -1i64)]);
+        let _ = Workspace::for_program(&p, &params, |_, _| 0.0);
     }
 
     #[test]

@@ -22,26 +22,39 @@
 //!   (`LoopStart`/`LoopEnd`/`Guard`/`Stmt`) driven by a program
 //!   counter.
 //!
-//! Accesses are buffered and delivered to the observer in chunks via
-//! [`Observer::record_many`], eliminating a virtual call per element.
+//! One walker (`CompiledProgram::walk`) runs that op program and
+//! hands each statement instance to one of two consumers:
+//!
+//! * [`CompiledProgram::execute`] evaluates the statement's bytecode
+//!   against a [`Workspace`] — the same evaluator [`InstanceRunner::run`]
+//!   drives one instance at a time;
+//! * [`trace_compiled`] computes no value and needs no workspace. The
+//!   programs are affine — no bound, guard or subscript reads array
+//!   data — so the access stream depends on the parameters alone; the
+//!   tracer walks it and hands every `(array index, offset, write)` to
+//!   a monomorphised [`Observer`]. A loop whose body is statements only
+//!   is a **leaf**: on entry each reference's linearized offset is
+//!   evaluated once, and from then on advanced by its coefficient on
+//!   the loop's slot. The range check every access makes is made at the
+//!   leaf's first and last trip instead — offsets and subscripts are
+//!   affine in the loop variable, so in range at both ends is in range
+//!   between — and a leaf that fails it runs access by access, so the
+//!   panic fires at the same access, with the same message, after the
+//!   same accesses were delivered.
 //!
 //! The tree interpreter ([`crate::execute`]) remains the semantics of
-//! record; this engine is validated against it bit-for-bit (values,
+//! record; both consumers are validated against it (values,
 //! [`ExecStats`], and access traces, order included) by differential
-//! tests on every kernel. In debug builds the engine also re-checks
-//! every subscript dimension-by-dimension like the interpreter does; in
-//! release builds it checks the linearized offset against the array
-//! length.
+//! tests on every kernel. In debug builds a range check looks at every
+//! subscript dimension-by-dimension like the interpreter does; in
+//! release builds it bounds the linearized offset by the array length.
 
 use crate::interp::count_flops;
-use crate::{Access, DenseArray, ExecStats, Observer, Workspace};
+use crate::{array_extents, Access, DenseArray, ExecStats, Observer, Workspace};
 use shackle_ir::{Bound, Node, Program, ScalarExpr, StmtId};
 use shackle_polyhedra::num::{ceil_div, floor_div};
 use shackle_polyhedra::{LinExpr, Rel};
 use std::collections::BTreeMap;
-
-/// Accesses buffered before each [`Observer::record_many`] delivery.
-const BATCH: usize = 4096;
 
 /// An affine form over frame slots: `constant + Σ coeff·frame[slot]`.
 #[derive(Clone, Debug, Default)]
@@ -58,6 +71,15 @@ impl Affine {
             v += c * frame[s];
         }
         v
+    }
+
+    /// The coefficient on `slot` (zero when the form does not mention
+    /// it).
+    fn coeff(&self, slot: usize) -> i64 {
+        self.terms
+            .iter()
+            .find(|&&(s, _)| s == slot)
+            .map_or(0, |&(_, c)| c)
     }
 }
 
@@ -143,18 +165,41 @@ struct CStmt {
     flops: u64,
 }
 
+impl CStmt {
+    /// What one instance adds to the statistics.
+    fn per_instance(&self) -> ExecStats {
+        ExecStats {
+            instances: 1,
+            loads: self.loads.len() as u64,
+            stores: 1,
+            flops: self.flops,
+        }
+    }
+}
+
+/// `total += trips × each`.
+fn tally(total: &mut ExecStats, trips: u64, each: ExecStats) {
+    total.instances += trips * each.instances;
+    total.loads += trips * each.loads;
+    total.stores += trips * each.stores;
+    total.flops += trips * each.flops;
+}
+
 /// Flat structured ops driven by a program counter.
 #[derive(Clone, Debug)]
 enum Op {
     /// Evaluate bounds; bind the slot and run the body, or jump past
     /// `end` when the range is empty. `hi_idx` caches the upper bound
-    /// for the matching [`Op::LoopEnd`].
+    /// for the matching [`Op::LoopEnd`]. `leaf` indexes
+    /// [`CompiledProgram::leaves`] when the body is statements only:
+    /// such a loop is offered whole to the consumer.
     LoopStart {
         slot: usize,
         lower: CBound,
         upper: CBound,
         hi_idx: usize,
         end: usize,
+        leaf: Option<usize>,
     },
     /// Advance the slot and jump back after `start`, or fall through.
     LoopEnd {
@@ -166,6 +211,14 @@ enum Op {
     Guard { guards: Vec<CGuard>, end: usize },
     /// Execute one statement instance.
     Stmt { id: StmtId },
+}
+
+/// A loop whose body is statements only.
+#[derive(Clone, Debug)]
+struct Leaf {
+    slot: usize,
+    /// The body, in order.
+    stmts: Vec<StmtId>,
 }
 
 /// A program lowered for the compiled engine. Build with [`compile`],
@@ -180,6 +233,8 @@ pub struct CompiledProgram {
     n_slots: usize,
     n_loops: usize,
     ops: Vec<Op>,
+    /// The leaf loops, indexed by [`Op::LoopStart`]'s `leaf`.
+    leaves: Vec<Leaf>,
     stmts: Vec<CStmt>,
     /// Per statement: frame slots of its surrounding loops, outermost
     /// first (parallel to an `Instance::ivec`).
@@ -208,6 +263,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
         n_slots: program.params().len(),
         n_loops: 0,
         ops: Vec::new(),
+        leaves: Vec::new(),
         stmts: vec![None; program.stmts().len()],
         stmt_loop_slots: vec![Vec::new(); program.stmts().len()],
     };
@@ -221,6 +277,7 @@ pub fn compile(program: &Program) -> CompiledProgram {
         n_slots: c.n_slots,
         n_loops: c.n_loops,
         ops: c.ops,
+        leaves: c.leaves,
         stmts: c
             .stmts
             .into_iter()
@@ -240,6 +297,7 @@ struct Compiler<'p> {
     n_slots: usize,
     n_loops: usize,
     ops: Vec<Op>,
+    leaves: Vec<Leaf>,
     stmts: Vec<Option<CStmt>>,
     stmt_loop_slots: Vec<Vec<usize>>,
 }
@@ -330,6 +388,7 @@ impl Compiler<'_> {
                         upper,
                         hi_idx,
                         end: usize::MAX,
+                        leaf: None,
                     });
                     self.scope.push((l.var.clone(), slot));
                     self.loop_slots.push(slot);
@@ -342,10 +401,24 @@ impl Compiler<'_> {
                         hi_idx,
                         start,
                     });
-                    let Op::LoopStart { end: e, .. } = &mut self.ops[start] else {
+                    let body: Option<Vec<StmtId>> = self.ops[start + 1..end]
+                        .iter()
+                        .map(|op| match op {
+                            Op::Stmt { id } => Some(*id),
+                            _ => None,
+                        })
+                        .collect();
+                    let Op::LoopStart {
+                        end: e, leaf: lf, ..
+                    } = &mut self.ops[start]
+                    else {
                         unreachable!()
                     };
                     *e = end;
+                    if let Some(stmts) = body {
+                        *lf = Some(self.leaves.len());
+                        self.leaves.push(Leaf { slot, stmts });
+                    }
                 }
             }
         }
@@ -430,29 +503,59 @@ struct LinkedRef {
     dims: Vec<(Affine, i64)>,
 }
 
+/// Why a reference is out of range under some frame.
+#[derive(Clone, Copy, Debug)]
+enum OutOfRange {
+    /// Subscript `index` of dimension `dim` is outside `1..=extent`.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    Subscript { index: i64, extent: i64, dim: usize },
+    /// The linearized offset is outside the array.
+    Offset(i64),
+}
+
 impl LinkedRef {
-    /// Element offset of this reference under `frame`.
-    ///
-    /// Debug builds re-check every subscript dimension like the tree
-    /// interpreter; release builds bound the linearized offset.
+    /// The range check, made once: the element offset of this reference
+    /// under `frame`, or why there is none. Debug builds re-check every
+    /// subscript dimension like the tree interpreter; release builds
+    /// bound the linearized offset.
     #[inline]
-    fn offset(&self, frame: &[i64], arrays: &[String]) -> usize {
+    fn locate(&self, frame: &[i64]) -> Result<usize, OutOfRange> {
         #[cfg(debug_assertions)]
-        for (d, (sub, extent)) in self.dims.iter().enumerate() {
-            let i = sub.eval(frame);
-            assert!(
-                i >= 1 && i <= *extent,
-                "index {i} out of range 1..={extent} in dimension {d}"
-            );
+        for (dim, (sub, extent)) in self.dims.iter().enumerate() {
+            let index = sub.eval(frame);
+            if index < 1 || index > *extent {
+                return Err(OutOfRange::Subscript {
+                    index,
+                    extent: *extent,
+                    dim,
+                });
+            }
         }
         let off = self.offset.eval(frame);
-        assert!(
-            off >= 0 && (off as usize) < self.len,
-            "element offset {off} out of range for array {} (len {})",
-            arrays[self.array],
-            self.len
-        );
-        off as usize
+        if off >= 0 && (off as usize) < self.len {
+            Ok(off as usize)
+        } else {
+            Err(OutOfRange::Offset(off))
+        }
+    }
+
+    /// Element offset of this reference under `frame`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`LinkedRef::locate`] finds the reference out of
+    /// range.
+    #[inline]
+    fn offset(&self, frame: &[i64], arrays: &[String]) -> usize {
+        self.locate(frame).unwrap_or_else(|e| match e {
+            OutOfRange::Subscript { index, extent, dim } => {
+                panic!("index {index} out of range 1..={extent} in dimension {dim}")
+            }
+            OutOfRange::Offset(off) => panic!(
+                "element offset {off} out of range for array {} (len {})",
+                arrays[self.array], self.len
+            ),
+        })
     }
 }
 
@@ -461,6 +564,15 @@ impl LinkedRef {
 struct LinkedStmt {
     loads: Vec<LinkedRef>,
     write: LinkedRef,
+}
+
+impl LinkedStmt {
+    /// The references in the order an instance touches them — the
+    /// loads, then the write — each with whether it is the write.
+    fn touched(&self) -> impl Iterator<Item = (&LinkedRef, bool)> {
+        let loads = self.loads.iter().map(|r| (r, false));
+        loads.chain(std::iter::once((&self.write, true)))
+    }
 }
 
 fn link_ref(r: &CRef, dims: &[usize]) -> LinkedRef {
@@ -489,6 +601,24 @@ fn link_ref(r: &CRef, dims: &[usize]) -> LinkedRef {
     }
 }
 
+/// What [`CompiledProgram::walk`] drives: the receiver of the statement
+/// instances a program executes, in program order.
+trait Consumer {
+    /// One instance of statement `id`, its loop variables (and the
+    /// parameters) in `frame`.
+    fn instance(&mut self, id: StmtId, frame: &[i64]);
+
+    /// Leaf loop `leaf` (an index into the program's leaf table) is
+    /// about to run its slot over `lo..=hi` (`lo <= hi`). Return `true`
+    /// after consuming every trip; `false` (the default) has the walker
+    /// run the loop instance by instance. May leave anything in the
+    /// leaf's frame slot: the walker rebinds it, and nothing outside
+    /// the loop reads it.
+    fn leaf_loop(&mut self, _leaf: usize, _lo: i64, _hi: i64, _frame: &mut [i64]) -> bool {
+        false
+    }
+}
+
 impl CompiledProgram {
     /// Array names in declaration order.
     pub fn arrays(&self) -> &[String] {
@@ -512,10 +642,10 @@ impl CompiledProgram {
         frame
     }
 
-    /// Link every statement's references against the arrays of `ws`.
-    fn link(&self, ws: &Workspace) -> Vec<LinkedStmt> {
-        let dims: Vec<Vec<usize>> = self
-            .arrays
+    /// The extents of this program's arrays as `ws` holds them, in
+    /// declaration order.
+    fn extents_in(&self, ws: &Workspace) -> Vec<Vec<usize>> {
+        self.arrays
             .iter()
             .map(|name| {
                 ws.array(name)
@@ -523,65 +653,30 @@ impl CompiledProgram {
                     .dims()
                     .to_vec()
             })
-            .collect();
+            .collect()
+    }
+
+    /// Link every statement's references against arrays of the given
+    /// `extents` (declaration order).
+    fn link(&self, extents: &[Vec<usize>]) -> Vec<LinkedStmt> {
         self.stmts
             .iter()
             .map(|s| LinkedStmt {
                 loads: s
                     .loads
                     .iter()
-                    .map(|r| link_ref(r, &dims[r.array]))
+                    .map(|r| link_ref(r, &extents[r.array]))
                     .collect(),
-                write: link_ref(&s.write, &dims[s.write.array]),
+                write: link_ref(&s.write, &extents[s.write.array]),
             })
             .collect()
     }
 
-    /// Execute against `workspace` under `params`, streaming batched
-    /// accesses to `observer`. Matches [`crate::execute`] bit-for-bit:
-    /// same array contents, same [`ExecStats`], same access sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics on missing parameters or arrays and on out-of-range
-    /// subscripts, like the tree interpreter.
-    pub fn execute(
-        &self,
-        workspace: &mut Workspace,
-        params: &BTreeMap<String, i64>,
-        observer: &mut dyn Observer,
-    ) -> ExecStats {
-        let _phase = shackle_probe::span("run");
-        let mut frame = self.frame(params);
-        let linked = self.link(workspace);
-
-        // Split the workspace into disjoint per-array borrows once.
-        let mut slots: Vec<Option<&mut DenseArray>> =
-            (0..self.arrays.len()).map(|_| None).collect();
-        for (name, arr) in workspace.iter_mut() {
-            if let Some(i) = self.arrays.iter().position(|a| a == name) {
-                slots[i] = Some(arr);
-            }
-        }
-        let mut arrays: Vec<&mut DenseArray> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| a.unwrap_or_else(|| panic!("unknown array {}", self.arrays[i])))
-            .collect();
-
-        let mut stats = ExecStats::default();
-        let mut regs = vec![0.0f64; self.stmts.iter().map(|s| s.n_regs).max().unwrap_or(1)];
+    /// The loop/guard machine: run the op program over `frame`
+    /// (parameters already bound), handing every statement instance —
+    /// or, where it takes them, every leaf loop — to `consumer`.
+    fn walk<C: Consumer>(&self, frame: &mut [i64], consumer: &mut C) {
         let mut hi_cache = vec![0i64; self.n_loops];
-        // Structure-of-arrays access buffer: packed `(offset << 8) |
-        // (array << 1) | write` codes (8 bytes per access instead of a
-        // 24-byte `Access`), decoded into a scratch batch only at flush.
-        assert!(
-            self.arrays.len() < 128,
-            "packed access codes carry a 7-bit array index"
-        );
-        let mut buf: Vec<u64> = Vec::with_capacity(BATCH + 64);
-        let mut scratch: Vec<Access<'_>> = Vec::with_capacity(BATCH + 64);
-
         let mut pc = 0usize;
         while pc < self.ops.len() {
             match &self.ops[pc] {
@@ -591,10 +686,11 @@ impl CompiledProgram {
                     upper,
                     hi_idx,
                     end,
+                    leaf,
                 } => {
-                    let lo = lower.eval(&frame, true);
-                    let hi = upper.eval(&frame, false);
-                    if lo > hi {
+                    let lo = lower.eval(frame, true);
+                    let hi = upper.eval(frame, false);
+                    if lo > hi || leaf.is_some_and(|l| consumer.leaf_loop(l, lo, hi, frame)) {
                         pc = *end + 1;
                     } else {
                         frame[*slot] = lo;
@@ -616,7 +712,7 @@ impl CompiledProgram {
                 }
                 Op::Guard { guards, end } => {
                     let pass = guards.iter().all(|g| {
-                        let v = g.expr.eval(&frame);
+                        let v = g.expr.eval(frame);
                         if g.eq {
                             v == 0
                         } else {
@@ -626,78 +722,287 @@ impl CompiledProgram {
                     pc = if pass { pc + 1 } else { *end };
                 }
                 Op::Stmt { id } => {
-                    let st = &self.stmts[*id];
-                    let ln = &linked[*id];
-                    for op in &st.code {
-                        match *op {
-                            SOp::Const { dst, val } => regs[dst as usize] = val,
-                            SOp::Load { dst, re } => {
-                                let r = &ln.loads[re as usize];
-                                let off = r.offset(&frame, &self.arrays);
-                                regs[dst as usize] = arrays[r.array].data()[off];
-                                buf.push(((off as u64) << 8) | ((r.array as u64) << 1));
-                                stats.loads += 1;
-                            }
-                            SOp::Add { dst, a, b } => {
-                                regs[dst as usize] = regs[a as usize] + regs[b as usize]
-                            }
-                            SOp::Sub { dst, a, b } => {
-                                regs[dst as usize] = regs[a as usize] - regs[b as usize]
-                            }
-                            SOp::Mul { dst, a, b } => {
-                                regs[dst as usize] = regs[a as usize] * regs[b as usize]
-                            }
-                            SOp::Div { dst, a, b } => {
-                                regs[dst as usize] = regs[a as usize] / regs[b as usize]
-                            }
-                            SOp::Sqrt { dst, a } => regs[dst as usize] = regs[a as usize].sqrt(),
-                            SOp::Neg { dst, a } => regs[dst as usize] = -regs[a as usize],
-                            SOp::Sign { dst, a } => {
-                                regs[dst as usize] = if regs[a as usize] < 0.0 { -1.0 } else { 1.0 }
-                            }
-                        }
-                    }
-                    let off = ln.write.offset(&frame, &self.arrays);
-                    arrays[ln.write.array].data_mut()[off] = regs[0];
-                    buf.push(((off as u64) << 8) | ((ln.write.array as u64) << 1) | 1);
-                    stats.stores += 1;
-                    stats.instances += 1;
-                    stats.flops += st.flops;
-                    if buf.len() >= BATCH {
-                        flush_codes(&self.arrays, &buf, &mut scratch, observer);
-                        buf.clear();
-                    }
+                    consumer.instance(*id, frame);
                     pc += 1;
                 }
             }
         }
-        if !buf.is_empty() {
-            flush_codes(&self.arrays, &buf, &mut scratch, observer);
+    }
+
+    /// Execute against `workspace` under `params`, reporting every
+    /// access to `observer`. Matches [`crate::execute`] bit-for-bit:
+    /// same array contents, same [`ExecStats`], same access sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics on missing parameters or arrays and on out-of-range
+    /// subscripts, like the tree interpreter.
+    pub fn execute(
+        &self,
+        workspace: &mut Workspace,
+        params: &BTreeMap<String, i64>,
+        observer: &mut dyn Observer,
+    ) -> ExecStats {
+        let _phase = shackle_probe::span("run");
+        let mut frame = self.frame(params);
+        let linked = self.link(&self.extents_in(workspace));
+
+        // Split the workspace into disjoint per-array borrows once.
+        let mut slots: Vec<Option<&mut DenseArray>> =
+            (0..self.arrays.len()).map(|_| None).collect();
+        for (name, arr) in workspace.iter_mut() {
+            if let Some(i) = self.arrays.iter().position(|a| a == name) {
+                slots[i] = Some(arr);
+            }
         }
-        crate::publish_exec_stats(&stats);
-        stats
+        let arrays: Vec<&mut DenseArray> = slots
+            .into_iter()
+            .map(|a| a.expect("extents_in found every array"))
+            .collect();
+
+        let mut run = Executor {
+            cp: self,
+            linked,
+            arrays,
+            regs: self.regs(),
+            observer,
+            stats: ExecStats::default(),
+        };
+        self.walk(&mut frame, &mut run);
+        crate::publish_exec_stats(&run.stats);
+        run.stats
+    }
+
+    /// A register file large enough for any statement.
+    fn regs(&self) -> Vec<f64> {
+        vec![0.0; self.stmts.iter().map(|s| s.n_regs).max().unwrap_or(1)]
+    }
+
+    /// Walk the access stream of a run over arrays of the given
+    /// `extents` without computing a value — see [`trace_compiled`].
+    fn trace<O: Observer + ?Sized>(
+        &self,
+        extents: &[Vec<usize>],
+        params: &BTreeMap<String, i64>,
+        observer: &mut O,
+    ) -> ExecStats {
+        let _phase = shackle_probe::span("run");
+        let mut frame = self.frame(params);
+        let linked = self.link(extents);
+        let leaves = self.leaves.iter().map(|l| l.link(self, &linked)).collect();
+        let mut run = Tracer {
+            cp: self,
+            linked,
+            leaves,
+            offsets: Vec::new(),
+            observer,
+            stats: ExecStats::default(),
+        };
+        self.walk(&mut frame, &mut run);
+        crate::publish_exec_stats(&run.stats);
+        run.stats
     }
 }
 
-/// Decode one batch of packed access codes into `scratch` and deliver
-/// it through [`Observer::record_many`].
-fn flush_codes<'a>(
-    arrays: &'a [String],
-    codes: &[u64],
-    scratch: &mut Vec<Access<'a>>,
-    observer: &mut dyn Observer,
-) {
-    scratch.clear();
-    scratch.extend(codes.iter().map(|&c| {
-        let index = ((c & 0xff) >> 1) as usize;
-        Access {
-            array: &arrays[index],
-            index,
-            offset: (c >> 8) as usize,
-            write: c & 1 == 1,
+/// The bytecode evaluator, written once: run statement `st`'s code over
+/// `regs` under `frame`, asking `load(array, offset)` for each operand
+/// in evaluation order. Returns the value to store and the (checked)
+/// offset to store it at.
+#[inline]
+fn eval_stmt(
+    st: &CStmt,
+    ln: &LinkedStmt,
+    frame: &[i64],
+    arrays: &[String],
+    regs: &mut [f64],
+    mut load: impl FnMut(usize, usize) -> f64,
+) -> (f64, usize) {
+    for op in &st.code {
+        match *op {
+            SOp::Const { dst, val } => regs[dst as usize] = val,
+            SOp::Load { dst, re } => {
+                let r = &ln.loads[re as usize];
+                regs[dst as usize] = load(r.array, r.offset(frame, arrays));
+            }
+            SOp::Add { dst, a, b } => regs[dst as usize] = regs[a as usize] + regs[b as usize],
+            SOp::Sub { dst, a, b } => regs[dst as usize] = regs[a as usize] - regs[b as usize],
+            SOp::Mul { dst, a, b } => regs[dst as usize] = regs[a as usize] * regs[b as usize],
+            SOp::Div { dst, a, b } => regs[dst as usize] = regs[a as usize] / regs[b as usize],
+            SOp::Sqrt { dst, a } => regs[dst as usize] = regs[a as usize].sqrt(),
+            SOp::Neg { dst, a } => regs[dst as usize] = -regs[a as usize],
+            SOp::Sign { dst, a } => {
+                regs[dst as usize] = if regs[a as usize] < 0.0 { -1.0 } else { 1.0 }
+            }
         }
-    }));
-    observer.record_many(scratch);
+    }
+    (regs[0], ln.write.offset(frame, arrays))
+}
+
+/// The consumer behind [`CompiledProgram::execute`].
+struct Executor<'a> {
+    cp: &'a CompiledProgram,
+    linked: Vec<LinkedStmt>,
+    /// The workspace's arrays, indexed like `cp.arrays`.
+    arrays: Vec<&'a mut DenseArray>,
+    regs: Vec<f64>,
+    observer: &'a mut dyn Observer,
+    stats: ExecStats,
+}
+
+impl Consumer for Executor<'_> {
+    fn instance(&mut self, id: StmtId, frame: &[i64]) {
+        let (st, ln, names) = (&self.cp.stmts[id], &self.linked[id], &self.cp.arrays);
+        let (arrays, observer) = (&self.arrays, &mut *self.observer);
+        let (value, offset) = eval_stmt(st, ln, frame, names, &mut self.regs, |index, offset| {
+            observer.record(Access {
+                array: &names[index],
+                index,
+                offset,
+                write: false,
+            });
+            arrays[index].data()[offset]
+        });
+        let index = ln.write.array;
+        self.arrays[index].data_mut()[offset] = value;
+        self.observer.record(Access {
+            array: &names[index],
+            index,
+            offset,
+            write: true,
+        });
+        tally(&mut self.stats, 1, st.per_instance());
+    }
+}
+
+/// One reference of a leaf loop's body, linked.
+#[derive(Debug)]
+struct LeafRef<'a> {
+    name: &'a str,
+    at: LinkedRef,
+    write: bool,
+    /// Elements the offset moves per trip: the offset form's
+    /// coefficient on the leaf's slot.
+    stride: i64,
+}
+
+/// A leaf loop linked for the tracer.
+#[derive(Debug)]
+struct LinkedLeaf<'a> {
+    slot: usize,
+    /// The body's references in delivery order: each statement's loads,
+    /// then its write.
+    refs: Vec<LeafRef<'a>>,
+    /// What one trip adds to the statistics.
+    per_trip: ExecStats,
+}
+
+impl Leaf {
+    fn link<'a>(&self, cp: &'a CompiledProgram, linked: &[LinkedStmt]) -> LinkedLeaf<'a> {
+        let mut refs = Vec::new();
+        let mut per_trip = ExecStats::default();
+        for &id in &self.stmts {
+            let ln = &linked[id];
+            for (r, write) in ln.touched() {
+                refs.push(LeafRef {
+                    name: &cp.arrays[r.array],
+                    at: r.clone(),
+                    write,
+                    stride: r.offset.coeff(self.slot),
+                });
+            }
+            tally(&mut per_trip, 1, cp.stmts[id].per_instance());
+        }
+        LinkedLeaf {
+            slot: self.slot,
+            refs,
+            per_trip,
+        }
+    }
+}
+
+/// The value-free consumer behind [`trace_compiled`].
+struct Tracer<'a, O: Observer + ?Sized> {
+    cp: &'a CompiledProgram,
+    linked: Vec<LinkedStmt>,
+    leaves: Vec<LinkedLeaf<'a>>,
+    /// Scratch for [`Consumer::leaf_loop`]: the running offset of each
+    /// reference of the leaf body.
+    offsets: Vec<i64>,
+    observer: &'a mut O,
+    stats: ExecStats,
+}
+
+impl<O: Observer + ?Sized> Consumer for Tracer<'_, O> {
+    fn instance(&mut self, id: StmtId, frame: &[i64]) {
+        let (ln, names) = (&self.linked[id], &self.cp.arrays);
+        for (r, write) in ln.touched() {
+            let offset = r.offset(frame, names);
+            self.observer.record(Access {
+                array: &names[r.array],
+                index: r.array,
+                offset,
+                write,
+            });
+        }
+        tally(&mut self.stats, 1, self.cp.stmts[id].per_instance());
+    }
+
+    fn leaf_loop(&mut self, leaf: usize, lo: i64, hi: i64, frame: &mut [i64]) -> bool {
+        let leaf = &self.leaves[leaf];
+        // Offsets and subscripts are affine in the leaf variable: in
+        // range on the last trip and on the first is in range on every
+        // trip. Otherwise the loop runs access by access and panics
+        // where it always did.
+        frame[leaf.slot] = hi;
+        if !leaf.refs.iter().all(|r| r.at.locate(frame).is_ok()) {
+            return false;
+        }
+        frame[leaf.slot] = lo;
+        self.offsets.clear();
+        for r in &leaf.refs {
+            match r.at.locate(frame) {
+                Ok(offset) => self.offsets.push(offset as i64),
+                Err(_) => return false,
+            }
+        }
+        let trips = (hi - lo + 1) as u64;
+        for _ in 0..trips {
+            for (r, offset) in leaf.refs.iter().zip(&mut self.offsets) {
+                self.observer.record(Access {
+                    array: r.name,
+                    index: r.at.array,
+                    offset: *offset as usize,
+                    write: r.write,
+                });
+                *offset += r.stride;
+            }
+        }
+        tally(&mut self.stats, trips, leaf.per_trip);
+        true
+    }
+}
+
+/// The access stream of `program` under `params` without the values:
+/// every `(array index, offset, write)` a run would touch, delivered to
+/// `observer` in program order, and the [`ExecStats`] the run would
+/// report. No workspace is built — array extents come from the
+/// program's declarations ([`array_extents`]) — and no arithmetic is
+/// done on array data; see the module docs for why the stream is the
+/// same. `observer` is monomorphised: its `record` inlines into the
+/// walk.
+///
+/// # Panics
+///
+/// Panics on missing parameters, non-positive extents and out-of-range
+/// subscripts, like [`CompiledProgram::execute`] over a workspace built
+/// by [`Workspace::for_program`].
+pub fn trace_compiled<O: Observer + ?Sized>(
+    program: &Program,
+    params: &BTreeMap<String, i64>,
+    observer: &mut O,
+) -> ExecStats {
+    let extents = array_extents(program, params).unwrap_or_else(|e| panic!("{e}"));
+    compile(program).trace(&extents, params, observer)
 }
 
 /// Compile and execute in one call — the drop-in fast replacement for
@@ -732,8 +1037,8 @@ impl<'p> InstanceRunner<'p> {
         Self {
             cp,
             frame: cp.frame(params),
-            regs: vec![0.0; cp.stmts.iter().map(|s| s.n_regs).max().unwrap_or(1)],
-            linked: cp.link(ws),
+            regs: cp.regs(),
+            linked: cp.link(&cp.extents_in(ws)),
         }
     }
 
@@ -768,47 +1073,24 @@ impl<'p> InstanceRunner<'p> {
     /// Execute one statement instance against `ws`.
     pub fn run(&mut self, ws: &mut Workspace, stmt: StmtId, ivec: &[i64]) {
         self.bind(stmt, ivec);
-        let st = &self.cp.stmts[stmt];
-        let ln = &self.linked[stmt];
-        for op in &st.code {
-            match *op {
-                SOp::Const { dst, val } => self.regs[dst as usize] = val,
-                SOp::Load { dst, re } => {
-                    let r = &ln.loads[re as usize];
-                    let off = r.offset(&self.frame, &self.cp.arrays);
-                    let arr = ws
-                        .array(&self.cp.arrays[r.array])
-                        .unwrap_or_else(|| panic!("unknown array {}", self.cp.arrays[r.array]));
-                    self.regs[dst as usize] = arr.data()[off];
-                }
-                SOp::Add { dst, a, b } => {
-                    self.regs[dst as usize] = self.regs[a as usize] + self.regs[b as usize]
-                }
-                SOp::Sub { dst, a, b } => {
-                    self.regs[dst as usize] = self.regs[a as usize] - self.regs[b as usize]
-                }
-                SOp::Mul { dst, a, b } => {
-                    self.regs[dst as usize] = self.regs[a as usize] * self.regs[b as usize]
-                }
-                SOp::Div { dst, a, b } => {
-                    self.regs[dst as usize] = self.regs[a as usize] / self.regs[b as usize]
-                }
-                SOp::Sqrt { dst, a } => self.regs[dst as usize] = self.regs[a as usize].sqrt(),
-                SOp::Neg { dst, a } => self.regs[dst as usize] = -self.regs[a as usize],
-                SOp::Sign { dst, a } => {
-                    self.regs[dst as usize] = if self.regs[a as usize] < 0.0 {
-                        -1.0
-                    } else {
-                        1.0
-                    }
-                }
-            }
-        }
-        let off = ln.write.offset(&self.frame, &self.cp.arrays);
-        let arr = ws
-            .array_mut(&self.cp.arrays[ln.write.array])
-            .unwrap_or_else(|| panic!("unknown array {}", self.cp.arrays[ln.write.array]));
-        arr.data_mut()[off] = self.regs[0];
+        let (st, ln, names) = (&self.cp.stmts[stmt], &self.linked[stmt], &self.cp.arrays);
+        let (value, offset) = eval_stmt(
+            st,
+            ln,
+            &self.frame,
+            names,
+            &mut self.regs,
+            |index, offset| {
+                let name = &names[index];
+                ws.array(name)
+                    .unwrap_or_else(|| panic!("unknown array {name}"))
+                    .data()[offset]
+            },
+        );
+        let name = &names[ln.write.array];
+        ws.array_mut(name)
+            .unwrap_or_else(|| panic!("unknown array {name}"))
+            .data_mut()[offset] = value;
     }
 }
 
@@ -885,39 +1167,27 @@ mod tests {
 
     #[test]
     fn empty_ranges_execute_nothing() {
-        use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, Statement};
-        use shackle_polyhedra::LinExpr;
-        let a = ArrayRef::vars("A", &["I"]);
-        let s = Statement::new("S", a.clone(), ScalarExpr::from(a) + 1.0.into());
-        let p = shackle_ir::Program::new(
+        let p = one_loop(
             "empty",
-            vec!["N".into()],
-            vec![ArrayDecl::new("A", vec![LinExpr::var("N")])],
-            vec![s],
-            vec![loop_(
-                "I",
-                LinExpr::var("N") + LinExpr::constant(1),
-                LinExpr::var("N"),
-                vec![stmt(0)],
-            )],
+            LinExpr::var("N") + LinExpr::constant(1),
+            LinExpr::var("N"),
+            LinExpr::var("I"),
         );
         let mut ws = Workspace::for_program(&p, &params(3), |_, _| 0.0);
         let stats = compile(&p).execute(&mut ws, &params(3), &mut NullObserver);
         assert_eq!(stats.instances, 0);
     }
 
-    #[test]
-    fn shadowed_loop_variables_resolve_innermost() {
-        // for I in 1..=N { A[I] += 1; for I in 1..=2 { B[I] += 1 } }
-        // — the inner I shadows the outer one, and the outer I must
-        // survive the inner loop.
+    /// `for I in 1..=N { A[I] += 1; for I in 1..=2 { B[I] += 1 } }` —
+    /// the inner I shadows the outer one, and the outer I must survive
+    /// the inner loop.
+    fn shadowed_loops() -> shackle_ir::Program {
         use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, Statement};
-        use shackle_polyhedra::LinExpr;
         let a = ArrayRef::vars("A", &["I"]);
         let b = ArrayRef::vars("B", &["I"]);
         let s0 = Statement::new("S0", a.clone(), ScalarExpr::from(a) + 1.0.into());
         let s1 = Statement::new("S1", b.clone(), ScalarExpr::from(b) + 1.0.into());
-        let p = shackle_ir::Program::new(
+        shackle_ir::Program::new(
             "shadow",
             vec!["N".into()],
             vec![
@@ -939,7 +1209,12 @@ mod tests {
                     ),
                 ],
             )],
-        );
+        )
+    }
+
+    #[test]
+    fn shadowed_loop_variables_resolve_innermost() {
+        let p = shadowed_loops();
         let n = 4;
         let init = |_: &str, _: &[usize]| 0.0;
         let mut w1 = Workspace::for_program(&p, &params(n), init);
@@ -954,37 +1229,145 @@ mod tests {
         assert_eq!(w2.array("B").unwrap().get(&[2]), n as f64);
     }
 
+    /// The tracer against both engines that compute values: same
+    /// accesses in the same order, same statistics.
+    fn assert_trace_matches(p: &shackle_ir::Program, params: &BTreeMap<String, i64>) {
+        let init = crate::verify::hash_init(7);
+        let mut tree = Collect::default();
+        let mut ws = Workspace::for_program(p, params, &init);
+        let tree_stats = execute(p, &mut ws, params, &mut tree);
+        let mut valued = Collect::default();
+        let mut ws = Workspace::for_program(p, params, &init);
+        let valued_stats = compile(p).execute(&mut ws, params, &mut valued);
+        let mut traced = Collect::default();
+        let traced_stats = trace_compiled(p, params, &mut traced);
+        assert_eq!(traced_stats, tree_stats, "{}: stats", p.name());
+        assert_eq!(traced_stats, valued_stats, "{}: stats", p.name());
+        assert_eq!(traced.0, tree.0, "{}: accesses", p.name());
+        assert_eq!(traced.0, valued.0, "{}: accesses", p.name());
+    }
+
+    /// `for I in lo..=hi { A[sub] = A[sub] + 1 }` over `A(N)`.
+    fn one_loop(name: &str, lo: LinExpr, hi: LinExpr, sub: LinExpr) -> shackle_ir::Program {
+        use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, Statement};
+        let a = ArrayRef::new("A", vec![sub]);
+        let s = Statement::new("S", a.clone(), ScalarExpr::from(a) + 1.0.into());
+        shackle_ir::Program::new(
+            name,
+            vec!["N".into()],
+            vec![ArrayDecl::new("A", vec![LinExpr::var("N")])],
+            vec![s],
+            vec![loop_("I", lo, hi, vec![stmt(0)])],
+        )
+    }
+
     #[test]
-    fn batches_are_flushed_in_order() {
-        // an observer that checks batch boundaries never reorder
-        #[derive(Default)]
-        struct Batches {
-            flat: Vec<usize>,
-            batches: usize,
+    fn leaf_with_a_zero_stride_reference() {
+        // C[I,J] does not move under the K loop
+        assert_trace_matches(&kernels::matmul_ijk(), &params(6));
+    }
+
+    #[test]
+    fn leaf_with_negative_strides() {
+        // X[N+1-Jp] and U[N+1-Jp, N+1-Ip] walk backwards under Jp
+        assert_trace_matches(&kernels::backsolve(), &params(7));
+    }
+
+    #[test]
+    fn leaf_with_several_statements() {
+        // for I { S0: A[I] = A[I] + 1;  S1: B[I] = A[I] * B[I] }: the
+        // two statements' accesses interleave trip by trip
+        use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, Statement};
+        let a = ArrayRef::vars("A", &["I"]);
+        let b = ArrayRef::vars("B", &["I"]);
+        let s0 = Statement::new("S0", a.clone(), ScalarExpr::from(a.clone()) + 1.0.into());
+        let s1 = Statement::new("S1", b.clone(), ScalarExpr::from(a) * ScalarExpr::from(b));
+        let p = shackle_ir::Program::new(
+            "two_in_a_leaf",
+            vec!["N".into()],
+            vec![
+                ArrayDecl::new("A", vec![LinExpr::var("N")]),
+                ArrayDecl::new("B", vec![LinExpr::var("N")]),
+            ],
+            vec![s0, s1],
+            vec![loop_(
+                "I",
+                LinExpr::constant(1),
+                LinExpr::var("N"),
+                vec![stmt(0), stmt(1)],
+            )],
+        );
+        assert_trace_matches(&p, &params(5));
+    }
+
+    #[test]
+    fn leaf_under_a_shadowed_variable() {
+        // the inner (leaf) I strides B; the outer I it shadows must come
+        // back for the next A[I]
+        assert_trace_matches(&shadowed_loops(), &params(4));
+    }
+
+    #[test]
+    fn leaf_with_an_empty_trip_range() {
+        let p = one_loop(
+            "empty",
+            LinExpr::var("N") + LinExpr::constant(1),
+            LinExpr::var("N"),
+            LinExpr::var("I"),
+        );
+        let mut traced = Collect::default();
+        let stats = trace_compiled(&p, &params(3), &mut traced);
+        assert_eq!(stats, ExecStats::default());
+        assert!(traced.0.is_empty());
+        assert_trace_matches(&p, &params(3));
+    }
+
+    #[test]
+    fn leaf_that_leaves_its_array_panics_where_the_interpreter_does() {
+        // A[I+1] over I = 1..=N is in range until the last trip: the
+        // hoisted check fails at the far end, the loop runs access by
+        // access, and the panic comes after the same accesses
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let p = one_loop(
+            "oob",
+            LinExpr::constant(1),
+            LinExpr::var("N"),
+            LinExpr::var("I") + LinExpr::constant(1),
+        );
+        let params = params(4);
+        let dies = |run: &mut dyn FnMut(&mut Collect)| -> (String, Collect) {
+            let mut seen = Collect::default();
+            let payload = catch_unwind(AssertUnwindSafe(|| run(&mut seen)))
+                .expect_err("the subscript leaves the array");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic")
+                .clone();
+            (message, seen)
+        };
+        let (tree_msg, tree) = dies(&mut |seen| {
+            let mut ws = Workspace::for_program(&p, &params, |_, _| 0.0);
+            execute(&p, &mut ws, &params, seen);
+        });
+        let (valued_msg, valued) = dies(&mut |seen| {
+            let mut ws = Workspace::for_program(&p, &params, |_, _| 0.0);
+            compile(&p).execute(&mut ws, &params, seen);
+        });
+        let (traced_msg, traced) = dies(&mut |seen| {
+            trace_compiled(&p, &params, seen);
+        });
+        // three whole trips, then the load of A[5] dies
+        assert_eq!(tree.0.len(), 6);
+        assert_eq!(traced.0, tree.0);
+        assert_eq!(traced.0, valued.0);
+        assert_eq!(traced_msg, valued_msg);
+        // release builds bound the linearized offset instead of each
+        // subscript, and say so
+        if cfg!(debug_assertions) {
+            assert_eq!(traced_msg, tree_msg);
+        } else {
+            assert!(traced_msg.contains("out of range"), "{traced_msg}");
         }
-        impl Observer for Batches {
-            fn record(&mut self, a: Access<'_>) {
-                self.flat.push(a.offset);
-            }
-            fn record_many(&mut self, accesses: &[Access<'_>]) {
-                self.batches += 1;
-                for &a in accesses {
-                    self.record(a);
-                }
-            }
-        }
-        let p = kernels::matmul_ijk();
-        let n = 12; // 4 accesses × 12³ = 6912 > one batch
-        let mut ws = Workspace::for_program(&p, &params(n), |_, _| 1.0);
-        let mut obs = Batches::default();
-        let stats = compile(&p).execute(&mut ws, &params(n), &mut obs);
-        assert!(obs.batches >= 2, "expected multiple batches");
-        assert_eq!(obs.flat.len() as u64, stats.loads + stats.stores);
-        let mut o2 = Collect::default();
-        let mut w2 = Workspace::for_program(&p, &params(n), |_, _| 1.0);
-        execute(&p, &mut w2, &params(n), &mut o2);
-        let tree: Vec<usize> = o2.0.iter().map(|t| t.2).collect();
-        assert_eq!(obs.flat, tree);
     }
 
     #[test]
@@ -1008,21 +1391,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_subscript_panics() {
-        use shackle_ir::{loop_, stmt, ArrayDecl, ArrayRef, Statement};
-        use shackle_polyhedra::LinExpr;
-        let a = ArrayRef::new("A", vec![LinExpr::var("I") + LinExpr::constant(1)]);
-        let s = Statement::new("S", a.clone(), ScalarExpr::from(a) + 1.0.into());
-        let p = shackle_ir::Program::new(
+        let p = one_loop(
             "oob",
-            vec!["N".into()],
-            vec![ArrayDecl::new("A", vec![LinExpr::var("N")])],
-            vec![s],
-            vec![loop_(
-                "I",
-                LinExpr::constant(1),
-                LinExpr::var("N"),
-                vec![stmt(0)],
-            )],
+            LinExpr::constant(1),
+            LinExpr::var("N"),
+            LinExpr::var("I") + LinExpr::constant(1),
         );
         let mut ws = Workspace::for_program(&p, &params(3), |_, _| 0.0);
         compile(&p).execute(&mut ws, &params(3), &mut NullObserver);

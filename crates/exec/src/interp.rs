@@ -30,24 +30,14 @@ pub struct Access<'a> {
 /// Receives every memory access during execution, in program order.
 ///
 /// The cache simulator implements this to turn executions into address
-/// traces; [`NullObserver`] ignores everything.
-///
-/// Implement [`Observer::record`] (the per-element entry point);
-/// override [`Observer::record_many`] where per-batch work can be
-/// amortized — the compiled engine and the native tier buffer accesses
-/// and deliver them through it, eliminating one virtual call per
-/// element.
+/// traces; [`NullObserver`] ignores everything. Batching, where a
+/// consumer wants it, is the observer's own business (see
+/// `shackle_kernels::trace::Traced`): the engines hand over one access
+/// at a time, and the value-free tracer ([`crate::trace_compiled`])
+/// takes its observer by type, so that hand-over inlines.
 pub trait Observer {
     /// Called once per element load/store.
     fn record(&mut self, access: Access<'_>);
-
-    /// Called with a chunk of consecutive accesses in program order.
-    /// The default forwards each element to [`Observer::record`].
-    fn record_many(&mut self, accesses: &[Access<'_>]) {
-        for &a in accesses {
-            self.record(a);
-        }
-    }
 }
 
 /// An [`Observer`] that does nothing.
@@ -56,7 +46,6 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {
     fn record(&mut self, _access: Access<'_>) {}
-    fn record_many(&mut self, _accesses: &[Access<'_>]) {}
 }
 
 /// Execution statistics.

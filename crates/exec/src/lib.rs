@@ -41,8 +41,8 @@ pub mod multipass;
 pub mod native;
 pub mod verify;
 
-pub use array::{DenseArray, Workspace};
-pub use compile::{compile, execute_compiled, CompiledProgram, InstanceRunner};
+pub use array::{array_extents, DenseArray, ExtentError, Workspace};
+pub use compile::{compile, execute_compiled, trace_compiled, CompiledProgram, InstanceRunner};
 pub use interp::{execute, Access, ExecStats, NullObserver, Observer};
 pub use native::{NativeError, NativeKernel};
 
@@ -59,7 +59,8 @@ static FLOPS: LazyLock<&'static shackle_probe::Counter> =
 
 /// Fold a finished execution's statistics into the probe counters
 /// (`exec.instances` / `exec.loads` / `exec.stores` / `exec.flops`).
-/// Called once per [`execute`] / [`execute_compiled`] run; no-op when
+/// Called once per [`execute`] / [`execute_compiled`] / [`trace_compiled`]
+/// run; no-op when
 /// instrumentation is disabled.
 pub(crate) fn publish_exec_stats(stats: &ExecStats) {
     if shackle_probe::enabled() {

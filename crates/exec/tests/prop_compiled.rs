@@ -3,10 +3,13 @@
 //! workspaces, identical [`ExecStats`], and identical ordered access
 //! traces — on every kernel of `shackle_kernels::catalogue` at random
 //! problem sizes, and on compiler-generated (scanned) programs with
-//! guards and divided loop bounds at random block widths.
+//! guards and divided loop bounds at random block widths. The value-free
+//! tracer rides along in every comparison: same statistics, same trace.
 
 use proptest::prelude::*;
-use shackle_exec::{compile, execute, verify, Access, ExecStats, Observer, Workspace};
+use shackle_exec::{
+    compile, execute, trace_compiled, verify, Access, ExecStats, Observer, Workspace,
+};
 use shackle_ir::Program;
 use shackle_kernels::catalogue::catalogue;
 use std::collections::BTreeMap;
@@ -27,8 +30,8 @@ impl Observer for Collect {
     }
 }
 
-/// Runs `program` through both engines and asserts the tree
-/// interpreter and the compiled engine cannot be told apart.
+/// Runs `program` through the tree interpreter and both consumers of
+/// the compiled engine and asserts they cannot be told apart.
 fn assert_engines_agree(
     program: &Program,
     p: &BTreeMap<String, i64>,
@@ -47,6 +50,12 @@ fn assert_engines_agree(
     assert_eq!(tree_trace.0.len(), comp_trace.0.len());
     assert_eq!(tree_trace.0, comp_trace.0);
 
+    // The tracer computes no value and reports the same of both.
+    let mut walk_trace = Collect::default();
+    let walk_stats = trace_compiled(program, p, &mut walk_trace);
+    assert_eq!(walk_stats, tree_stats);
+    assert_eq!(walk_trace.0, tree_trace.0);
+
     // Bit-identical workspaces: same arrays, same element bits.
     for (name, a) in tree_ws.iter() {
         let b = comp_ws.array(name).unwrap();
@@ -57,6 +66,34 @@ fn assert_engines_agree(
                 y.to_bits(),
                 "array {name} diverges at flat index {i}: {x} vs {y}"
             );
+        }
+    }
+}
+
+/// Every catalogue kernel as the input code, as the scanned code of its
+/// canonical single and product shackles, and as naive code — guards
+/// inside the innermost loops, so the tracer's access-by-access path
+/// runs where the scanned code runs its leaf path. A width that does
+/// not divide the size leaves partial blocks at every edge.
+#[test]
+fn tracer_matches_both_engines_on_every_form_of_every_kernel() {
+    use shackle_core::{naive::generate_naive, scan::generate_scanned};
+    let (n, width) = (7, 3);
+    for entry in catalogue() {
+        let program = (entry.build)();
+        let p = entry.params(n);
+        let init = entry.init(&p, 5);
+        let mut forms = vec![program.clone()];
+        let shackles = [entry.single, entry.product].into_iter().flatten();
+        for (i, make) in shackles.enumerate() {
+            let product = make(&program, width);
+            forms.push(generate_scanned(&program, &product));
+            if i == 0 {
+                forms.push(generate_naive(&program, &product));
+            }
+        }
+        for form in &forms {
+            assert_engines_agree(form, &p, &init);
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   initializer, canonical shackles, search row), read by the CLI,
 //!   the search goldens and the differential tests;
 //! * [`shackles`] — the canonical shackles of the paper's experiments;
-//! * [`trace`] — the one path from an IR interpreter execution to the
+//! * [`trace`] — the one path from an IR program's access stream to the
 //!   simulator: a [`trace::Layout`] (dense, band storage, block-major)
 //!   × any `shackle-memsim` `AccessSink`, joined by [`trace::Traced`];
 //! * [`gen`], [`rng`] — deterministic workload generators;

@@ -1,4 +1,4 @@
-//! Bridging interpreter executions into the cache simulator.
+//! Bridging executions into the cache simulator.
 //!
 //! Two independent decisions, one trait each: a [`Layout`] says *where*
 //! an element access lands (a byte address), a
@@ -11,10 +11,15 @@
 //! [`block_major_address`] are the two non-dense formulas, and any
 //! `Fn(&Access) -> u64` is a layout too.
 
-use shackle_exec::{Access, ExecStats, Observer, Workspace};
+use shackle_exec::{Access, ExecStats, Observer};
 use shackle_ir::Program;
 use shackle_memsim::AccessSink;
 use std::collections::BTreeMap;
+
+/// What [`AddressMap::for_program`], [`trace_layout`] and
+/// [`trace_execution`] panic on, as a `Result`: callers that must
+/// refuse instead (the daemon) ask this first.
+pub use shackle_exec::{array_extents, ExtentError};
 
 /// Element size in bytes (`f64`).
 pub const ELEM_BYTES: u64 = 8;
@@ -49,26 +54,19 @@ impl AddressMap {
     ///
     /// # Panics
     ///
-    /// Panics if a parameter is missing or `align` is zero.
+    /// Panics if `align` is zero, or with the
+    /// [`shackle_exec::ExtentError`] message if a parameter is missing
+    /// or an extent is non-positive.
     pub fn for_program(program: &Program, params: &BTreeMap<String, i64>, align: u64) -> Self {
         assert!(align > 0, "alignment must be positive");
+        let extents = array_extents(program, params).unwrap_or_else(|e| panic!("{e}"));
         let mut names = Vec::new();
         let mut bases = Vec::new();
         let mut at = 0u64;
-        for decl in program.arrays() {
+        for (decl, dims) in program.arrays().iter().zip(extents) {
             names.push(decl.name().to_string());
             bases.push(at);
-            let elems: u64 = decl
-                .dims()
-                .iter()
-                .map(|e| {
-                    e.eval(&|p| {
-                        *params
-                            .get(p)
-                            .unwrap_or_else(|| panic!("missing parameter {p}"))
-                    }) as u64
-                })
-                .product();
+            let elems: u64 = dims.iter().map(|&d| d as u64).product();
             at += elems * ELEM_BYTES;
             at = at.div_ceil(align) * align;
         }
@@ -155,13 +153,19 @@ pub fn block_major_address(n: usize, b: usize, i: usize, j: usize) -> u64 {
     ((block * b * b + jj * b + ii) as u64) * ELEM_BYTES
 }
 
-/// The one interpreter [`Observer`]: translates each access through a
-/// [`Layout`] and hands the address to an [`AccessSink`].
+/// Addresses [`Traced`] stages before handing them to its sink.
+const BATCH: usize = 4096;
+
+/// The one [`Observer`] of this module: translates each access through
+/// a [`Layout`] and hands the address to an [`AccessSink`]. It owns the
+/// only batch between an engine and a cache: addresses are staged
+/// 4096 at a time and delivered through
+/// [`AccessSink::push_many`] — when the batch fills, and when the
+/// observer is dropped. The sink is mutably borrowed until then, so
+/// nothing can read it short of the last addresses.
 pub struct Traced<'a, L: Layout, S: AccessSink + ?Sized> {
     layout: L,
     sink: &'a mut S,
-    /// Reusable scratch for batched deliveries — translated addresses
-    /// are staged here and handed to the sink in one call.
     addrs: Vec<u64>,
 }
 
@@ -171,41 +175,56 @@ impl<'a, L: Layout, S: AccessSink + ?Sized> Traced<'a, L, S> {
         Self {
             layout,
             sink,
-            addrs: Vec::new(),
+            addrs: Vec::with_capacity(BATCH),
         }
+    }
+
+    fn flush(&mut self) {
+        self.sink.push_many(&self.addrs);
+        self.addrs.clear();
     }
 }
 
 impl<L: Layout, S: AccessSink + ?Sized> Observer for Traced<'_, L, S> {
+    // the value-free tracer is instantiated over this type: `record` is
+    // its innermost loop body
+    #[inline]
     fn record(&mut self, a: Access<'_>) {
-        self.sink.push(self.layout.address(&a));
-    }
-
-    fn record_many(&mut self, accesses: &[Access<'_>]) {
-        self.addrs.clear();
-        self.addrs
-            .extend(accesses.iter().map(|a| self.layout.address(a)));
-        self.sink.push_many(&self.addrs);
+        self.addrs.push(self.layout.address(&a));
+        if self.addrs.len() == BATCH {
+            self.flush();
+        }
     }
 }
 
-/// Run `program` through the compiled engine against a fresh workspace,
-/// every access translated by `layout` and delivered to `sink`;
-/// returns the execution stats.
+impl<L: Layout, S: AccessSink + ?Sized> Drop for Traced<'_, L, S> {
+    fn drop(&mut self) {
+        // not while unwinding: nobody reads the sink of a run that
+        // panicked, and a sink that panics too would abort the process
+        if !std::thread::panicking() {
+            self.flush();
+        }
+    }
+}
+
+/// Walk the access stream of `program` under `params`
+/// ([`shackle_exec::trace_compiled`]: no array is allocated and no
+/// value computed — the stream of an affine program does not depend on
+/// its data), every access translated by `layout` and delivered to
+/// `sink`; returns the execution stats.
 ///
-/// Accesses stream through the batched observer path
-/// ([`Observer::record_many`] → [`AccessSink::push_many`]), which is
-/// behaviorally identical to per-element delivery.
+/// `init` is not read: it seeded the arrays of the engine that ran here
+/// before the stream was walked value-free, and stays in the signature
+/// for the callers that pass it.
 pub fn trace_layout<S: AccessSink + ?Sized>(
     program: &Program,
     params: &BTreeMap<String, i64>,
-    init: impl Fn(&str, &[usize]) -> f64,
+    _init: impl Fn(&str, &[usize]) -> f64,
     layout: impl Layout,
     sink: &mut S,
 ) -> ExecStats {
-    let mut ws = Workspace::for_program(program, params, init);
     let mut obs = Traced::new(layout, sink);
-    shackle_exec::execute_compiled(program, &mut ws, params, &mut obs)
+    shackle_exec::trace_compiled(program, params, &mut obs)
 }
 
 /// [`trace_layout`] with the standard dense [`AddressMap`] (128-byte
@@ -224,6 +243,7 @@ pub fn trace_execution<S: AccessSink + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shackle_exec::Workspace;
     use shackle_ir::kernels;
     use shackle_memsim::Hierarchy;
 
@@ -315,40 +335,73 @@ mod tests {
         assert!(h.level_stats()[0].misses > 0);
     }
 
+    /// A sink that keeps what it is given, and how it was given.
+    #[derive(Default)]
+    struct Kept {
+        addrs: Vec<u64>,
+        batches: Vec<usize>,
+    }
+    impl AccessSink for Kept {
+        fn push(&mut self, addr: u64) {
+            self.push_many(&[addr]);
+        }
+        fn push_many(&mut self, addrs: &[u64]) {
+            self.addrs.extend_from_slice(addrs);
+            self.batches.push(addrs.len());
+        }
+    }
+
     #[test]
-    fn batched_delivery_matches_per_element_delivery() {
-        // feed the same trace once through Observer::record and once
-        // through record_many/push_many: the hierarchy must end up
-        // with identical cycles and per-level stats
+    fn a_run_that_does_not_fill_its_last_batch_arrives_complete_and_in_order() {
+        // 4 accesses × 11³ = 5324: one full batch and a partial one that
+        // only the drop flush delivers
+        let p = kernels::matmul_ijk();
+        let params = params(11);
+        let map = AddressMap::for_program(&p, &params, 128);
+
+        // what the tree interpreter reports, access by access
+        struct Addresses(AddressMap, Vec<u64>);
+        impl Observer for Addresses {
+            fn record(&mut self, a: Access<'_>) {
+                self.1.push(self.0.address(&a));
+            }
+        }
+        let mut tree = Addresses(map.clone(), Vec::new());
+        let mut ws = Workspace::for_program(&p, &params, |_, _| 1.0);
+        let stats = shackle_exec::execute(&p, &mut ws, &params, &mut tree);
+        assert_ne!(tree.1.len() % BATCH, 0, "the case needs a partial batch");
+
+        let mut kept = Kept::default();
+        let traced = trace_layout(&p, &params, |_, _| 1.0, map, &mut kept);
+        assert_eq!(traced, stats);
+        assert_eq!(kept.batches, [BATCH, tree.1.len() - BATCH]);
+        assert_eq!(kept.addrs, tree.1);
+    }
+
+    #[test]
+    fn traced_delivers_per_access_observers_too() {
+        // the tree interpreter records one access at a time through the
+        // same `Traced`: the hierarchy ends up where the value-free
+        // walk puts it
         let p = kernels::matmul_ijk();
         let params = params(10);
         let map = AddressMap::for_program(&p, &params, 128);
 
-        let mut h_scalar = Hierarchy::sp2_thin_node();
+        let mut h_tree = Hierarchy::sp2_thin_node();
         let mut ws = Workspace::for_program(&p, &params, |_, _| 1.0);
-        {
-            let mut obs = Traced::new(map.clone(), &mut h_scalar);
-            struct PerElement<'a, O: Observer>(&'a mut O);
-            impl<O: Observer> Observer for PerElement<'_, O> {
-                fn record(&mut self, a: Access<'_>) {
-                    self.0.record(a);
-                }
-                // no record_many override: every access goes through
-                // the per-element path
-            }
-            shackle_exec::execute_compiled(&p, &mut ws, &params, &mut PerElement(&mut obs));
-        }
+        shackle_exec::execute(
+            &p,
+            &mut ws,
+            &params,
+            &mut Traced::new(map.clone(), &mut h_tree),
+        );
 
-        let mut h_batch = Hierarchy::sp2_thin_node();
-        trace_layout(&p, &params, |_, _| 1.0, map, &mut h_batch);
+        let mut h_walk = Hierarchy::sp2_thin_node();
+        trace_layout(&p, &params, |_, _| 1.0, map, &mut h_walk);
 
-        assert_eq!(h_scalar.cycles(), h_batch.cycles());
-        assert_eq!(h_scalar.accesses(), h_batch.accesses());
-        let (s1, s2) = (h_scalar.level_stats(), h_batch.level_stats());
-        for (a, b) in s1.iter().zip(&s2) {
-            assert_eq!(a.hits, b.hits);
-            assert_eq!(a.misses, b.misses);
-        }
+        assert_eq!(h_tree.cycles(), h_walk.cycles());
+        assert_eq!(h_tree.accesses(), h_walk.accesses());
+        assert_eq!(h_tree.level_stats(), h_walk.level_stats());
     }
 
     fn banded_params(n: i64, p: i64) -> BTreeMap<String, i64> {

@@ -1,16 +1,18 @@
 //! A single set-associative LRU cache level.
 //!
-//! The hot path is a generation-stamp LRU over flat fixed-size way
-//! arrays: each set owns `assoc` consecutive slots of a `tags` array
-//! and a parallel `stamps` array; a probe scans the ways for the tag
-//! (associativities are small, so this is a handful of comparisons over
-//! one or two cache lines of simulator memory), a hit re-stamps the
-//! way with a monotone access counter, and a miss refills the way with
-//! the minimum stamp — which is exactly the least-recently-used way
-//! (stamp `0` marks an empty way, so cold fills take empty ways first).
-//! Set selection is a mask for power-of-two set counts and a modulo
-//! otherwise. This replaces the original `Vec::remove`/`Vec::insert`
-//! recency lists, which memmoved the set on every touch.
+//! Each set owns `assoc` consecutive slots of one flat `tags` array and
+//! keeps them in **recency order**, most recently used first. The
+//! common access — the line touched last in its set is touched again —
+//! is one compare against way 0 and changes nothing. A hit further down,
+//! or a miss, makes the line way 0 and moves the ways before it (on a
+//! miss: all but the last, which is the least recently used and drops
+//! out) down one place; associativities are small, so that is a short
+//! `memmove` inside one or two cache lines of simulator memory. The
+//! order *is* the LRU state: there is no stamp or counter beside it.
+//! Empty ways hold a sentinel and, because fills enter at the front,
+//! always form the tail of their set, so cold fills use them first. Set
+//! selection is a mask for power-of-two set counts and a modulo
+//! otherwise.
 
 use std::fmt;
 
@@ -168,6 +170,9 @@ impl LevelStats {
     }
 }
 
+/// The tag of a way that holds no line.
+const EMPTY: u64 = u64::MAX;
+
 /// A set-associative cache with true-LRU replacement.
 ///
 /// # Examples
@@ -191,12 +196,12 @@ pub struct Cache {
     set_mask: u64,
     /// Whether set selection can use the mask.
     pow2_sets: bool,
-    /// Way tags, `assoc` consecutive slots per set.
+    /// Way tags (line indices), `assoc` consecutive slots per set, each
+    /// set most recently used first; [`EMPTY`] marks an unfilled way.
     tags: Box<[u64]>,
-    /// Parallel per-way recency stamps; `0` = empty way.
-    stamps: Box<[u64]>,
-    /// Monotone access counter (next stamp to hand out).
-    tick: u64,
+    /// Whether the one line whose index equals [`EMPTY`] was filled
+    /// since the last [`Cache::clear`] (see [`Cache::access`]).
+    last_line_filled: bool,
     stats: LevelStats,
 }
 
@@ -214,9 +219,8 @@ impl Cache {
             sets,
             set_mask: sets as u64 - 1,
             pow2_sets: sets.is_power_of_two(),
-            tags: vec![0; slots].into_boxed_slice(),
-            stamps: vec![0; slots].into_boxed_slice(),
-            tick: 1,
+            tags: vec![EMPTY; slots].into_boxed_slice(),
+            last_line_filled: false,
             stats: LevelStats::default(),
         })
     }
@@ -246,8 +250,8 @@ impl Cache {
 
     /// Reset counters and contents.
     pub fn clear(&mut self) {
-        self.stamps.fill(0);
-        self.tick = 1;
+        self.tags.fill(EMPTY);
+        self.last_line_filled = false;
         self.stats = LevelStats::default();
     }
 
@@ -265,31 +269,42 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = self.set_of(line);
-        let base = set * self.config.assoc;
+        let base = self.set_of(line) * self.config.assoc;
         let ways = &mut self.tags[base..base + self.config.assoc];
-        let stamps = &mut self.stamps[base..base + self.config.assoc];
-        let stamp = self.tick;
-        self.tick += 1;
-        // LRU victim doubles as the hit scan's fallback: empty ways
-        // carry stamp 0 and are therefore chosen before any filled way.
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        for (i, (&tag, st)) in ways.iter().zip(stamps.iter_mut()).enumerate() {
-            if *st != 0 && tag == line {
-                *st = stamp;
-                self.stats.hits += 1;
-                return true;
+        let mut hit = ways[0] == line;
+        if !hit || line == EMPTY {
+            // Not (knowably) the most recent way: make it so, moving
+            // the ways before it down one. On a miss that is all of
+            // them but the last — the least recently used, or an empty
+            // one — which drops out.
+            let mut moving = line;
+            for way in ways {
+                moving = std::mem::replace(way, moving);
+                if moving == line {
+                    hit = true;
+                    break;
+                }
             }
-            if *st < victim_stamp {
-                victim_stamp = *st;
-                victim = i;
+            if line == EMPTY {
+                // One line index cannot be told from an empty way by
+                // its tag: this one, which exists only with one-byte
+                // lines (any wider line shifts a zero into the top
+                // bit). Finding it in an empty way moved that way to
+                // the front, which is the fill a miss does; only the
+                // verdict needs to know. It is a miss precisely when
+                // the line was never filled before: once it was, it
+                // can only leave a full set, and a full set has no
+                // empty way to mistake for it.
+                hit &= self.last_line_filled;
+                self.last_line_filled = true;
             }
         }
-        ways[victim] = line;
-        stamps[victim] = stamp;
-        self.stats.misses += 1;
-        false
+        if hit {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        hit
     }
 }
 

@@ -106,6 +106,7 @@ impl Hierarchy {
     /// Touch the byte at `addr`, updating per-level stats and the cycle
     /// count. Returns the index of the level that hit (`levels.len()`
     /// means main memory).
+    #[inline]
     pub fn access(&mut self, addr: u64) -> usize {
         self.accesses += 1;
         if let Some(tlb) = &mut self.tlb {

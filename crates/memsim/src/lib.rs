@@ -11,8 +11,9 @@
 //!
 //! There is one engine: the **direct** simulator ([`Cache`],
 //! [`Hierarchy`]) runs an address stream through one concrete geometry
-//! — generation-stamp LRU over flat way arrays. A multi-configuration
-//! sweep is one execution fanned out into several standalone caches.
+//! — true LRU, each set's ways kept in recency order in one flat array.
+//! A multi-configuration sweep is one execution fanned out into several
+//! standalone caches.
 //!
 //! Every consumer of an address stream — a cache, the TLB, whole
 //! hierarchies — implements the unified [`AccessSink`] trait, so trace

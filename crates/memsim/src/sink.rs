@@ -48,9 +48,10 @@ impl AccessSink for Tlb {
 
 impl AccessSink for Hierarchy {
     fn push(&mut self, addr: u64) {
-        self.access(addr);
+        self.push_many(&[addr]);
     }
 
+    /// The one place `memsim.accesses` is counted.
     fn push_many(&mut self, addrs: &[u64]) {
         if probe::enabled() {
             HIERARCHY_ACCESSES.add(addrs.len() as u64);

@@ -2,7 +2,7 @@
 //! and agreement with a naive reference model.
 
 use proptest::prelude::*;
-use shackle_memsim::{Cache, CacheConfig, Hierarchy};
+use shackle_memsim::{Cache, CacheConfig, Hierarchy, Tlb, TlbConfig};
 
 /// A naive LRU model: per set, a vector of tags in recency order.
 struct RefModel {
@@ -46,14 +46,47 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The production cache agrees with the naive model access by
-    /// access.
+    /// access — at every associativity, with a power-of-two set count
+    /// (the mask path), a set count of three (the modulo path) and one
+    /// fully-associative set (the shape `Tlb` instantiates) — and again
+    /// after `clear()`, which must leave nothing of the first trace
+    /// behind.
     #[test]
-    fn matches_reference_model(addrs in trace()) {
-        let cfg = CacheConfig { size: 512, line: 32, assoc: 2, latency: 1 };
+    fn matches_reference_model(
+        addrs in trace(),
+        again in trace(),
+        assoc_log2 in 0u32..4,
+        shape in 0usize..3,
+    ) {
+        let assoc = 1usize << assoc_log2;
+        let sets = [4, 3, 1][shape];
+        let cfg = CacheConfig { size: 32 * assoc * sets, line: 32, assoc, latency: 1 };
+        prop_assert_eq!(cfg.sets(), sets);
         let mut cache = Cache::new(cfg);
         let mut reference = RefModel::new(cfg);
         for &a in &addrs {
-            prop_assert_eq!(cache.access(a), reference.access(a));
+            prop_assert_eq!(cache.access(a), reference.access(a), "{:?} at {}", cfg, a);
+        }
+        cache.clear();
+        prop_assert_eq!(cache.stats().accesses(), 0);
+        let mut reference = RefModel::new(cfg);
+        for &a in &again {
+            prop_assert_eq!(cache.access(a), reference.access(a), "{:?} reused at {}", cfg, a);
+        }
+    }
+
+    /// A TLB is the one-set reference model over pages.
+    #[test]
+    fn tlb_matches_reference_model(addrs in trace(), entries in 1usize..20) {
+        let mut tlb = Tlb::new(TlbConfig { page: 64, entries, miss_penalty: 30 });
+        let mut reference = RefModel::new(CacheConfig {
+            size: 64 * entries,
+            line: 64,
+            assoc: entries,
+            latency: 0,
+        });
+        for &a in &addrs {
+            prop_assert_eq!(tlb.access(a), reference.access(a), "{} entries at {}", entries, a);
         }
     }
 
@@ -113,5 +146,38 @@ proptest! {
         for &a in &lines {
             prop_assert!(c.access(a), "resident line {a} missed");
         }
+    }
+}
+
+/// The largest line index there is — byte lines, the last address — is
+/// a line like any other: cold once, then resident until evicted, in a
+/// set that holds it next to other lines and in one it has to itself.
+#[test]
+fn the_last_byte_line_is_an_ordinary_line() {
+    for assoc in [1, 2, 4] {
+        let cfg = CacheConfig {
+            size: assoc,
+            line: 1,
+            assoc,
+            latency: 0,
+        };
+        let mut cache = Cache::new(cfg);
+        let mut reference = RefModel::new(cfg);
+        let others = (0..assoc as u64 + 1).map(|i| i * 3);
+        let mut trace = vec![u64::MAX, u64::MAX, 5, u64::MAX];
+        trace.extend(others.clone()); // evicts it
+        trace.extend([u64::MAX, u64::MAX]);
+        trace.extend(others); // and again, from the front of the set
+        trace.push(u64::MAX);
+        for (i, &a) in trace.iter().enumerate() {
+            assert_eq!(
+                cache.access(a),
+                reference.access(a),
+                "{assoc}-way, step {i}"
+            );
+        }
+        cache.clear();
+        assert!(!cache.access(u64::MAX), "{assoc}-way: cold after clear");
+        assert!(cache.access(u64::MAX));
     }
 }

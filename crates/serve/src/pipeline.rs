@@ -80,6 +80,12 @@ pub const PROBE_CACHE: CacheConfig = CacheConfig {
 /// `autotune_sweep`) keep the top 8.
 pub const TOP_K: usize = 2;
 
+/// The binding every search scores under: the probe size for `N`, and
+/// nothing else.
+pub(crate) fn probe_params(probe_n: i64) -> BTreeMap<String, i64> {
+    BTreeMap::from([("N".to_string(), probe_n)])
+}
+
 /// Run the full auto-shackle search — enumerate, grow, score, select.
 /// `probe_n` is the problem size scored on the probe cache; `init`
 /// seeds the workspace (use an SPD initializer for factorizations).
@@ -177,7 +183,7 @@ pub(crate) fn search<E>(
     //    outcome is deterministic. A survivor's generated code stays in
     //    its slot: the winner's is printed from there, not generated a
     //    second time.
-    let params = BTreeMap::from([("N".to_string(), probe_n)]);
+    let params = probe_params(probe_n);
     let geom = KernelGeometry::new(program, &params);
     let scored: Vec<(&Vec<Shackle>, OnceLock<Program>)> =
         products.iter().map(|p| (p, OnceLock::new())).collect();

@@ -6,16 +6,16 @@
 //! is a pure function of the request plus the shared polyhedral cache,
 //! so coalesced duplicates can share one computation safely.
 
-use crate::pipeline::{search, PROBE_CACHE};
+use crate::pipeline::{probe_params, search, PROBE_CACHE};
 use crate::proto::{ErrorClass, Response};
 use shackle_core::search::SearchConfig;
 use shackle_core::{Legality, Shackle};
 use shackle_ir::parse::{parse, to_source};
 use shackle_ir::Program;
 use shackle_kernels::gen::spd_ws_init;
+use shackle_kernels::trace::{array_extents, ExtentError};
 use shackle_model::{predict, KernelGeometry};
 use shackle_polyhedra::Budget;
-use std::collections::BTreeMap;
 
 /// Bounds on request parameters: a daemon must not let one request ask
 /// for an effectively unbounded simulation.
@@ -145,6 +145,25 @@ fn check_probe_n(probe_n: i64) -> Result<(), ServeError> {
     }
 }
 
+/// Refuse a kernel whose arrays cannot be laid out at `probe_n` — the
+/// simulation behind a score would unwind on it. A parameter the daemon
+/// does not bind is the kernel's fault whatever the request says
+/// ([`ErrorClass::Parse`]); an extent that is not positive is this
+/// request's, at this probe size ([`ErrorClass::Internal`]).
+fn check_extents(program: &Program, probe_n: i64) -> Result<(), ServeError> {
+    match array_extents(program, &probe_params(probe_n)) {
+        Ok(_) => Ok(()),
+        Err(e @ ExtentError::MissingParameter { .. }) => Err(ServeError::new(
+            ErrorClass::Parse,
+            format!("{e}: the daemon binds N, and only N"),
+        )),
+        Err(e @ ExtentError::NonPositive { .. }) => Err(ServeError::new(
+            ErrorClass::Internal,
+            format!("{e} at probe_n {probe_n}"),
+        )),
+    }
+}
+
 /// Validate and parse an optimize request's pieces (everything up to
 /// the expensive search). The server calls this *before* coalescing so
 /// that invalid requests answer immediately and the in-flight key can
@@ -163,6 +182,7 @@ pub fn prepare_optimize(
         ));
     }
     let program = parse_kernel(source)?;
+    check_extents(&program, probe_n)?;
     let init = InitSpec::parse(init).map_err(|m| ServeError::new(ErrorClass::Internal, m))?;
     if let InitSpec::Spd { array, .. } = &init {
         if program.array(array).is_none() {
@@ -242,7 +262,8 @@ pub fn quote(source: &str, probe_n: i64) -> Result<Response, ServeError> {
     let _span = shackle_probe::span("quote");
     check_probe_n(probe_n)?;
     let program = parse_kernel(source)?;
-    let params = BTreeMap::from([("N".to_string(), probe_n)]);
+    check_extents(&program, probe_n)?;
+    let params = probe_params(probe_n);
     let geom = KernelGeometry::new(&program, &params);
     let predicted = predict(&geom, &[], &[PROBE_CACHE], 60).cycles;
     Ok(Response::Quoted {

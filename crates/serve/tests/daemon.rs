@@ -326,6 +326,91 @@ fn semantically_invalid_kernels_are_parse_refusals() {
     accept.join().unwrap();
 }
 
+/// Send `requests` down one in-memory connection and decode what comes
+/// back. The call returning at all is the worker surviving: a panic in
+/// a handler unwinds through `serve_connection`.
+fn serve_in_memory(server: &Server, requests: &[Request]) -> Vec<Response> {
+    let mut frames = Vec::new();
+    for r in requests {
+        send_request(&mut frames, r).unwrap();
+    }
+    let mut answers = Vec::new();
+    server
+        .serve_connection(&mut frames.as_slice(), &mut answers)
+        .unwrap();
+    let mut answers = answers.as_slice();
+    requests
+        .iter()
+        .map(|_| read_response(&mut answers).unwrap())
+        .collect()
+}
+
+/// The refusal `source` must draw from both request kinds, each
+/// followed on the same connection by a request that is served.
+fn assert_refused(source: &str, probe_n: i64, class: ErrorClass, names: &str) {
+    let _g = lock();
+    let server = Server::new().with_store(None);
+    let good = to_source(&kernels::matmul_ijk());
+    let answers = serve_in_memory(
+        &server,
+        &[
+            Request::Optimize {
+                probe_n,
+                width: 4,
+                init: "ones".into(),
+                source: source.to_string(),
+            },
+            Request::Quote {
+                probe_n,
+                source: source.to_string(),
+            },
+            Request::Quote {
+                probe_n,
+                source: good,
+            },
+        ],
+    );
+    for (kind, answer) in ["optimize", "quote"].iter().zip(&answers) {
+        match answer {
+            Response::Error { class: c, message } => {
+                assert_eq!(*c, class, "{kind}: {message}");
+                assert!(message.contains(names), "{kind}: {message}");
+            }
+            r => panic!("{kind}: unexpected response {r:?}"),
+        }
+    }
+    match &answers[2] {
+        Response::Quoted { predicted_cycles } => assert!(*predicted_cycles > 0),
+        r => panic!("unexpected response {r:?}"),
+    }
+}
+
+/// The daemon binds `N` and nothing else: a kernel sized by another
+/// parameter is refused by name, not unwound on.
+#[test]
+fn a_parameter_the_daemon_does_not_bind_is_a_parse_refusal() {
+    assert_refused(
+        "program other\nparam M\narray C(M, M)\n\n\
+         do I = 1 .. M\n  do J = 1 .. M\n    S1: C[I, J] = C[I, J] + 1\n",
+        16,
+        ErrorClass::Parse,
+        "parameter M",
+    );
+}
+
+/// An extent that is not positive at the requested probe size is
+/// refused naming the array and the value.
+#[test]
+fn a_non_positive_extent_at_the_probe_size_is_an_internal_refusal() {
+    assert_refused(
+        "program short\nparam N\narray A(N - 20)\n\n\
+         do I = 1 .. N - 20\n  S1: A[I] = A[I] + 1\n",
+        16,
+        ErrorClass::Internal,
+        "extent of A must be positive, got -4",
+    );
+}
+
 /// Concurrent identical requests coalesce onto one search: all callers
 /// get equal responses and `serve.coalesced` counts the followers.
 #[test]
