@@ -18,11 +18,12 @@ impl DenseArray {
     ///
     /// # Panics
     ///
-    /// Panics if `dims` is empty or an extent is zero.
+    /// Panics if `dims` is empty, an extent is zero, or the element
+    /// count overflows `usize`.
     pub fn zeros(dims: Vec<usize>) -> Self {
         assert!(!dims.is_empty(), "arrays need at least one dimension");
         assert!(dims.iter().all(|&d| d > 0), "extents must be positive");
-        let len = dims.iter().product();
+        let len = element_count(&dims).expect("element count overflows usize");
         Self {
             dims,
             data: vec![0.0; len],
@@ -137,6 +138,12 @@ pub enum ExtentError {
         /// The value the extent evaluated to.
         extent: i64,
     },
+    /// An extent, or the array's size in bytes, overflows `i64` (the
+    /// engines compute element offsets in `i64`).
+    Overflow {
+        /// The array that cannot be addressed.
+        array: String,
+    },
 }
 
 impl fmt::Display for ExtentError {
@@ -146,41 +153,53 @@ impl fmt::Display for ExtentError {
             ExtentError::NonPositive { array, extent } => {
                 write!(f, "extent of {array} must be positive, got {extent}")
             }
+            ExtentError::Overflow { array } => write!(f, "size of {array} overflows i64"),
         }
     }
 }
 
 impl std::error::Error for ExtentError {}
 
+/// The number of elements of an array with extents `dims`, `None` if
+/// it overflows `usize`.
+pub(crate) fn element_count(dims: &[usize]) -> Option<usize> {
+    dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d))
+}
+
 /// The extents of every array `program` declares, in declaration
 /// order, evaluated under `params` — the one place a declaration
-/// becomes a size. Every parameter an extent names must be bound, and
-/// every extent must be positive.
+/// becomes a size. Every parameter an extent names must be bound, every
+/// extent must be positive, and every array's size in bytes (an `f64`
+/// per element) must fit in `i64`.
 pub fn array_extents(
     program: &Program,
     params: &BTreeMap<String, i64>,
 ) -> Result<Vec<Vec<usize>>, ExtentError> {
-    let extent = |decl: &shackle_ir::ArrayDecl, e: &shackle_polyhedra::LinExpr| {
-        if let Some(p) = e.vars().find(|v| !params.contains_key(*v)) {
-            return Err(ExtentError::MissingParameter {
-                param: p.to_string(),
-            });
+    let array = |decl: &shackle_ir::ArrayDecl| {
+        let overflow = || ExtentError::Overflow {
+            array: decl.name().to_string(),
+        };
+        let mut bytes = std::mem::size_of::<f64>() as i64;
+        let mut dims = Vec::with_capacity(decl.dims().len());
+        for e in decl.dims() {
+            if let Some(p) = e.vars().find(|v| !params.contains_key(*v)) {
+                return Err(ExtentError::MissingParameter {
+                    param: p.to_string(),
+                });
+            }
+            let extent = e.try_eval(&|p| params[p]).map_err(|_| overflow())?;
+            if extent <= 0 {
+                return Err(ExtentError::NonPositive {
+                    array: decl.name().to_string(),
+                    extent,
+                });
+            }
+            bytes = bytes.checked_mul(extent).ok_or_else(overflow)?;
+            dims.push(extent as usize);
         }
-        let extent = e.eval(&|p| params[p]);
-        if extent > 0 {
-            Ok(extent as usize)
-        } else {
-            Err(ExtentError::NonPositive {
-                array: decl.name().to_string(),
-                extent,
-            })
-        }
+        Ok(dims)
     };
-    program
-        .arrays()
-        .iter()
-        .map(|decl| decl.dims().iter().map(|e| extent(decl, e)).collect())
-        .collect()
+    program.arrays().iter().map(array).collect()
 }
 
 /// A named collection of arrays: the memory a program executes against.
@@ -201,7 +220,7 @@ impl Workspace {
     /// # Panics
     ///
     /// Panics with the [`ExtentError`] message if a parameter is
-    /// missing or an extent is non-positive.
+    /// missing, an extent is non-positive or an array overflows.
     pub fn for_program(
         program: &Program,
         params: &BTreeMap<String, i64>,
@@ -329,6 +348,23 @@ mod tests {
             }
         );
         assert_eq!(flat.to_string(), "extent of C must be positive, got 0");
+    }
+
+    #[test]
+    fn an_extent_or_a_size_past_i64_is_an_overflow() {
+        let p = shackle_ir::parse::parse(
+            "program big\nparam N\narray A(4611686018427387904*N)\n\n\
+             do I = 1 .. N\n  S1: A[I] = A[I] + 1\n",
+        )
+        .unwrap();
+        let bound = |n: i64| BTreeMap::from([("N".to_string(), n)]);
+        let overflow = ExtentError::Overflow { array: "A".into() };
+        // the extent itself leaves i64 at N = 16 ...
+        assert_eq!(array_extents(&p, &bound(16)), Err(overflow.clone()));
+        // ... and at N = 1 the extent fits but its 8-byte elements do not
+        assert_eq!(array_extents(&p, &bound(1)), Err(overflow.clone()));
+        assert_eq!(overflow.to_string(), "size of A overflows i64");
+        assert_eq!(element_count(&[usize::MAX, 2]), None);
     }
 
     #[test]

@@ -589,14 +589,16 @@ fn link_ref(r: &CRef, dims: &[usize]) -> LinkedRef {
             }
         }
         checked.push((sub.clone(), extent as i64));
-        stride *= extent as i64;
+        stride = stride
+            .checked_mul(extent as i64)
+            .expect("array size overflows i64");
     }
     offset.terms.sort_unstable_by_key(|&(s, _)| s);
     offset.terms.retain(|&(_, c)| c != 0);
     LinkedRef {
         array: r.array,
         offset,
-        len: dims.iter().product(),
+        len: crate::array::element_count(dims).expect("element count overflows usize"),
         dims: checked,
     }
 }

@@ -55,8 +55,8 @@ impl AddressMap {
     /// # Panics
     ///
     /// Panics if `align` is zero, or with the
-    /// [`shackle_exec::ExtentError`] message if a parameter is missing
-    /// or an extent is non-positive.
+    /// [`shackle_exec::ExtentError`] message if a parameter is missing,
+    /// an extent is non-positive or an array overflows.
     pub fn for_program(program: &Program, params: &BTreeMap<String, i64>, align: u64) -> Self {
         assert!(align > 0, "alignment must be positive");
         let extents = array_extents(program, params).unwrap_or_else(|e| panic!("{e}"));
@@ -66,9 +66,14 @@ impl AddressMap {
         for (decl, dims) in program.arrays().iter().zip(extents) {
             names.push(decl.name().to_string());
             bases.push(at);
-            let elems: u64 = dims.iter().map(|&d| d as u64).product();
-            at += elems * ELEM_BYTES;
-            at = at.div_ceil(align) * align;
+            // `array_extents` bounds each array's bytes by `i64::MAX`;
+            // the running sum of several is checked here
+            at = dims
+                .iter()
+                .try_fold(ELEM_BYTES, |n, &d| n.checked_mul(d as u64))
+                .and_then(|bytes| at.checked_add(bytes))
+                .and_then(|end| end.checked_next_multiple_of(align))
+                .expect("array layout overflows u64");
         }
         Self { names, bases }
     }

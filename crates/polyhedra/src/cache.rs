@@ -30,6 +30,11 @@
 //!   produce, which keeps codegen deterministic whether the answer was
 //!   cached or not — and at any thread count.
 //!
+//! A key is built in a pooled scratch buffer and hashed once, a word at
+//! a time (`hash_words`); the hash is stored in the key's first eight
+//! bytes, where the shard index and the map's hasher both read it back.
+//! A hit allocates nothing; a miss stores the key at its exact length.
+//!
 //! Shard locks are never held while a query runs: recursive queries
 //! (projection exactness checks re-enter the feasibility test) would
 //! otherwise deadlock. Two threads may race to compute the same entry;
@@ -42,7 +47,9 @@
 //! file (atomic temp + rename, like the native build cache) and
 //! [`load_from`] rebuilds them byte-for-byte — a reloaded projection
 //! is indistinguishable from a fresh computation, so codegen stays
-//! deterministic across restarts. `Unknown` outcomes are deliberately
+//! deterministic across restarts. The file ends in a checksum and is
+//! loaded all or nothing: one that fails its version, its checksum or
+//! its parse inserts no entry. `Unknown` outcomes are deliberately
 //! *not* persisted: they record resource exhaustion at compute time,
 //! not a property of the system. [`store_path`] resolves the on-disk
 //! location from `$SHACKLE_POLY_CACHE` (a file path, kept beside the
@@ -56,7 +63,7 @@
 //! counted in [`PolyStats::evictions`].
 
 use crate::error::{Budget, PolyError};
-use crate::system::Row;
+use crate::scratch::{self, Pooled};
 use crate::{fm, omega, Rel, System};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
@@ -75,30 +82,79 @@ const SHARDS: usize = 16;
 /// bounded.
 const DEFAULT_CAPACITY: usize = 1 << 16;
 
-/// FNV-1a as a `HashMap` hasher: keys are already high-entropy
-/// serialized systems, so SipHash's DoS resistance buys nothing here
-/// and its per-byte cost is pure overhead on kilobyte-sized keys.
+/// Bytes of a key taken by its hash (see [`seal`]).
+const HASH_LEN: usize = 8;
+
+/// The `HashMap` hasher for keys that carry their own hash: it reads the
+/// first [`HASH_LEN`] bytes back instead of hashing the key again.
 #[derive(Clone, Default)]
-struct FnvBuild;
+struct PrefixBuild;
 
-struct FnvHasher(u64);
+struct PrefixHasher(u64);
 
-impl BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
+impl BuildHasher for PrefixBuild {
+    type Hasher = PrefixHasher;
+    fn build_hasher(&self) -> PrefixHasher {
+        PrefixHasher(0)
     }
 }
 
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+impl Hasher for PrefixHasher {
+    // `[u8]` hashes as its length (`write_usize`, ignored) and then its
+    // bytes in one `write`.
+    fn write_usize(&mut self, _len: usize) {}
+    fn write(&mut self, key: &[u8]) {
+        self.0 = key_hash(key);
     }
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// The hash a sealed key carries.
+fn key_hash(key: &[u8]) -> u64 {
+    key.first_chunk::<HASH_LEN>()
+        .map_or(0, |h| u64::from_le_bytes(*h))
+}
+
+/// One pass over `bytes`, eight at a time, then a full avalanche
+/// (MurmurHash3's finaliser): the key hash, and the store's checksum.
+/// Every step is a bijection of the running state for a fixed input
+/// word, so inputs of one length that differ in one word always hash
+/// apart.
+fn hash_words(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut h = (bytes.len() as u64).wrapping_mul(K);
+    let mut words = bytes.chunks_exact(8);
+    let mut mix = |w: u64| h = (h ^ w).wrapping_mul(K).rotate_left(29);
+    for w in &mut words {
+        mix(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut w = [0u8; 8];
+        w[..tail.len()].copy_from_slice(tail);
+        mix(u64::from_le_bytes(w));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// A key under construction: [`HASH_LEN`] bytes reserved for the hash,
+/// the body appended after them.
+fn new_key() -> Pooled<u8> {
+    let mut key = scratch::byte_vec();
+    key.extend_from_slice(&[0; HASH_LEN]);
+    key
+}
+
+/// Hash a key's body once and store the hash in its first bytes.
+fn seal(key: &mut [u8]) {
+    let h = hash_words(&key[HASH_LEN..]);
+    key[..HASH_LEN].copy_from_slice(&h.to_le_bytes());
 }
 
 /// A cached value plus the logical time it was last touched (hit or
@@ -108,7 +164,8 @@ struct Stamped<V> {
     stamp: u64,
 }
 
-type Shard<V> = Mutex<HashMap<Vec<u8>, Stamped<V>, FnvBuild>>;
+type Map<V> = HashMap<Box<[u8]>, Stamped<V>, PrefixBuild>;
+type Shard<V> = Mutex<Map<V>>;
 
 static FEASIBILITY: LazyLock<Vec<Shard<bool>>> = LazyLock::new(new_shards);
 static PROJECTION: LazyLock<Vec<Shard<(System, bool)>>> = LazyLock::new(new_shards);
@@ -318,16 +375,11 @@ pub(crate) fn note_fm_pruned(n: u64) {
     FM_PRUNED.fetch_add(n, Ordering::Relaxed);
 }
 
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// The shard a sealed key lives in: middle bits of its hash, so the
+/// map inside the shard still sees the full spread of the low bits
+/// (bucket index) and the top bits (probe tags).
 fn shard_of(key: &[u8]) -> usize {
-    (fnv(key) as usize) & (SHARDS - 1)
+    (key_hash(key) >> 32) as usize & (SHARDS - 1)
 }
 
 fn lookup<V: Clone>(shards: &[Shard<V>], key: &[u8]) -> Option<V> {
@@ -338,16 +390,15 @@ fn lookup<V: Clone>(shards: &[Shard<V>], key: &[u8]) -> Option<V> {
     Some(entry.value.clone())
 }
 
-fn insert<V>(shards: &[Shard<V>], key: Vec<u8>, value: V) {
-    let idx = shard_of(&key);
-    let mut map = shards[idx].lock().expect("cache shard poisoned");
+fn insert<V>(shards: &[Shard<V>], key: &[u8], value: V) {
+    let mut map = shards[shard_of(key)].lock().expect("cache shard poisoned");
     let cap = shard_capacity();
-    if map.len() >= cap && !map.contains_key(&key) {
+    if map.len() >= cap && !map.contains_key(key) {
         let over = map.len() + 1 - cap;
         evict_oldest(&mut map, over + cap / 4);
     }
     map.insert(
-        key,
+        key.into(),
         Stamped {
             value,
             stamp: tick(),
@@ -358,7 +409,7 @@ fn insert<V>(shards: &[Shard<V>], key: Vec<u8>, value: V) {
 /// Drop the `n` least-recently-touched entries of one shard. O(shard)
 /// per eviction burst, amortized by evicting a quarter-capacity batch
 /// at a time rather than one entry per insert.
-fn evict_oldest<V>(map: &mut HashMap<Vec<u8>, Stamped<V>, FnvBuild>, n: usize) {
+fn evict_oldest<V>(map: &mut Map<V>, n: usize) {
     if n == 0 || map.is_empty() {
         return;
     }
@@ -401,48 +452,50 @@ fn push_i64(out: &mut Vec<u8>, v: i64) {
     }
 }
 
+fn rel_code(rel: Rel) -> u8 {
+    match rel {
+        Rel::Eq => 0,
+        Rel::Geq => 1,
+    }
+}
+
 /// Canonical, name-free key for feasibility: used columns sorted by
 /// variable name, rows permuted onto that order and sorted.
-fn feasibility_key(sys: &System) -> Vec<u8> {
+fn feasibility_key(sys: &System) -> Pooled<u8> {
     let vars = sys.vars();
-    let mut used: Vec<usize> = (0..vars.len())
-        .filter(|&i| sys.rows().iter().any(|r| r.coeffs[i] != 0))
-        .collect();
-    used.sort_by(|&a, &b| vars[a].cmp(&vars[b]));
+    let mut used = scratch::idx_vec();
+    used.extend(
+        (0..vars.len())
+            .filter(|&i| sys.column_used(i))
+            .map(|i| i as u32),
+    );
+    used.sort_unstable_by(|&a, &b| vars[a as usize].cmp(&vars[b as usize]));
 
-    let rows = sys.rows();
-    let rel_of = |i: usize| match rows[i].rel {
-        Rel::Eq => 0u8,
-        Rel::Geq => 1u8,
-    };
-    // Sort row *indices* with a comparator reading straight out of the
-    // dense rows — same order as sorting materialized
-    // `(rel, permuted coeffs, constant)` tuples, without the per-row
-    // allocations.
-    let mut idx: Vec<usize> = (0..rows.len()).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        rel_of(a)
-            .cmp(&rel_of(b))
-            .then_with(|| {
-                used.iter()
-                    .map(|&i| rows[a].coeffs[i])
-                    .cmp(used.iter().map(|&i| rows[b].coeffs[i]))
-            })
-            .then_with(|| rows[a].constant.cmp(&rows[b].constant))
-    });
+    // One flat scratch buffer of `(rel, permuted coefficients, constant)`
+    // records, sorted as slices — the order of sorting the tuples.
+    let width = used.len() + 2;
+    let mut flat = scratch::coeff_vec();
+    for r in sys.rows() {
+        flat.push(i64::from(rel_code(r.rel)));
+        flat.extend(used.iter().map(|&u| r.coeffs[u as usize]));
+        flat.push(r.constant);
+    }
+    let record = |i: u32| &flat[i as usize * width..(i as usize + 1) * width];
+    let mut order = scratch::idx_vec();
+    order.extend(0..sys.len() as u32);
+    order.sort_unstable_by(|&a, &b| record(a).cmp(record(b)));
 
-    let mut key = Vec::with_capacity(17 + rows.len() * (used.len() + 2) * 8);
+    let mut key = new_key();
     // Flag byte first: a contradiction-flagged system is empty whatever
     // its rows say, so it must never collide with a live system.
     key.push(sys.is_contradictory() as u8);
     push_i64(&mut key, used.len() as i64);
-    for i in idx {
-        key.push(rel_of(i));
-        push_i64(&mut key, rows[i].constant);
-        for &u in &used {
-            push_i64(&mut key, rows[i].coeffs[u]);
+    for &i in order.iter() {
+        for &v in record(i) {
+            push_i64(&mut key, v);
         }
     }
+    seal(&mut key);
     key
 }
 
@@ -458,25 +511,23 @@ fn push_system(key: &mut Vec<u8>, sys: &System) {
         push_i64(key, v.len() as i64);
         key.extend_from_slice(v.as_bytes());
     }
-    push_i64(key, sys.rows().len() as i64);
+    push_i64(key, sys.len() as i64);
     for r in sys.rows() {
-        key.push(match r.rel {
-            Rel::Eq => 0u8,
-            Rel::Geq => 1u8,
-        });
+        key.push(rel_code(r.rel));
         push_i64(key, r.constant);
-        for &c in &r.coeffs {
+        for &c in r.coeffs {
             push_i64(key, c);
         }
     }
 }
 
 /// Exact-input key for projection: the system's variables and rows in
-/// insertion order plus the sorted `keep` set. Two systems with equal
-/// keys are indistinguishable to `fm::project_onto`, so the cached
-/// result is byte-identical to a fresh computation.
-fn projection_key(sys: &System, keep: &[&str]) -> Vec<u8> {
-    let mut key = Vec::new();
+/// insertion order, the sorted `keep` set and the budget fingerprint.
+/// Two systems with equal keys are indistinguishable to
+/// `fm::project_onto`, so the cached result is byte-identical to a
+/// fresh computation.
+fn projection_key(sys: &System, keep: &[&str], budget: &Budget) -> Pooled<u8> {
+    let mut key = new_key();
     push_system(&mut key, sys);
     let mut keep: Vec<&str> = keep.to_vec();
     keep.sort_unstable();
@@ -486,6 +537,8 @@ fn projection_key(sys: &System, keep: &[&str]) -> Vec<u8> {
         push_i64(&mut key, k.len() as i64);
         key.extend_from_slice(k.as_bytes());
     }
+    key.extend_from_slice(&budget.fingerprint().to_le_bytes());
+    seal(&mut key);
     key
 }
 
@@ -493,10 +546,11 @@ fn projection_key(sys: &System, keep: &[&str]) -> Vec<u8> {
 /// order. As with projection, equal keys mean `simplify::gist` cannot
 /// distinguish the inputs, so the cached system is byte-identical to a
 /// fresh computation.
-fn gist_key(sys: &System, context: &System) -> Vec<u8> {
-    let mut key = Vec::new();
+fn gist_key(sys: &System, context: &System) -> Pooled<u8> {
+    let mut key = new_key();
     push_system(&mut key, sys);
     push_system(&mut key, context);
+    seal(&mut key);
     key
 }
 
@@ -504,7 +558,7 @@ fn gist_key(sys: &System, context: &System) -> Vec<u8> {
 /// on a hit, `Err(key)` on a miss (store the computed verdict with
 /// [`sub_store`]). Shares the feasibility cache and counters, so the
 /// reported hit rate covers subproblems too.
-pub(crate) fn sub_lookup(sys: &System) -> Result<bool, Vec<u8>> {
+pub(crate) fn sub_lookup(sys: &System) -> Result<bool, Pooled<u8>> {
     FEAS_QUERIES.fetch_add(1, Ordering::Relaxed);
     let key = feasibility_key(sys);
     match lookup(&FEASIBILITY, &key) {
@@ -517,8 +571,8 @@ pub(crate) fn sub_lookup(sys: &System) -> Result<bool, Vec<u8>> {
 }
 
 /// Store a subproblem verdict computed after a [`sub_lookup`] miss.
-pub(crate) fn sub_store(key: Vec<u8>, v: bool) {
-    insert(&FEASIBILITY, key, v);
+pub(crate) fn sub_store(key: Pooled<u8>, v: bool) {
+    insert(&FEASIBILITY, &key, v);
 }
 
 /// Tags separating query families inside the [`UNKNOWN`] map.
@@ -526,12 +580,13 @@ const UNKNOWN_FEAS: u8 = 0;
 const UNKNOWN_PROJ: u8 = 1;
 
 /// Key for an `Unknown` outcome: query tag, budget fingerprint, then
-/// the exact query key.
-fn unknown_key(tag: u8, budget: &Budget, query_key: &[u8]) -> Vec<u8> {
-    let mut key = Vec::with_capacity(9 + query_key.len());
+/// the exact query key's body.
+fn unknown_key(tag: u8, budget: &Budget, query_key: &[u8]) -> Pooled<u8> {
+    let mut key = new_key();
     key.push(tag);
     key.extend_from_slice(&budget.fingerprint().to_le_bytes());
-    key.extend_from_slice(query_key);
+    key.extend_from_slice(&query_key[HASH_LEN..]);
+    seal(&mut key);
     key
 }
 
@@ -553,7 +608,7 @@ pub(crate) fn try_feasible(sys: &System, budget: &Budget) -> Result<bool, PolyEr
     if sys.is_contradictory() {
         return Ok(false);
     }
-    if sys.rows().is_empty() {
+    if sys.is_empty() {
         return Ok(true);
     }
     FEAS_QUERIES.fetch_add(1, Ordering::Relaxed);
@@ -570,11 +625,11 @@ pub(crate) fn try_feasible(sys: &System, budget: &Budget) -> Result<bool, PolyEr
     let _phase = shackle_probe::span("omega");
     match omega::try_is_integer_feasible(sys, budget) {
         Ok(v) => {
-            insert(&FEASIBILITY, key, v);
+            insert(&FEASIBILITY, &key, v);
             Ok(v)
         }
         Err(e) => {
-            insert(&UNKNOWN, ukey, e);
+            insert(&UNKNOWN, &ukey, e);
             Err(note_unknown(e))
         }
     }
@@ -601,8 +656,7 @@ pub(crate) fn try_project(
     budget: &Budget,
 ) -> Result<(System, bool), PolyError> {
     PROJ_QUERIES.fetch_add(1, Ordering::Relaxed);
-    let mut key = projection_key(sys, keep);
-    key.extend_from_slice(&budget.fingerprint().to_le_bytes());
+    let key = projection_key(sys, keep, budget);
     if let Some(v) = lookup(&PROJECTION, &key) {
         PROJ_HITS.fetch_add(1, Ordering::Relaxed);
         return Ok(v);
@@ -615,11 +669,11 @@ pub(crate) fn try_project(
     let _phase = shackle_probe::span("fm");
     match fm::try_project_onto(sys, keep, budget) {
         Ok(v) => {
-            insert(&PROJECTION, key, v.clone());
+            insert(&PROJECTION, &key, v.clone());
             Ok(v)
         }
         Err(e) => {
-            insert(&UNKNOWN, ukey, e);
+            insert(&UNKNOWN, &ukey, e);
             Err(note_unknown(e))
         }
     }
@@ -638,7 +692,7 @@ pub(crate) fn gist(sys: &System, context: &System) -> System {
     }
     let _phase = shackle_probe::span("gist");
     let v = crate::simplify::gist(sys, context);
-    insert(&GIST, key, v.clone());
+    insert(&GIST, &key, v.clone());
     v
 }
 
@@ -648,14 +702,20 @@ pub(crate) fn gist(sys: &System, context: &System) -> System {
 
 /// File magic + format version. Bump the version byte on any layout
 /// change; [`load_from`] refuses mismatches instead of guessing.
+/// Version 2: keys in the canonical layout of [`feasibility_key`] and a
+/// trailing checksum.
 const STORE_MAGIC: &[u8; 4] = b"SHPL";
-const STORE_VERSION: u8 = 1;
+const STORE_VERSION: u8 = 2;
 
 /// Section tags inside the store file.
 const SEC_FEAS: u8 = 0;
 const SEC_PROJ: u8 = 1;
 const SEC_GIST: u8 = 2;
 const SEC_END: u8 = 0xff;
+
+/// Bytes of the trailing checksum: [`hash_words`] of everything before
+/// it.
+const CHECKSUM_LEN: usize = 8;
 
 /// Resolve the on-disk store location from `$SHACKLE_POLY_CACHE` (a
 /// file path). `None` when unset — persistence is strictly opt-in, so
@@ -685,6 +745,14 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
+    fn flag(&mut self, what: &str) -> io::Result<bool> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(invalid(what)),
+        }
+    }
+
     fn i64(&mut self) -> io::Result<i64> {
         // Inverse of `push_i64`: LEB128 then zig-zag.
         let mut z: u64 = 0;
@@ -703,10 +771,11 @@ impl<'a> Reader<'a> {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
+    /// A count of items each taking at least one more byte: it can never
+    /// exceed what remains, which caps allocations on corrupt input
+    /// before they happen.
     fn len(&mut self) -> io::Result<usize> {
         let v = self.i64()?;
-        // A length can never exceed what remains in the buffer; this
-        // caps allocations on corrupt input before they happen.
         let remaining = self.buf.len() - self.pos;
         if v < 0 || v as usize > remaining {
             return Err(invalid("length out of range"));
@@ -725,14 +794,21 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
+    /// A serialized key body, sealed again (its hash recomputed).
+    fn key(&mut self) -> io::Result<Box<[u8]>> {
+        let n = self.len()?;
+        let mut key = Vec::with_capacity(HASH_LEN + n);
+        key.extend_from_slice(&[0; HASH_LEN]);
+        key.extend_from_slice(self.bytes(n)?);
+        seal(&mut key);
+        Ok(key.into_boxed_slice())
+    }
+
     /// Inverse of [`push_system`], reconstructing the serialized system
-    /// byte-for-byte via `System::from_raw_parts`.
+    /// byte-for-byte via `System::from_raw_parts`, its rows read straight
+    /// into one coefficient buffer.
     fn system(&mut self) -> io::Result<System> {
-        let contradiction = match self.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(invalid("bad contradiction flag")),
-        };
+        let contradiction = self.flag("bad contradiction flag")?;
         let nvars = self.len()?;
         let mut vars = Vec::with_capacity(nvars);
         for _ in 0..nvars {
@@ -742,30 +818,31 @@ impl<'a> Reader<'a> {
             vars.push(name.to_string());
         }
         let nrows = self.len()?;
-        let mut rows = Vec::with_capacity(nrows);
+        // every coefficient takes at least one byte
+        let ncoeffs = nrows
+            .checked_mul(nvars)
+            .filter(|&n| n <= self.buf.len() - self.pos)
+            .ok_or_else(|| invalid("length out of range"))?;
+        let mut coeffs = Vec::with_capacity(ncoeffs);
+        let mut heads = Vec::with_capacity(nrows);
         for _ in 0..nrows {
             let rel = match self.u8()? {
                 0 => Rel::Eq,
                 1 => Rel::Geq,
                 _ => return Err(invalid("bad relation byte")),
             };
-            let constant = self.i64()?;
-            let mut coeffs = Vec::with_capacity(nvars);
+            heads.push((self.i64()?, rel));
             for _ in 0..nvars {
                 coeffs.push(self.i64()?);
             }
-            rows.push(Row {
-                coeffs,
-                constant,
-                rel,
-            });
         }
-        Ok(System::from_raw_parts(vars, rows, contradiction))
+        Ok(System::from_raw_parts(vars, coeffs, &heads, contradiction))
     }
 }
 
 /// Serialize one proven map as a tagged section: tag, entry count, then
-/// `key_len key value` per entry (value layout per tag).
+/// `key_len key value` per entry (the key without its hash; value
+/// layout per tag).
 fn write_section<V>(
     out: &mut Vec<u8>,
     tag: u8,
@@ -781,6 +858,7 @@ fn write_section<V>(
     for shard in shards {
         let map = shard.lock().expect("cache shard poisoned");
         for (key, entry) in map.iter() {
+            let key = &key[HASH_LEN..];
             push_i64(&mut body, key.len() as i64);
             body.extend_from_slice(key);
             write_value(&mut body, &entry.value);
@@ -792,7 +870,8 @@ fn write_section<V>(
     out.extend_from_slice(&body);
 }
 
-/// Serialize the proven maps into the store's binary format.
+/// Serialize the proven maps into the store's binary format: header,
+/// sections, end tag, checksum.
 fn serialize_store() -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(STORE_MAGIC);
@@ -804,6 +883,8 @@ fn serialize_store() -> Vec<u8> {
     });
     write_section(&mut out, SEC_GIST, &GIST, push_system);
     out.push(SEC_END);
+    let checksum = hash_words(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -828,64 +909,87 @@ pub fn save_to(path: impl AsRef<Path>) -> io::Result<u64> {
     Ok(bytes.len() as u64)
 }
 
-/// Load a store written by [`save_to`], merging its entries into the
-/// live maps (existing entries are overwritten; capacity bounds and
-/// eviction apply as for normal inserts). Returns the number of entries
-/// loaded. Malformed or version-mismatched files yield
-/// `ErrorKind::InvalidData` and leave the maps as they were before the
-/// failing entry — never a panic.
-pub fn load_from(path: impl AsRef<Path>) -> io::Result<usize> {
-    let mut buf = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut buf)?;
-    let mut r = Reader { buf: &buf, pos: 0 };
-    if r.bytes(4)? != STORE_MAGIC {
+/// A sealed key and the value stored under it.
+type Entry<V> = (Box<[u8]>, V);
+
+/// A store file parsed in full, nothing inserted yet.
+#[derive(Default)]
+struct Staged {
+    feasibility: Vec<Entry<bool>>,
+    projection: Vec<Entry<(System, bool)>>,
+    gist: Vec<Entry<System>>,
+}
+
+/// Check a store's header and checksum and parse every entry.
+fn parse_store(buf: &[u8]) -> io::Result<Staged> {
+    let header = STORE_MAGIC.len() + 1;
+    if buf.len() < header + 1 + CHECKSUM_LEN {
+        return Err(invalid("truncated"));
+    }
+    if &buf[..STORE_MAGIC.len()] != STORE_MAGIC {
         return Err(invalid("bad magic"));
     }
-    if r.u8()? != STORE_VERSION {
+    if buf[STORE_MAGIC.len()] != STORE_VERSION {
         return Err(invalid("unsupported version"));
     }
-    let mut loaded = 0usize;
+    let (body, checksum) = buf.split_at(buf.len() - CHECKSUM_LEN);
+    if hash_words(body).to_le_bytes() != checksum {
+        return Err(invalid("checksum mismatch"));
+    }
+    let mut r = Reader {
+        buf: body,
+        pos: header,
+    };
+    let mut staged = Staged::default();
     loop {
         let tag = r.u8()?;
         if tag == SEC_END {
             break;
         }
-        let count = {
-            let v = r.i64()?;
-            if v < 0 {
-                return Err(invalid("negative section count"));
-            }
-            v as usize
-        };
+        let count = r.len()?;
         for _ in 0..count {
-            let klen = r.len()?;
-            let key = r.bytes(klen)?.to_vec();
+            let key = r.key()?;
             match tag {
                 SEC_FEAS => {
-                    let v = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(invalid("bad feasibility verdict")),
-                    };
-                    insert(&FEASIBILITY, key, v);
+                    let v = r.flag("bad feasibility verdict")?;
+                    staged.feasibility.push((key, v));
                 }
                 SEC_PROJ => {
                     let sys = r.system()?;
-                    let exact = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return Err(invalid("bad exactness flag")),
-                    };
-                    insert(&PROJECTION, key, (sys, exact));
+                    let exact = r.flag("bad exactness flag")?;
+                    staged.projection.push((key, (sys, exact)));
                 }
-                SEC_GIST => {
-                    let sys = r.system()?;
-                    insert(&GIST, key, sys);
-                }
+                SEC_GIST => staged.gist.push((key, r.system()?)),
                 _ => return Err(invalid("unknown section tag")),
             }
-            loaded += 1;
         }
+    }
+    if r.pos != body.len() {
+        return Err(invalid("trailing bytes"));
+    }
+    Ok(staged)
+}
+
+/// Load a store written by [`save_to`], merging its entries into the
+/// live maps (existing entries are overwritten; capacity bounds and
+/// eviction apply as for normal inserts). Returns the number of entries
+/// loaded. All or nothing: the whole file is checked against its
+/// checksum and parsed before the first entry is inserted, so a
+/// malformed, truncated, corrupted or version-mismatched file yields
+/// `ErrorKind::InvalidData` with the maps untouched — never a panic.
+pub fn load_from(path: impl AsRef<Path>) -> io::Result<usize> {
+    let mut buf = Vec::new();
+    std::fs::File::open(path)?.read_to_end(&mut buf)?;
+    let staged = parse_store(&buf)?;
+    let loaded = staged.feasibility.len() + staged.projection.len() + staged.gist.len();
+    for (key, v) in staged.feasibility {
+        insert(&FEASIBILITY, &key, v);
+    }
+    for (key, v) in staged.projection {
+        insert(&PROJECTION, &key, v);
+    }
+    for (key, v) in staged.gist {
+        insert(&GIST, &key, v);
     }
     Ok(loaded)
 }
@@ -914,7 +1018,7 @@ mod tests {
         let mut b = System::new();
         b.add(Constraint::le(v("z"), v("m")));
         b.add(Constraint::ge(v("z"), LinExpr::constant(1)));
-        assert_eq!(feasibility_key(&a), feasibility_key(&b));
+        assert_eq!(feasibility_key(&a)[..], feasibility_key(&b)[..]);
     }
 
     #[test]
@@ -923,7 +1027,7 @@ mod tests {
         a.add(Constraint::ge(v("x"), LinExpr::constant(1)));
         let mut b = System::new();
         b.add(Constraint::ge(v("x"), LinExpr::constant(2)));
-        assert_ne!(feasibility_key(&a), feasibility_key(&b));
+        assert_ne!(feasibility_key(&a)[..], feasibility_key(&b)[..]);
     }
 
     #[test]
@@ -931,13 +1035,14 @@ mod tests {
         let mut s = System::new();
         s.add(Constraint::le(v("i"), v("n")));
         s.add(Constraint::le(v("j"), v("i")));
-        let a = projection_key(&s, &["n"]);
-        let b = projection_key(&s, &["n", "j"]);
-        assert_ne!(a, b);
+        let budget = Budget::default();
+        let a = projection_key(&s, &["n"], &budget);
+        let b = projection_key(&s, &["n", "j"], &budget);
+        assert_ne!(a[..], b[..]);
         // keep order and duplicates do not matter
         assert_eq!(
-            projection_key(&s, &["j", "n"]),
-            projection_key(&s, &["n", "j", "j"])
+            projection_key(&s, &["j", "n"], &budget)[..],
+            projection_key(&s, &["n", "j", "j"], &budget)[..]
         );
     }
 
@@ -959,13 +1064,15 @@ mod tests {
         assert!(flagged.is_contradictory());
         // the trivially-false row is absorbed into the flag, leaving
         // identical rows — only the flag distinguishes the two systems
-        assert_eq!(live.rows().len(), flagged.rows().len());
-        assert_ne!(feasibility_key(&live), feasibility_key(&flagged));
+        assert_eq!(live.len(), flagged.len());
+        assert_ne!(feasibility_key(&live)[..], feasibility_key(&flagged)[..]);
+        let budget = Budget::default();
         assert_ne!(
-            projection_key(&live, &["x"]),
-            projection_key(&flagged, &["x"])
+            projection_key(&live, &["x"], &budget)[..],
+            projection_key(&flagged, &["x"], &budget)[..]
         );
         // end-to-end through the cache: both directions stay sound
+        let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         clear_cache();
         let (p_live, _) = try_project(&live, &["x"], &Budget::default()).unwrap();
         let (p_flagged, _) = try_project(&flagged, &["x"], &Budget::default()).unwrap();

@@ -206,15 +206,39 @@ impl LinExpr {
     ///
     /// # Panics
     ///
-    /// Panics if a variable is missing from `env` or on overflow.
+    /// Panics if a variable is missing from `env` or on overflow
+    /// ([`Self::try_eval`] refuses the latter instead).
     pub fn eval(&self, env: &dyn Fn(&str) -> i64) -> i64 {
+        self.try_eval(env).expect("eval overflow")
+    }
+
+    /// Evaluate under a total assignment, reporting `i64` overflow as a
+    /// [`PolyError`] instead of panicking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `env` does (e.g. on a variable it does not bind).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use shackle_polyhedra::LinExpr;
+    /// let e = LinExpr::term("N", 1 << 62);
+    /// assert_eq!(e.try_eval(&|_| 1), Ok(1 << 62));
+    /// assert!(e.try_eval(&|_| 16).is_err());
+    /// ```
+    pub fn try_eval(&self, env: &dyn Fn(&str) -> i64) -> Result<i64, PolyError> {
+        const OVF: PolyError = PolyError::Overflow {
+            context: "expression evaluation",
+        };
         let mut acc = self.constant;
         for (v, c) in self.iter() {
-            acc = acc
-                .checked_add(c.checked_mul(env(v)).expect("eval overflow"))
-                .expect("eval overflow");
+            acc = c
+                .checked_mul(env(v))
+                .and_then(|t| acc.checked_add(t))
+                .ok_or(OVF)?;
         }
-        acc
+        Ok(acc)
     }
 }
 

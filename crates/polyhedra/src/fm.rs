@@ -15,7 +15,7 @@
 
 use crate::error::{Budget, PolyError, Resource};
 use crate::num::combine_i128;
-use crate::system::{narrow_row, NarrowedRow, Row};
+use crate::system::RowRef;
 use crate::{Rel, System, Verdict};
 
 /// Which shadow to compute when eliminating a variable.
@@ -95,63 +95,31 @@ pub(crate) fn eliminate(
     Ok(eliminate_tracked(sys, idx, shadow, budget)?.0)
 }
 
-/// Negate a row in place, failing cleanly on `i64::MIN`.
-fn negate_row(row: &mut Row) -> Result<(), PolyError> {
-    const CTX: PolyError = PolyError::Overflow {
-        context: "row negation",
-    };
-    for k in &mut row.coeffs {
-        *k = k.checked_neg().ok_or(CTX)?;
-    }
-    row.constant = row.constant.checked_neg().ok_or(CTX)?;
-    Ok(())
-}
-
-/// Combine a lower/upper pair entirely in `i64`; `None` means some step
-/// overflowed and the caller must retry in `i128`.
-fn combine_pair_fast(lo: &Row, up: &Row, a: i64, b: i64, dark: bool) -> Option<Row> {
-    let mut coeffs = Vec::with_capacity(lo.coeffs.len());
-    for (&l, &u) in lo.coeffs.iter().zip(&up.coeffs) {
-        let v = b
+/// Combine a lower/upper pair entirely in `i64` into `dst`, returning
+/// the constant; `None` means some step overflowed and the caller must
+/// retry in `i128`.
+fn combine_pair_fast(
+    lo: RowRef<'_>,
+    up: RowRef<'_>,
+    a: i64,
+    b: i64,
+    dark: bool,
+    dst: &mut [i64],
+) -> Option<i64> {
+    for ((d, &l), &u) in dst.iter_mut().zip(lo.coeffs).zip(up.coeffs) {
+        *d = b
             .checked_mul(l)
             .and_then(|x| a.checked_mul(u).and_then(|y| x.checked_add(y)))?;
-        coeffs.push(v);
     }
-    let mut constant = b
+    let constant = b
         .checked_mul(lo.constant)
         .and_then(|x| a.checked_mul(up.constant).and_then(|y| x.checked_add(y)))?;
     if dark {
         // dark shadow: combined >= (a-1)(b-1)
         let correction = (a - 1).checked_mul(b - 1)?;
-        constant = constant.checked_sub(correction)?;
+        return constant.checked_sub(correction);
     }
-    Some(Row {
-        coeffs,
-        constant,
-        rel: Rel::Geq,
-    })
-}
-
-/// The `i128` retry: exact combination, GCD reduction, then narrowing.
-fn combine_pair_promoted(
-    lo: &Row,
-    up: &Row,
-    a: i64,
-    b: i64,
-    dark: bool,
-    max_coeff: i64,
-) -> Result<NarrowedRow, PolyError> {
-    let coeffs: Vec<i128> = lo
-        .coeffs
-        .iter()
-        .zip(&up.coeffs)
-        .map(|(&l, &u)| combine_i128(b, l, a, u))
-        .collect();
-    let mut constant = combine_i128(b, lo.constant, a, up.constant);
-    if dark {
-        constant -= (a as i128 - 1) * (b as i128 - 1);
-    }
-    narrow_row(&coeffs, constant, Rel::Geq, max_coeff)
+    Some(constant)
 }
 
 /// [`eliminate`], additionally reporting *pairwise exactness*: `true`
@@ -168,53 +136,61 @@ pub(crate) fn eliminate_tracked(
     shadow: Shadow,
     budget: &Budget,
 ) -> Result<(System, bool), PolyError> {
-    // Equality rows are split into a Geq pair; everything else is
-    // partitioned *by index* into pooled scratch buffers (indices below
-    // `nrows` name system rows, indices at or above it name splits), so
-    // the (hot) all-inequality case clones a row only when it actually
-    // enters the output and allocates nothing in steady state.
-    let mut splits: Vec<Row> = Vec::new();
+    // Equality rows act as a Geq pair: the row itself and its negation.
+    // Rows are partitioned *by index* into pooled scratch buffers
+    // (indices below `nrows` name system rows, indices at or above it
+    // name negated equalities), so the (hot) all-inequality case copies
+    // a row only when it actually enters the output and allocates
+    // nothing in steady state.
+    const NEG: PolyError = PolyError::Overflow {
+        context: "row negation",
+    };
+    let w = sys.vars().len();
+    let mut negs = crate::scratch::coeff_vec();
+    let mut neg_consts = crate::scratch::coeff_vec();
     for r in sys.rows() {
         if r.rel == Rel::Eq && r.coeffs[idx] != 0 {
-            let mut pos = r.clone();
-            pos.rel = Rel::Geq;
-            let mut neg = pos.clone();
-            negate_row(&mut neg)?;
-            splits.push(pos);
-            splits.push(neg);
+            for &c in r.coeffs {
+                negs.push(c.checked_neg().ok_or(NEG)?);
+            }
+            neg_consts.push(r.constant.checked_neg().ok_or(NEG)?);
         }
     }
-    let nrows = u32::try_from(sys.rows().len()).expect("row count fits u32");
-    let row_at = |i: u32| -> &Row {
+    let nrows = u32::try_from(sys.len()).expect("row count fits u32");
+    let row_at = |i: u32| -> RowRef<'_> {
         if i < nrows {
-            &sys.rows()[i as usize]
+            sys.row(i as usize)
         } else {
-            &splits[(i - nrows) as usize]
+            let k = (i - nrows) as usize;
+            RowRef {
+                coeffs: &negs[k * w..(k + 1) * w],
+                constant: neg_consts[k],
+                rel: Rel::Geq,
+            }
         }
     };
     let mut lowers = crate::scratch::idx_vec();
     let mut uppers = crate::scratch::idx_vec();
     let mut rest = crate::scratch::idx_vec();
-    let mut split_cursor = 0u32;
-    for (ri, r) in sys.rows().iter().enumerate() {
+    let mut negated = nrows;
+    for (ri, r) in sys.rows().enumerate() {
+        let ri = ri as u32;
         let c = r.coeffs[idx];
         if r.rel == Rel::Eq && c != 0 {
-            let pos = nrows + split_cursor;
-            let neg = nrows + split_cursor + 1;
-            split_cursor += 2;
-            if row_at(pos).coeffs[idx] > 0 {
-                lowers.push(pos);
-                uppers.push(neg);
+            if c > 0 {
+                lowers.push(ri);
+                uppers.push(negated);
             } else {
-                uppers.push(pos);
-                lowers.push(neg);
+                uppers.push(ri);
+                lowers.push(negated);
             }
+            negated += 1;
         } else if c == 0 {
-            rest.push(ri as u32);
+            rest.push(ri);
         } else if c > 0 {
-            lowers.push(ri as u32);
+            lowers.push(ri);
         } else {
-            uppers.push(ri as u32);
+            uppers.push(ri);
         }
     }
 
@@ -224,7 +200,8 @@ pub(crate) fn eliminate_tracked(
         return Ok((out, true));
     }
     for &ri in rest.iter() {
-        out.push_row(row_at(ri).clone());
+        let r = sys.row(ri as usize);
+        out.push_row(r.coeffs, r.constant, r.rel);
     }
     crate::cache::note_fm_combined((lowers.len() * uppers.len()) as u64);
     let dark = shadow == Shadow::Dark;
@@ -232,6 +209,7 @@ pub(crate) fn eliminate_tracked(
     // row, so they skip the unreduced i64 fast path entirely.
     let fast_ok = budget.max_coeff == i64::MAX;
     let mut pairwise_exact = true;
+    let mut wide: Vec<i128> = Vec::new();
     'pairs: for &li in lowers.iter() {
         let lo = row_at(li);
         let a = lo.coeffs[idx]; // > 0
@@ -241,27 +219,37 @@ pub(crate) fn eliminate_tracked(
                 context: "fm upper coefficient",
             })?; // > 0
             pairwise_exact &= a == 1 || b == 1; // correction (a-1)(b-1) == 0
+
+            // b*lo + a*up eliminates idx, written straight into `out`
+            let staged = out.stage_row();
             let fast = if fast_ok {
-                combine_pair_fast(lo, up, a, b, dark)
+                combine_pair_fast(lo, up, a, b, dark, staged)
             } else {
                 None
             };
-            match fast {
-                // b*lo + a*up eliminates idx
-                Some(row) => {
-                    debug_assert_eq!(row.coeffs[idx], 0);
-                    out.push_row(row);
+            if let Some(constant) = fast {
+                debug_assert_eq!(staged[idx], 0);
+                out.commit_row(constant, Rel::Geq);
+            } else {
+                // The i128 retry: exact combination, GCD reduction,
+                // then narrowing.
+                out.discard_row();
+                wide.clear();
+                wide.extend(
+                    lo.coeffs
+                        .iter()
+                        .zip(up.coeffs)
+                        .map(|(&l, &u)| combine_i128(b, l, a, u)),
+                );
+                let mut constant = combine_i128(b, lo.constant, a, up.constant);
+                if dark {
+                    constant -= (a as i128 - 1) * (b as i128 - 1);
                 }
-                None => match combine_pair_promoted(lo, up, a, b, dark, budget.max_coeff)? {
-                    NarrowedRow::Row(row) => out.push_row(row),
-                    NarrowedRow::True => {}
-                    NarrowedRow::False => {
-                        out.set_contradiction();
-                        break 'pairs;
-                    }
-                },
+                if !out.push_narrowed(&wide, constant, Rel::Geq, budget.max_coeff)? {
+                    break 'pairs;
+                }
             }
-            if out.rows().len() > budget.max_rows {
+            if out.len() > budget.max_rows {
                 return Err(PolyError::Budget {
                     resource: Resource::Rows,
                     limit: budget.max_rows as u64,
@@ -353,13 +341,10 @@ pub fn try_project_onto(
                 subst = Some(usize::MAX);
                 break;
             }
-            for r in s.rows() {
-                if r.rel == Rel::Eq && r.coeffs[idx].abs() == 1 {
-                    subst = Some(idx);
-                    break;
-                }
-            }
-            if subst.is_some() {
+            if s.rows()
+                .any(|r| r.rel == Rel::Eq && r.coeffs[idx].abs() == 1)
+            {
+                subst = Some(idx);
                 break;
             }
             let ex = elimination_exact(&s, idx);
@@ -384,16 +369,14 @@ pub fn try_project_onto(
             // substitute from the equality with unit coefficient
             let row = s
                 .rows()
-                .iter()
                 .find(|r| r.rel == Rel::Eq && r.coeffs[idx].abs() == 1)
-                .cloned()
                 .expect("unit equality vanished");
             let sign = row.coeffs[idx];
             // sign*x + e = 0  →  x = -sign*e
             const NEG: PolyError = PolyError::Overflow {
                 context: "unit-equality substitution",
             };
-            let mut repl = Vec::with_capacity(row.coeffs.len());
+            let mut repl = crate::scratch::coeff_vec();
             for (k, &c) in row.coeffs.iter().enumerate() {
                 repl.push(if k == idx {
                     0

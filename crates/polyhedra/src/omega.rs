@@ -22,7 +22,6 @@
 use crate::error::{Budget, PolyError, Resource};
 use crate::fm::{bound_profile, eliminate, eliminate_tracked, elimination_exact, Shadow};
 use crate::num::mod_hat;
-use crate::system::Row;
 use crate::{Rel, System};
 
 /// Per-query mutable state: the configured limits plus the splinter
@@ -82,7 +81,7 @@ fn solve(sys: System, fresh: &mut u64, depth: usize, gas: &mut Gas<'_>) -> Resul
     if sys.is_contradictory() {
         return Ok(false);
     }
-    if sys.rows().is_empty() {
+    if sys.is_empty() {
         return Ok(true);
     }
     let key = match crate::cache::sub_lookup(&sys) {
@@ -134,7 +133,7 @@ fn solve_inner(
 
     // Phase 2: inequalities only.
     let used: Vec<usize> = (0..sys.vars().len())
-        .filter(|&i| sys.rows().iter().any(|r| r.coeffs[i] != 0))
+        .filter(|&i| sys.column_used(i))
         .collect();
     if used.is_empty() {
         // push_row removes trivially-true rows and flags false ones
@@ -205,13 +204,10 @@ fn solve_inner(
         let next = eliminate(&sys, idx, Shadow::Real, gas.budget)?;
         return solve(next, fresh, depth + 1, gas);
     };
-    let lowers: Vec<Row> = sys
+    for low in sys
         .rows()
-        .iter()
         .filter(|r| r.rel == Rel::Geq && r.coeffs[idx] > 0)
-        .cloned()
-        .collect();
-    for low in lowers {
+    {
         // 0 <= i <= (m*b - m - b)/m  (floor) — computed in i128 so huge
         // lower-bound coefficients cannot overflow the bound itself
         // (the splinter budget cuts long walks off first).
@@ -230,15 +226,13 @@ fn solve_inner(
             // b*x + e >= 0 pinned to b*x + e = i  ⇔  b*x + e - i = 0
             crate::cache::note_splinter();
             let mut child = sys.clone();
-            let mut eq = low.clone();
-            eq.constant = (eq.constant as i128)
+            let constant = (low.constant as i128)
                 .checked_sub(i)
                 .and_then(|c| i64::try_from(c).ok())
                 .ok_or(PolyError::Overflow {
                     context: "splinter constant",
                 })?;
-            eq.rel = Rel::Eq;
-            child.push_row(eq);
+            child.push_row(low.coeffs, constant, Rel::Eq);
             if solve(child, fresh, depth + 1, gas)? {
                 return Ok(true);
             }
@@ -308,18 +302,14 @@ pub fn find_point(sys: &System, bound: i64) -> Option<Vec<(String, i64)>> {
 }
 
 fn max_abs_coeff(sys: &System, idx: usize) -> i64 {
-    sys.rows()
-        .iter()
-        .map(|r| r.coeffs[idx].abs())
-        .max()
-        .unwrap_or(0)
+    sys.rows().map(|r| r.coeffs[idx].abs()).max().unwrap_or(0)
 }
 
 /// Find an equality row and the index of its variable with the smallest
 /// non-zero |coefficient|.
 fn pick_equality(sys: &System) -> Option<(usize, usize)> {
     let mut best: Option<(usize, usize, i64)> = None;
-    for (ri, r) in sys.rows().iter().enumerate() {
+    for (ri, r) in sys.rows().enumerate() {
         if r.rel != Rel::Eq {
             continue;
         }
@@ -354,7 +344,7 @@ fn eliminate_equality(
     const OVF: PolyError = PolyError::Overflow {
         context: "equality elimination",
     };
-    let row = sys.rows()[row_i].clone();
+    let row = sys.row(row_i);
     debug_assert_eq!(row.rel, Rel::Eq);
     let ak = row.coeffs[var_k];
     debug_assert_ne!(ak, 0);
@@ -362,7 +352,7 @@ fn eliminate_equality(
 
     if ak_abs == 1 {
         // x_k = -sign(ak) * (rest)
-        let mut repl = Vec::with_capacity(row.coeffs.len());
+        let mut repl = crate::scratch::coeff_vec();
         for (i, &c) in row.coeffs.iter().enumerate() {
             repl.push(if i == var_k {
                 0
@@ -384,16 +374,19 @@ fn eliminate_equality(
     let sigma = format!("omega$sigma{fresh}");
     debug_assert_eq!(mod_hat(ak, m), -sign);
     // mod̂ values lie in (-m/2, m/2], so sign*mod̂ never overflows.
-    let repl: Vec<i64> = row
-        .coeffs
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| if i == var_k { 0 } else { sign * mod_hat(c, m) })
-        .collect();
+    let mut repl = crate::scratch::coeff_vec();
+    repl.extend(row.coeffs.iter().enumerate().map(|(i, &c)| {
+        if i == var_k {
+            0
+        } else {
+            sign * mod_hat(c, m)
+        }
+    }));
+    let repl_const = sign * mod_hat(row.constant, m);
     *sys = sys.try_substitute_col(
         var_k,
         &repl,
-        sign * mod_hat(row.constant, m),
+        repl_const,
         Some((&sigma, -sign * m)),
         budget.max_coeff,
     )?;

@@ -145,9 +145,9 @@ pub fn gist(sys: &System, context: &System) -> System {
             continue;
         }
         let mut rest = System::with_vars_arc(sys.vars_arc());
-        for (j, row) in sys.rows().iter().enumerate() {
+        for (j, row) in sys.rows().enumerate() {
             if keep[j] && j != i {
-                rest.push_row(row.clone());
+                rest.push_row(row.coeffs, row.constant, row.rel);
             }
         }
         let rest = rest.and(context);

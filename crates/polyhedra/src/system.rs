@@ -1,4 +1,11 @@
 //! Conjunctions of affine constraints over named integer variables.
+//!
+//! A [`System`] is one row-major buffer of coefficients, exactly
+//! `len() × vars().len()` wide, with each row's constant and relation
+//! stored beside it in a [`Row`]: a clone is two copies, and no row owns
+//! an allocation. Rows are written straight into the buffer's tail
+//! ([`System::stage_row`]) and admitted by [`System::commit_row`], which
+//! normalises and dominance-prunes them in place.
 
 use crate::error::{PolyError, Resource};
 use crate::num::{floor_div, floor_div_i128, gcd_i128, gcd_slice, narrow};
@@ -7,70 +14,73 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-/// A dense row: `coeffs · vars + constant (= | >=) 0`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One row's scalars: `coeffs · vars + constant (= | >=) 0`, where the
+/// coefficients are the row's stretch of the owning system's buffer.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Row {
-    pub coeffs: Vec<i64>,
+    pub constant: i64,
+    pub rel: Rel,
+    /// [`signature`] of the coefficients.
+    sig: u64,
+}
+
+/// A borrowed row: its coefficients (one per variable) and scalars.
+#[derive(Clone, Copy)]
+pub(crate) struct RowRef<'a> {
+    pub coeffs: &'a [i64],
     pub constant: i64,
     pub rel: Rel,
 }
 
-impl Row {
-    pub fn is_trivially_true(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-            && match self.rel {
-                Rel::Eq => self.constant == 0,
-                Rel::Geq => self.constant >= 0,
-            }
-    }
-
-    pub fn is_trivially_false(&self) -> bool {
-        self.coeffs.iter().all(|&c| c == 0)
-            && match self.rel {
-                Rel::Eq => self.constant != 0,
-                Rel::Geq => self.constant < 0,
-            }
-    }
+/// Sign-normalised signature of a coefficient vector: a row and its
+/// negation share it, so dominance pruning compares one word per stored
+/// row and compares coefficients only where the words match.
+fn signature(coeffs: &[i64]) -> u64 {
+    let sign = coeffs.iter().find(|&&c| c != 0).map_or(1, |c| c.signum());
+    coeffs
+        .iter()
+        .enumerate()
+        .filter(|&(_, &c)| c != 0)
+        .fold(0u64, |h, (j, &c)| {
+            (h.rotate_left(7) ^ ((j as u64) << 40) ^ c.wrapping_mul(sign) as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        })
 }
 
-/// Outcome of narrowing an exact `i128` row back to `i64`.
-pub(crate) enum NarrowedRow {
-    /// A representable row (GCD-reduced).
-    Row(Row),
+/// Outcome of narrowing an exact `i128` row (see [`narrow_into`]).
+enum Narrowed {
+    /// A representable row, its coefficients written; the constant.
+    Row(i64),
     /// The row is trivially satisfied and can be dropped.
     True,
     /// The row is a contradiction (the whole system is infeasible).
     False,
 }
 
-/// Reduce an exact `i128` row by its coefficient GCD (integer-tightening
-/// the constant for `Geq`, detecting divisibility contradictions for
-/// `Eq`) and narrow it to `i64`. This is the "promote to i128, reduce,
-/// retry" half of the fallible arithmetic path: a row only yields
-/// [`PolyError::Overflow`] if its *reduced* form genuinely does not fit.
-pub(crate) fn narrow_row(
+/// The reduction behind [`System::push_narrowed`]: divide an exact
+/// `i128` row by its coefficient GCD (integer-tightening the constant
+/// for `Geq`, detecting divisibility contradictions for `Eq`) and narrow
+/// its coefficients into `out`.
+fn narrow_into(
     coeffs: &[i128],
     constant: i128,
     rel: Rel,
     max_coeff: i64,
-) -> Result<NarrowedRow, PolyError> {
+    out: &mut [i64],
+) -> Result<Narrowed, PolyError> {
     if coeffs.iter().all(|&c| c == 0) {
         let sat = match rel {
             Rel::Eq => constant == 0,
             Rel::Geq => constant >= 0,
         };
-        return Ok(if sat {
-            NarrowedRow::True
-        } else {
-            NarrowedRow::False
-        });
+        return Ok(if sat { Narrowed::True } else { Narrowed::False });
     }
     let g = coeffs.iter().fold(0i128, |g, &c| gcd_i128(g, c));
     debug_assert!(g > 0);
     let constant = match rel {
         Rel::Eq => {
             if constant % g != 0 {
-                return Ok(NarrowedRow::False);
+                return Ok(Narrowed::False);
             }
             constant / g
         }
@@ -86,16 +96,10 @@ pub(crate) fn narrow_row(
             Ok(v)
         }
     };
-    let mut out = Vec::with_capacity(coeffs.len());
-    for &c in coeffs {
-        out.push(ceiling(narrow(c / g, "row coefficient")?)?);
+    for (dst, &c) in out.iter_mut().zip(coeffs) {
+        *dst = ceiling(narrow(c / g, "row coefficient")?)?;
     }
-    let constant = ceiling(narrow(constant, "row constant")?)?;
-    Ok(NarrowedRow::Row(Row {
-        coeffs: out,
-        constant,
-        rel,
-    }))
+    Ok(Narrowed::Row(ceiling(narrow(constant, "row constant")?)?))
 }
 
 /// A conjunction of affine constraints — an integer polyhedron.
@@ -122,6 +126,10 @@ pub struct System {
     // cloning every name; mutation goes through `Arc::make_mut` and
     // copies only when actually shared.
     vars: Arc<Vec<String>>,
+    /// Row-major coefficients: row `i` is `flat[i * w..(i + 1) * w]`
+    /// for `w = vars.len()`. Between [`Self::stage_row`] and
+    /// [`Self::commit_row`] one staged row sits past the last `Row`.
+    flat: Vec<i64>,
     rows: Vec<Row>,
     contradiction: bool,
 }
@@ -135,11 +143,7 @@ impl Default for System {
 impl System {
     /// An empty (universally true) system.
     pub fn new() -> Self {
-        System {
-            vars: Arc::new(Vec::new()),
-            rows: Vec::new(),
-            contradiction: false,
-        }
+        Self::with_vars_arc(Arc::new(Vec::new()))
     }
 
     /// A constraint-free system sharing an existing variable universe
@@ -147,6 +151,7 @@ impl System {
     pub(crate) fn with_vars_arc(vars: Arc<Vec<String>>) -> Self {
         System {
             vars,
+            flat: Vec::new(),
             rows: Vec::new(),
             contradiction: false,
         }
@@ -161,12 +166,28 @@ impl System {
     /// and pruning. Deserialization only: the cache's persistence layer
     /// must reproduce a cached `System` byte-for-byte, and replaying
     /// rows through `add` would re-run dominance pruning and GCD
-    /// tightening against a different insertion history. Every row must
-    /// have exactly `vars.len()` coefficients.
-    pub(crate) fn from_raw_parts(vars: Vec<String>, rows: Vec<Row>, contradiction: bool) -> Self {
-        debug_assert!(rows.iter().all(|r| r.coeffs.len() == vars.len()));
+    /// tightening against a different insertion history. `flat` holds
+    /// `heads.len()` rows of exactly `vars.len()` coefficients.
+    pub(crate) fn from_raw_parts(
+        vars: Vec<String>,
+        flat: Vec<i64>,
+        heads: &[(i64, Rel)],
+        contradiction: bool,
+    ) -> Self {
+        let w = vars.len();
+        debug_assert_eq!(flat.len(), heads.len() * w);
+        let rows = heads
+            .iter()
+            .enumerate()
+            .map(|(i, &(constant, rel))| Row {
+                constant,
+                rel,
+                sig: signature(&flat[i * w..(i + 1) * w]),
+            })
+            .collect();
         System {
             vars: Arc::new(vars),
+            flat,
             rows,
             contradiction,
         }
@@ -205,16 +226,43 @@ impl System {
         self.contradiction
     }
 
-    /// Index of a variable, adding it if new.
-    pub(crate) fn ensure_var(&mut self, name: &str) -> usize {
-        if let Some(i) = self.vars.iter().position(|v| v == name) {
-            i
-        } else {
-            Arc::make_mut(&mut self.vars).push(name.to_string());
-            for r in &mut self.rows {
-                r.coeffs.push(0);
-            }
-            self.vars.len() - 1
+    /// Row `i`.
+    pub(crate) fn row(&self, i: usize) -> RowRef<'_> {
+        let w = self.vars.len();
+        let Row { constant, rel, .. } = self.rows[i];
+        RowRef {
+            coeffs: &self.flat[i * w..(i + 1) * w],
+            constant,
+            rel,
+        }
+    }
+
+    /// The rows, in order.
+    pub(crate) fn rows(&self) -> impl ExactSizeIterator<Item = RowRef<'_>> + '_ {
+        (0..self.rows.len()).map(|i| self.row(i))
+    }
+
+    /// True if some row has a non-zero coefficient in column `i`.
+    pub(crate) fn column_used(&self, i: usize) -> bool {
+        self.rows().any(|r| r.coeffs[i] != 0)
+    }
+
+    /// Append `names` (none of them present) as zero columns, relaying
+    /// the buffer out once for all of them.
+    fn add_columns(&mut self, names: &[&str]) {
+        if names.is_empty() {
+            return;
+        }
+        let (w, n) = (self.vars.len(), self.rows.len());
+        debug_assert_eq!(self.flat.len(), n * w, "no row may be staged");
+        Arc::make_mut(&mut self.vars).extend(names.iter().map(|v| v.to_string()));
+        let nw = self.vars.len();
+        self.flat.resize(n * nw, 0);
+        // Back to front, so no row is overwritten before it has moved;
+        // appended zero columns leave every row's signature unchanged.
+        for i in (0..n).rev() {
+            self.flat.copy_within(i * w..(i + 1) * w, i * nw);
+            self.flat[i * nw + w..(i + 1) * nw].fill(0);
         }
     }
 
@@ -233,21 +281,20 @@ impl System {
             }
             return;
         }
-        let mut coeffs = vec![0i64; self.vars.len()];
+        // New variables join in the expression's (name) order.
+        let missing: Vec<&str> = c
+            .expr()
+            .vars()
+            .filter(|v| self.var_index(v).is_none())
+            .collect();
+        self.add_columns(&missing);
+        let start = self.rows.len() * self.vars.len();
+        self.stage_row();
         for (v, k) in c.expr().iter() {
-            let i = self.ensure_var(v);
-            if coeffs.len() < self.vars.len() {
-                coeffs.resize(self.vars.len(), 0);
-            }
-            coeffs[i] = k;
+            let i = self.var_index(v).expect("column added above");
+            self.flat[start + i] = k;
         }
-        coeffs.resize(self.vars.len(), 0);
-        let row = Row {
-            coeffs,
-            constant: c.expr().constant_part(),
-            rel: c.rel(),
-        };
-        self.push_row(row);
+        self.commit_row(c.expr().constant_part(), c.rel());
     }
 
     /// Add several constraints.
@@ -257,14 +304,42 @@ impl System {
         }
     }
 
-    pub(crate) fn push_row(&mut self, mut row: Row) {
-        debug_assert_eq!(row.coeffs.len(), self.vars.len());
-        let g = gcd_slice(&row.coeffs);
+    /// Open a zeroed row at the buffer's tail for a writer to fill in
+    /// place. [`Self::commit_row`] admits it and [`Self::discard_row`]
+    /// drops it; nothing may read the system in between.
+    pub(crate) fn stage_row(&mut self) -> &mut [i64] {
+        let start = self.rows.len() * self.vars.len();
+        debug_assert_eq!(self.flat.len(), start, "a row is already staged");
+        self.flat.resize(start + self.vars.len(), 0);
+        &mut self.flat[start..]
+    }
+
+    /// Drop the staged row.
+    pub(crate) fn discard_row(&mut self) {
+        self.flat.truncate(self.rows.len() * self.vars.len());
+    }
+
+    /// Add a row from a coefficient slice (see [`Self::commit_row`]).
+    pub(crate) fn push_row(&mut self, coeffs: &[i64], constant: i64, rel: Rel) {
+        self.stage_row().copy_from_slice(coeffs);
+        self.commit_row(constant, rel);
+    }
+
+    /// Admit the staged row `staged · vars + constant (= | >=) 0`:
+    /// GCD-normalise it in place, absorb it if it is constant, and prune
+    /// it against the stored rows by dominance.
+    pub(crate) fn commit_row(&mut self, mut constant: i64, rel: Rel) {
+        let w = self.vars.len();
+        let start = self.rows.len() * w;
+        debug_assert_eq!(self.flat.len(), start + w, "no row is staged");
+        let row = &mut self.flat[start..];
+        let g = gcd_slice(row);
         if g == 0 {
             // constant row
-            let ok = match row.rel {
-                Rel::Eq => row.constant == 0,
-                Rel::Geq => row.constant >= 0,
+            self.flat.truncate(start);
+            let ok = match rel {
+                Rel::Eq => constant == 0,
+                Rel::Geq => constant >= 0,
             };
             if !ok {
                 self.contradiction = true;
@@ -272,57 +347,62 @@ impl System {
             return;
         }
         if g > 1 {
-            match row.rel {
+            match rel {
                 Rel::Eq => {
-                    if row.constant % g != 0 {
+                    if constant % g != 0 {
                         // e.g. 2x + 1 = 0 has no integer solution
+                        self.flat.truncate(start);
                         self.contradiction = true;
                         return;
                     }
-                    row.constant /= g;
+                    constant /= g;
                 }
                 Rel::Geq => {
                     // gcd-tighten: g·e + c >= 0  ⇔  e >= ceil(-c/g)
-                    row.constant = floor_div(row.constant, g);
+                    constant = floor_div(constant, g);
                 }
             }
-            for c in &mut row.coeffs {
+            for c in row.iter_mut() {
                 *c /= g;
             }
         }
-        if row.is_trivially_false() {
-            self.contradiction = true;
-            return;
-        }
-        if row.is_trivially_true() {
-            return;
-        }
+        let sig = signature(row);
         // Dominance pruning (Imbert-style, on normalized rows): a new row
         // whose coefficient vector matches an existing row — directly or
         // negated — is either redundant, tightens the existing row in
         // place, or exposes a contradiction. Keeping only the dominant
         // row shrinks every later Fourier–Motzkin product; the
-        // represented set is unchanged.
+        // represented set is unchanged. Rows whose signature differs
+        // can match neither way and are skipped unread.
         enum Act {
             DropNew,
             Contradict,
             Replace(usize),
             Tighten(usize, i64),
         }
+        let (stored, new) = self.flat.split_at(start);
         let mut act = None;
         for (i, r) in self.rows.iter().enumerate() {
-            let same = r.coeffs == row.coeffs;
-            let negated = !same && r.coeffs.iter().zip(&row.coeffs).all(|(&a, &b)| a == -b);
+            if r.sig != sig {
+                continue;
+            }
+            let old = &stored[i * w..(i + 1) * w];
+            let same = old == new;
+            let negated = !same
+                && old
+                    .iter()
+                    .zip(new)
+                    .all(|(&a, &b)| b.checked_neg() == Some(a));
             if !same && !negated {
                 continue;
             }
             // `sum >= 0` iff the pair of constraints is consistent in the
             // negated cases; in i128 to sidestep overflow.
-            let sum = r.constant as i128 + row.constant as i128;
-            act = Some(match (same, r.rel, row.rel) {
+            let sum = r.constant as i128 + constant as i128;
+            act = Some(match (same, r.rel, rel) {
                 // e + c1 = 0 vs e + c2 = 0: equal or contradictory.
                 (true, Rel::Eq, Rel::Eq) => {
-                    if r.constant == row.constant {
+                    if r.constant == constant {
                         Act::DropNew
                     } else {
                         Act::Contradict
@@ -330,15 +410,15 @@ impl System {
                 }
                 // e + c1 >= 0 vs e + c2 >= 0: keep the smaller constant.
                 (true, Rel::Geq, Rel::Geq) => {
-                    if row.constant >= r.constant {
+                    if constant >= r.constant {
                         Act::DropNew
                     } else {
-                        Act::Tighten(i, row.constant)
+                        Act::Tighten(i, constant)
                     }
                 }
                 // e + c1 = 0 forces e = -c1; e + c2 >= 0 iff c2 >= c1.
                 (true, Rel::Eq, Rel::Geq) => {
-                    if row.constant >= r.constant {
+                    if constant >= r.constant {
                         Act::DropNew
                     } else {
                         Act::Contradict
@@ -347,7 +427,7 @@ impl System {
                 // e + c1 >= 0 vs new e + c2 = 0: equality subsumes or
                 // contradicts the inequality.
                 (true, Rel::Geq, Rel::Eq) => {
-                    if r.constant >= row.constant {
+                    if r.constant >= constant {
                         Act::Replace(i)
                     } else {
                         Act::Contradict
@@ -386,11 +466,16 @@ impl System {
             });
             break;
         }
+        let row = Row { constant, rel, sig };
         match act {
-            None => self.rows.push(row),
+            None => {
+                self.rows.push(row);
+                return;
+            }
             Some(Act::DropNew) => crate::cache::note_fm_pruned(1),
             Some(Act::Contradict) => self.contradiction = true,
             Some(Act::Replace(i)) => {
+                self.flat.copy_within(start.., i * w);
                 self.rows[i] = row;
                 crate::cache::note_fm_pruned(1);
             }
@@ -399,47 +484,90 @@ impl System {
                 crate::cache::note_fm_pruned(1);
             }
         }
+        self.flat.truncate(start);
+    }
+
+    /// Add the exact `i128` row `coeffs · vars + constant (= | >=) 0`:
+    /// reduce it by its coefficient GCD (integer-tightening the constant
+    /// for `Geq`, detecting divisibility contradictions for `Eq`),
+    /// narrow it straight into the buffer and admit it as
+    /// [`Self::commit_row`] does. This is the "promote to i128, reduce,
+    /// retry" half of the fallible arithmetic path: a row only yields
+    /// [`PolyError::Overflow`] if its *reduced* form genuinely does not
+    /// fit. Returns `Ok(false)`, with the system flagged contradictory,
+    /// when the row is a contradiction; a trivially true row is dropped.
+    pub(crate) fn push_narrowed(
+        &mut self,
+        coeffs: &[i128],
+        constant: i128,
+        rel: Rel,
+        max_coeff: i64,
+    ) -> Result<bool, PolyError> {
+        let narrowed = narrow_into(coeffs, constant, rel, max_coeff, self.stage_row());
+        if let Ok(Narrowed::Row(constant)) = narrowed {
+            self.commit_row(constant, rel);
+            return Ok(true);
+        }
+        self.discard_row();
+        match narrowed? {
+            Narrowed::False => {
+                self.contradiction = true;
+                Ok(false)
+            }
+            _ => Ok(true),
+        }
     }
 
     /// Conjoin with another system (aligning variables by name).
     pub fn and(&self, other: &System) -> System {
+        const UNMAPPED: u32 = u32::MAX;
         let mut out = self.clone();
         if other.contradiction {
             out.contradiction = true;
             return out;
         }
-        // Push `other`'s rows in order, growing the variable universe
-        // exactly as adding its sparse constraints one by one would
-        // (within each row, unseen variables appear name-sorted) —
-        // generated code depends on that order.
-        let mut order: Vec<usize> = (0..other.vars.len()).collect();
-        order.sort_by(|&a, &b| other.vars[a].cmp(&other.vars[b]));
-        let mut map: Vec<Option<usize>> = other.vars.iter().map(|v| out.var_index(v)).collect();
-        for r in &other.rows {
-            for &j in &order {
-                if r.coeffs[j] != 0 && map[j].is_none() {
-                    map[j] = Some(out.ensure_var(&other.vars[j]));
+        let mut map = crate::scratch::idx_vec();
+        map.extend(
+            other
+                .vars
+                .iter()
+                .map(|v| out.var_index(v).map_or(UNMAPPED, |i| i as u32)),
+        );
+        // Grow the variable universe exactly as adding `other`'s sparse
+        // constraints one by one would (row by row; within a row, unseen
+        // variables name-sorted) — generated code depends on that order
+        // — but collect the names first, so the buffer is relaid once.
+        let mut missing: Vec<&str> = Vec::new();
+        if map.contains(&UNMAPPED) {
+            let mut order = crate::scratch::idx_vec();
+            order.extend(0..other.vars.len() as u32);
+            order.sort_by(|&a, &b| other.vars[a as usize].cmp(&other.vars[b as usize]));
+            for r in other.rows() {
+                for &j in order.iter() {
+                    let j = j as usize;
+                    if r.coeffs[j] != 0 && map[j] == UNMAPPED {
+                        map[j] = (out.vars.len() + missing.len()) as u32;
+                        missing.push(&other.vars[j]);
+                    }
                 }
             }
-            let mut coeffs = vec![0i64; out.vars.len()];
-            for (j, &c) in r.coeffs.iter().enumerate() {
+        }
+        out.add_columns(&missing);
+        for r in other.rows() {
+            let row = out.stage_row();
+            for (&j, &c) in map.iter().zip(r.coeffs) {
                 if c != 0 {
-                    coeffs[map[j].expect("mapped above")] = c;
+                    row[j as usize] = c;
                 }
             }
-            out.push_row(Row {
-                coeffs,
-                constant: r.constant,
-                rel: r.rel,
-            });
+            out.commit_row(r.constant, r.rel);
         }
         out
     }
 
     /// Convert rows back to sparse constraints.
     pub fn constraints(&self) -> Vec<Constraint> {
-        self.rows
-            .iter()
+        self.rows()
             .map(|r| {
                 let mut e = LinExpr::constant(r.constant);
                 for (i, &c) in r.coeffs.iter().enumerate() {
@@ -453,6 +581,39 @@ impl System {
             .collect()
     }
 
+    /// `c`'s coefficients over this system's columns, GCD-normalised
+    /// exactly as [`Self::add`] would, into `coeffs`: `Err(verdict)` when
+    /// the check is decided without a row (a constant constraint, an
+    /// unsatisfiable equality, or a variable `self` lacks — `false`).
+    fn normalized_into(&self, c: &Constraint, coeffs: &mut Vec<i64>) -> Result<i64, bool> {
+        if let Some(t) = c.constant_truth() {
+            return Err(t);
+        }
+        coeffs.resize(self.vars.len(), 0);
+        for (v, k) in c.expr().iter() {
+            // a variable `self` knows nothing about: cannot be implied by
+            // its rows
+            coeffs[self.var_index(v).ok_or(false)?] = k;
+        }
+        let mut constant = c.expr().constant_part();
+        let g = gcd_slice(coeffs);
+        if g > 1 {
+            match c.rel() {
+                Rel::Eq => {
+                    if constant % g != 0 {
+                        return Err(false);
+                    }
+                    constant /= g;
+                }
+                Rel::Geq => constant = floor_div(constant, g),
+            }
+            for x in coeffs.iter_mut() {
+                *x /= g;
+            }
+        }
+        Ok(constant)
+    }
+
     /// Syntactic domination: does some single row of `self` already
     /// imply constraint `c`? Sound but incomplete — used as a fast path
     /// in [`crate::simplify::implies`] to skip the Omega query for the
@@ -460,55 +621,36 @@ impl System {
     /// check normalizes `c` exactly as [`Self::add`] would, so GCD
     /// tightening is taken into account.
     pub(crate) fn dominates(&self, c: &Constraint) -> bool {
-        if let Some(t) = c.constant_truth() {
-            return t;
-        }
-        let mut coeffs = vec![0i64; self.vars.len()];
-        for (v, k) in c.expr().iter() {
-            match self.var_index(v) {
-                Some(i) => coeffs[i] = k,
-                // a variable `self` knows nothing about: cannot be
-                // implied by a single row
-                None => return false,
-            }
-        }
-        let mut constant = c.expr().constant_part();
-        let g = gcd_slice(&coeffs);
-        if g == 0 {
-            return match c.rel() {
-                Rel::Eq => constant == 0,
-                Rel::Geq => constant >= 0,
-            };
-        }
-        if g > 1 {
-            match c.rel() {
-                Rel::Eq => {
-                    if constant % g != 0 {
-                        return false;
-                    }
-                    constant /= g;
+        let mut coeffs = crate::scratch::coeff_vec();
+        let constant = match self.normalized_into(c, &mut coeffs) {
+            Ok(constant) => constant,
+            Err(verdict) => return verdict,
+        };
+        let sig = signature(&coeffs);
+        self.rows
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.sig == sig)
+            .any(|(i, r)| {
+                let rc = self.row(i).coeffs;
+                let same = rc == &coeffs[..];
+                let negated = !same
+                    && rc
+                        .iter()
+                        .zip(coeffs.iter())
+                        .all(|(&a, &b)| b.checked_neg() == Some(a));
+                match (same, negated, r.rel, c.rel()) {
+                    // e + rc = 0 pins e; c follows iff it holds at -rc.
+                    (true, _, Rel::Eq, Rel::Eq) => r.constant == constant,
+                    (true, _, Rel::Eq, Rel::Geq) => constant >= r.constant,
+                    // e >= -rc >= -cc.
+                    (true, _, Rel::Geq, Rel::Geq) => constant >= r.constant,
+                    // -e + rc = 0 pins e = rc; evaluate c there.
+                    (_, true, Rel::Eq, Rel::Eq) => r.constant + constant == 0,
+                    (_, true, Rel::Eq, Rel::Geq) => r.constant + constant >= 0,
+                    _ => false,
                 }
-                Rel::Geq => constant = floor_div(constant, g),
-            }
-            for x in &mut coeffs {
-                *x /= g;
-            }
-        }
-        self.rows.iter().any(|r| {
-            let same = r.coeffs == coeffs;
-            let negated = !same && r.coeffs.iter().zip(&coeffs).all(|(&a, &b)| a == -b);
-            match (same, negated, r.rel, c.rel()) {
-                // e + rc = 0 pins e; c follows iff it holds at -rc.
-                (true, _, Rel::Eq, Rel::Eq) => r.constant == constant,
-                (true, _, Rel::Eq, Rel::Geq) => constant >= r.constant,
-                // e >= -rc >= -cc.
-                (true, _, Rel::Geq, Rel::Geq) => constant >= r.constant,
-                // -e + rc = 0 pins e = rc; evaluate c there.
-                (_, true, Rel::Eq, Rel::Eq) => r.constant + constant == 0,
-                (_, true, Rel::Eq, Rel::Geq) => r.constant + constant >= 0,
-                _ => false,
-            }
-        })
+            })
     }
 
     /// Sound-but-incomplete two-row implication: does some nonnegative
@@ -522,40 +664,27 @@ impl System {
         if c.rel() != Rel::Geq {
             return false;
         }
-        let mut coeffs = vec![0i64; self.vars.len()];
-        for (v, k) in c.expr().iter() {
-            match self.var_index(v) {
-                Some(i) => coeffs[i] = k,
-                None => return false,
-            }
-        }
-        let mut constant = c.expr().constant_part();
-        let g = gcd_slice(&coeffs);
-        if g == 0 {
-            return constant >= 0;
-        }
-        if g > 1 {
-            constant = floor_div(constant, g);
-            for x in &mut coeffs {
-                *x /= g;
-            }
-        }
+        let mut coeffs = crate::scratch::coeff_vec();
+        let constant = match self.normalized_into(c, &mut coeffs) {
+            Ok(constant) => constant,
+            Err(verdict) => return verdict,
+        };
+        let coeffs = &coeffs[..];
         // Rows sharing a variable with the candidate; columns outside
         // the candidate's support must cancel between the pair, so a row
         // disjoint from the candidate can only contribute via such a
         // cancellation partner — rare enough to ignore.
-        let relevant: Vec<&Row> = self
-            .rows
-            .iter()
-            .filter(|r| {
-                r.coeffs
-                    .iter()
-                    .zip(&coeffs)
-                    .any(|(&a, &b)| b != 0 && a != 0)
-            })
-            .collect();
-        for (i, r1) in relevant.iter().enumerate() {
-            for r2 in &relevant[i + 1..] {
+        let mut relevant = crate::scratch::idx_vec();
+        relevant.extend(
+            self.rows()
+                .enumerate()
+                .filter(|(_, r)| r.coeffs.iter().zip(coeffs).any(|(&a, &b)| b != 0 && a != 0))
+                .map(|(i, _)| i as u32),
+        );
+        for (i, &i1) in relevant.iter().enumerate() {
+            let r1 = self.row(i1 as usize);
+            for &i2 in &relevant[i + 1..] {
+                let r2 = self.row(i2 as usize);
                 // pick two columns giving an invertible 2×2 system
                 let mut piv = None;
                 'cols: for p in 0..coeffs.len() {
@@ -598,10 +727,6 @@ impl System {
         false
     }
 
-    pub(crate) fn rows(&self) -> &[Row] {
-        &self.rows
-    }
-
     pub(crate) fn set_contradiction(&mut self) {
         self.contradiction = true;
     }
@@ -609,10 +734,17 @@ impl System {
     /// Drop a variable column entirely (the caller guarantees no row uses
     /// it).
     pub(crate) fn drop_var_column(&mut self, idx: usize) {
-        debug_assert!(self.rows.iter().all(|r| r.coeffs[idx] == 0));
+        debug_assert!(!self.column_used(idx));
+        let w = self.vars.len();
         Arc::make_mut(&mut self.vars).remove(idx);
-        for r in &mut self.rows {
-            r.coeffs.remove(idx);
+        let mut k = 0;
+        self.flat.retain(|_| {
+            k += 1;
+            (k - 1) % w != idx
+        });
+        // the columns after `idx` moved: re-sign every row
+        for i in 0..self.rows.len() {
+            self.rows[i].sig = signature(&self.flat[i * (w - 1)..(i + 1) * (w - 1)]);
         }
     }
 
@@ -658,16 +790,7 @@ impl System {
     /// Substitute an affine expression for a variable (exact; used when a
     /// variable is defined by an equality with unit coefficient).
     pub fn substitute(&self, name: &str, replacement: &LinExpr) -> System {
-        let mut out = System::new();
-        // keep variable universe stable (minus `name`, plus replacement's)
-        for v in self.vars.iter() {
-            if v != name {
-                out.ensure_var(v);
-            }
-        }
-        for v in replacement.vars() {
-            out.ensure_var(v);
-        }
+        let mut out = self.substitution_universe(name, replacement);
         if self.contradiction {
             out.contradiction = true;
             return out;
@@ -686,15 +809,7 @@ impl System {
         name: &str,
         replacement: &LinExpr,
     ) -> Result<System, crate::error::PolyError> {
-        let mut out = System::new();
-        for v in self.vars.iter() {
-            if v != name {
-                out.ensure_var(v);
-            }
-        }
-        for v in replacement.vars() {
-            out.ensure_var(v);
-        }
+        let mut out = self.substitution_universe(name, replacement);
         if self.contradiction {
             out.contradiction = true;
             return Ok(out);
@@ -703,6 +818,19 @@ impl System {
             out.add(c.try_substitute(name, replacement)?);
         }
         Ok(out)
+    }
+
+    /// The empty system a substitution of `name` writes into: the
+    /// variable universe kept stable, minus `name`, plus the
+    /// replacement's variables.
+    fn substitution_universe(&self, name: &str, replacement: &LinExpr) -> System {
+        let mut vars: Vec<String> = self.vars.iter().filter(|v| *v != name).cloned().collect();
+        for v in replacement.vars() {
+            if !vars.iter().any(|u| u == v) {
+                vars.push(v.to_string());
+            }
+        }
+        System::with_vars_arc(Arc::new(vars))
     }
 
     /// Dense variable substitution used by the Omega test's equality
@@ -715,8 +843,8 @@ impl System {
     /// interchangeable; this one skips the string-keyed round trip.
     ///
     /// Every row is computed exactly in `i128` and narrowed via
-    /// [`narrow_row`], so substitution never wraps or panics: rows whose
-    /// reduced form exceeds `i64` (or `max_coeff`) surface a
+    /// [`Self::push_narrowed`], so substitution never wraps or panics:
+    /// rows whose reduced form exceeds `i64` (or `max_coeff`) surface a
     /// [`PolyError`].
     pub(crate) fn try_substitute_col(
         &self,
@@ -740,10 +868,10 @@ impl System {
             out.contradiction = true;
             return Ok(out);
         }
-        let n = out.vars.len();
-        for r in &self.rows {
+        let mut coeffs: Vec<i128> = Vec::with_capacity(out.vars.len());
+        for r in self.rows() {
             let c = r.coeffs[k] as i128;
-            let mut coeffs: Vec<i128> = Vec::with_capacity(n);
+            coeffs.clear();
             for (i, &a) in r.coeffs.iter().enumerate() {
                 if i != k {
                     coeffs.push(a as i128 + c * repl[i] as i128);
@@ -753,13 +881,8 @@ impl System {
                 coeffs.push(c * ec as i128);
             }
             let constant = r.constant as i128 + c * repl_const as i128;
-            match narrow_row(&coeffs, constant, r.rel, max_coeff)? {
-                NarrowedRow::Row(row) => out.push_row(row),
-                NarrowedRow::True => {}
-                NarrowedRow::False => {
-                    out.contradiction = true;
-                    return Ok(out);
-                }
+            if !out.push_narrowed(&coeffs, constant, r.rel, max_coeff)? {
+                return Ok(out);
             }
         }
         Ok(out)
@@ -767,13 +890,10 @@ impl System {
 
     /// The variables that actually occur with non-zero coefficient.
     pub fn used_vars(&self) -> Vec<String> {
-        let mut used = Vec::new();
-        for (i, v) in self.vars.iter().enumerate() {
-            if self.rows.iter().any(|r| r.coeffs[i] != 0) {
-                used.push(v.clone());
-            }
-        }
-        used
+        (0..self.vars.len())
+            .filter(|&i| self.column_used(i))
+            .map(|i| self.vars[i].clone())
+            .collect()
     }
 
     /// Brute-force enumeration of all solutions with every variable in
@@ -804,10 +924,6 @@ impl System {
                 }
             }
             break;
-        }
-        if n == 0 && self.rows.is_empty() && !self.contradiction {
-            // the empty system has the single empty solution (already
-            // pushed above by the first loop pass)
         }
         out
     }

@@ -24,7 +24,9 @@
 //! set), the server loads the polyhedral memo store on startup and
 //! saves it on shutdown, so a restarted daemon answers its first
 //! requests from a warm cache. `serve.bytes_persisted` records the
-//! bytes written by the last save.
+//! bytes written by the last save. A store the loader refuses (another
+//! format version, truncated, failing its checksum) is a cold start
+//! counted in `serve.store_rejected`, never a failed start-up.
 
 use crate::proto::{read_frame, send_response, ErrorClass, Request, Response};
 use crate::service::{self, ServiceConfig};
@@ -97,7 +99,11 @@ impl Server {
 
     /// Load the persistent polyhedral store, if configured and present.
     /// Returns the number of entries loaded (0 when there is nothing to
-    /// load — a cold start is not an error).
+    /// load — a cold start is not an error). A store that cannot be
+    /// read as a whole — another format version, truncated, or failing
+    /// its checksum (`InvalidData`) — is a cold start too, counted in
+    /// `serve.store_rejected`: `cache::load_from` inserts nothing from
+    /// such a file, and the next save replaces it.
     pub fn load_store(&self) -> io::Result<usize> {
         let Some(path) = &self.store else {
             return Ok(0);
@@ -105,6 +111,10 @@ impl Server {
         match cache::load_from(path) {
             Ok(n) => Ok(n),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                shackle_probe::counter("serve.store_rejected").add(1);
+                Ok(0)
+            }
             Err(e) => Err(e),
         }
     }

@@ -148,8 +148,9 @@ fn check_probe_n(probe_n: i64) -> Result<(), ServeError> {
 /// Refuse a kernel whose arrays cannot be laid out at `probe_n` — the
 /// simulation behind a score would unwind on it. A parameter the daemon
 /// does not bind is the kernel's fault whatever the request says
-/// ([`ErrorClass::Parse`]); an extent that is not positive is this
-/// request's, at this probe size ([`ErrorClass::Internal`]).
+/// ([`ErrorClass::Parse`]); an extent that is not positive, or an array
+/// too large to address, is this request's, at this probe size
+/// ([`ErrorClass::Internal`]).
 fn check_extents(program: &Program, probe_n: i64) -> Result<(), ServeError> {
     match array_extents(program, &probe_params(probe_n)) {
         Ok(_) => Ok(()),
@@ -157,10 +158,9 @@ fn check_extents(program: &Program, probe_n: i64) -> Result<(), ServeError> {
             ErrorClass::Parse,
             format!("{e}: the daemon binds N, and only N"),
         )),
-        Err(e @ ExtentError::NonPositive { .. }) => Err(ServeError::new(
-            ErrorClass::Internal,
-            format!("{e} at probe_n {probe_n}"),
-        )),
+        Err(e @ (ExtentError::NonPositive { .. } | ExtentError::Overflow { .. })) => Err(
+            ServeError::new(ErrorClass::Internal, format!("{e} at probe_n {probe_n}")),
+        ),
     }
 }
 

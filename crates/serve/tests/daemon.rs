@@ -411,6 +411,20 @@ fn a_non_positive_extent_at_the_probe_size_is_an_internal_refusal() {
     );
 }
 
+/// An extent past `i64` at the probe size is an `Internal` refusal
+/// naming the array, not an `eval overflow` unwind out of the extent
+/// evaluator, and the worker answers the next request.
+#[test]
+fn an_overflowing_extent_is_an_internal_refusal() {
+    assert_refused(
+        "program big\nparam N\narray A(4611686018427387904*N)\n\n\
+         do I = 1 .. N\n  S1: A[I] = A[I] + 1\n",
+        16,
+        ErrorClass::Internal,
+        "size of A overflows i64 at probe_n 16",
+    );
+}
+
 /// Concurrent identical requests coalesce onto one search: all callers
 /// get equal responses and `serve.coalesced` counts the followers.
 #[test]
@@ -529,6 +543,96 @@ fn store_persists_across_restart() {
     let stats = cache::stats();
     let hits = stats.feasibility_hits + stats.projection_hits + stats.gist_hits;
     assert!(hits > 0, "reloaded store produced no hits: {stats:?}");
+    let _ = std::fs::remove_file(&path);
+}
+
+/// What the parent commit's daemon wrote for a cache holding the one
+/// verdict "`x - 1 >= 0` is feasible": store version 1, no checksum.
+fn parent_version_store() -> Vec<u8> {
+    let mut s = b"SHPL".to_vec();
+    s.push(1); // version
+    s.extend([0, 2, 10, 0, 2, 1, 1, 2, 1]); // one feasibility entry
+    s.extend([1, 0, 2, 0, 0xff]); // empty projection and gist sections, end
+    s
+}
+
+/// Flip the first `false` feasibility verdict of a store to `true`
+/// (zig-zag LEB128 counts and lengths; the feasibility section follows
+/// the five-byte header).
+fn flip_first_infeasible_verdict(store: &mut [u8]) {
+    let varint = |pos: &mut usize| {
+        let (mut z, mut shift) = (0u64, 0);
+        loop {
+            let b = store[*pos];
+            *pos += 1;
+            z |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return (z >> 1) as usize;
+            }
+            shift += 7;
+        }
+    };
+    let mut pos = 6;
+    let at = (0..varint(&mut pos))
+        .find_map(|_| {
+            pos += varint(&mut pos);
+            pos += 1;
+            (store[pos - 1] == 0).then_some(pos - 1)
+        })
+        .expect("an infeasible verdict in the store");
+    store[at] = 1;
+}
+
+/// A store the loader refuses — the parent's format, a truncated file,
+/// one flipped verdict — is a cold start: the daemon comes up (it used
+/// to fail at start-up), counts the file in `serve.store_rejected`, and
+/// answers an optimize byte-identically to a cold daemon.
+#[test]
+fn an_unreadable_store_is_a_cold_start() {
+    let _g = lock();
+    let path = std::env::temp_dir().join(format!(
+        "shackle-serve-unreadable-{}.store",
+        std::process::id()
+    ));
+    let req = Request::Optimize {
+        probe_n: 16,
+        width: 8,
+        init: "ones".into(),
+        source: to_source(&kernels::matmul_ijk()),
+    };
+    cache::clear_cache();
+    let cold = Server::new().with_store(None).handle(req.clone());
+    assert!(matches!(cold, Response::Optimized { .. }), "{cold:?}");
+    cache::save_to(&path).unwrap();
+    let intact = std::fs::read(&path).unwrap();
+    let mut flipped = intact.clone();
+    flip_first_infeasible_verdict(&mut flipped);
+
+    let rejected = shackle_probe::counter("serve.store_rejected");
+    for (what, bytes) in [
+        ("parent version", parent_version_store()),
+        ("truncated", intact[..intact.len() / 2].to_vec()),
+        ("flipped verdict", flipped),
+    ] {
+        std::fs::write(&path, &bytes).unwrap();
+        cache::clear_cache();
+        let before = rejected.get();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = Arc::new(Server::new().with_store(Some(path.clone())));
+        let srv = Arc::clone(&server);
+        let daemon = std::thread::spawn(move || srv.serve_tcp(listener));
+        let mut client = Client::connect(addr).unwrap();
+        let answer = client.request(&req).unwrap();
+        assert_eq!(rejected.get(), before + 1, "{what}");
+        assert_eq!(answer, cold, "{what}: a warm answer from a refused store");
+        assert!(matches!(
+            client.request(&Request::Shutdown).unwrap(),
+            Response::ShuttingDown
+        ));
+        drop(client);
+        daemon.join().unwrap().unwrap();
+    }
     let _ = std::fs::remove_file(&path);
 }
 
