@@ -3,14 +3,34 @@
 use shackle_ir::Program;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::num::NonZeroU64;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The next content stamp; stamps are never reused.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// A dense `f64` array stored in column-major (FORTRAN) order with
 /// 1-based subscripts, matching the paper's codes and the BLAS/LAPACK
 /// convention its baselines assume.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Every array built by [`zeros`](DenseArray::zeros) or
+/// [`from_fn`](DenseArray::from_fn) carries a content stamp unique in
+/// the process. A clone keeps it (same content); the two mutators,
+/// [`data_mut`](DenseArray::data_mut) and [`set`](DenseArray::set),
+/// clear it. Two arrays with the same stamp therefore hold the same
+/// bits, which lets the native tier skip resending a read-only input
+/// its runner already holds. Equality ignores the stamp.
+#[derive(Clone, Debug)]
 pub struct DenseArray {
     dims: Vec<usize>,
     data: Vec<f64>,
+    stamp: Option<NonZeroU64>,
+}
+
+impl PartialEq for DenseArray {
+    fn eq(&self, other: &Self) -> bool {
+        self.dims == other.dims && self.data == other.data
+    }
 }
 
 impl DenseArray {
@@ -24,9 +44,11 @@ impl DenseArray {
         assert!(!dims.is_empty(), "arrays need at least one dimension");
         assert!(dims.iter().all(|&d| d > 0), "extents must be positive");
         let len = element_count(&dims).expect("element count overflows usize");
+        let stamp = NonZeroU64::new(NEXT_STAMP.fetch_add(1, Ordering::Relaxed));
         Self {
             dims,
             data: vec![0.0; len],
+            stamp,
         }
     }
 
@@ -74,9 +96,16 @@ impl DenseArray {
         &self.data
     }
 
-    /// Mutable raw data.
+    /// Mutable raw data. Clears the content stamp.
     pub fn data_mut(&mut self) -> &mut [f64] {
+        self.stamp = None;
         &mut self.data
+    }
+
+    /// The content stamp: equal stamps mean equal contents. `None` once
+    /// the array has been handed out for mutation.
+    pub(crate) fn stamp(&self) -> Option<NonZeroU64> {
+        self.stamp
     }
 
     fn offset_usize(&self, idx: &[usize]) -> usize {
@@ -116,9 +145,10 @@ impl DenseArray {
         self.data[self.offset(idx)]
     }
 
-    /// Write element at 1-based subscripts.
+    /// Write element at 1-based subscripts. Clears the content stamp.
     pub fn set(&mut self, idx: &[i64], v: f64) {
         let off = self.offset(idx);
+        self.stamp = None;
         self.data[off] = v;
     }
 }
@@ -313,6 +343,36 @@ mod tests {
     fn bounds_checked() {
         let a = DenseArray::zeros(vec![2, 2]);
         let _ = a.get(&[3, 1]);
+    }
+
+    #[test]
+    fn a_clone_keeps_the_stamp_and_a_mutation_clears_it() {
+        let a = DenseArray::from_fn(vec![3, 2], |idx| (idx[0] + idx[1]) as f64);
+        assert!(a.stamp().is_some());
+        assert_eq!(a.clone().stamp(), a.stamp());
+        let mut by_slice = a.clone();
+        by_slice.data_mut();
+        assert_eq!(by_slice.stamp(), None);
+        let mut by_element = a.clone();
+        by_element.set(&[1, 1], 2.0);
+        assert_eq!(by_element.stamp(), None);
+        // a mutation that writes back the same value still clears it
+        assert_eq!(by_element, a);
+    }
+
+    #[test]
+    fn equal_contents_built_twice_have_distinct_stamps() {
+        let init = |idx: &[usize]| (idx[0] * 7) as f64;
+        let (a, b) = (
+            DenseArray::from_fn(vec![4], init),
+            DenseArray::from_fn(vec![4], init),
+        );
+        assert_eq!(a, b);
+        assert_ne!(a.stamp(), b.stamp());
+        assert_ne!(
+            DenseArray::zeros(vec![4]).stamp(),
+            DenseArray::zeros(vec![4]).stamp()
+        );
     }
 
     #[test]

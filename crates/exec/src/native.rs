@@ -9,7 +9,9 @@
 //! complete runner source plus the `rustc -V` string), and executed in
 //! a **persistent runner process** that serves repeated run requests
 //! over length-prefixed stdio frames — so per-run cost is pipe I/O
-//! plus native execution, not process spawn.
+//! plus native execution, not process spawn — and keeps the read-only
+//! inputs it was sent, so an input crosses the pipe once per content,
+//! not once per run.
 //!
 //! # Runner protocol
 //!
@@ -17,9 +19,22 @@
 //!
 //! ```text
 //! u64 nparams         then nparams × i64 (program.params() order)
-//! u64 narrays         then per array (declaration order):
-//!                       u64 len, len × f64
+//! u64 narrays         then per array (declaration order), either
+//!                       u64 len, len × f64     (the data), or
+//!                       u64 KEEP = u64::MAX    (keep what you hold)
 //! ```
+//!
+//! A *keep* marker is sent only for an array no statement writes, and
+//! only when the workspace's array carries the content stamp of the
+//! data this runner was last sent for it (see
+//! [`DenseArray`](crate::DenseArray): a clone keeps the stamp, the only
+//! two mutators clear it, and stamps are never reused). The runner then
+//! keeps its `Vec` from the previous run. That copy is exact because
+//! the emitted kernel takes a read-only array as `&[f64]`: the compiler
+//! guarantees the runner never changes what it was sent. The host keeps
+//! only the stamp, no copy of the data. Written arrays are sent on
+//! every run. A keep for an array the runner never received is a
+//! protocol failure: the runner exits with status 2.
 //!
 //! Response (runner → host), two `u8 tag + u64 len + payload` frames of
 //! `len` 8-byte words, in this order:
@@ -62,7 +77,8 @@
 //! probe enabled each run also publishes what the transport cost:
 //! `native.kernel_ns` (measured in the runner), `native.bytes_down` and
 //! `native.bytes_up` (counted on the host), so the `native.run` span
-//! minus `native.kernel_ns` is the time spent in the pipe.
+//! minus `native.kernel_ns` is the time spent in the pipe, and
+//! `native.bytes_kept`: the array bytes keep markers replaced.
 
 use crate::interp::count_flops;
 use crate::{ExecStats, Workspace};
@@ -71,6 +87,7 @@ use shackle_ir::{Program, ScalarExpr};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{Read, Write};
+use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
 use std::sync::LazyLock;
@@ -78,6 +95,9 @@ use std::sync::LazyLock;
 /// Elements per staging buffer: 8192 × 8 bytes = 64 KiB, the capacity
 /// of a pipe, so one converted chunk is one full pipe.
 pub const STAGE: usize = 8192;
+
+/// The length word that tells the runner to keep the array it holds.
+const KEEP: u64 = u64::MAX;
 
 static RUSTC_VERSION: LazyLock<Option<String>> = LazyLock::new(|| {
     Command::new("rustc")
@@ -206,7 +226,16 @@ fn read_u64(r: &mut impl Read) -> u64 {
 }
 
 fn read_array(r: &mut impl Read, stage: &mut [u8], arr: &mut Vec<f64>) {
-    let len = read_u64(r) as usize;
+    let len = read_u64(r);
+    if len == KEEP {
+        // no array is empty: an empty one was never received
+        if arr.is_empty() {
+            eprintln!("keep marker for an array this runner never received");
+            std::process::exit(2);
+        }
+        return;
+    }
+    let len = len as usize;
     arr.resize(len, 0.0);
     for chunk in arr.chunks_mut(STAGE) {
         let bytes = &mut stage[..chunk.len() * 8];
@@ -252,7 +281,10 @@ pub fn runner_source(program: &Program) -> String {
         program.name()
     );
     let _ = writeln!(src, "mod plain {{\n{plain}}}\n");
-    let _ = writeln!(src, "const STAGE: usize = {STAGE};");
+    let _ = writeln!(
+        src,
+        "const STAGE: usize = {STAGE};\nconst KEEP: u64 = {KEEP};"
+    );
     src.push_str(RUNNER_IO);
     let _ = writeln!(
         src,
@@ -455,12 +487,24 @@ fn read_response(r: &mut impl Read, stmts: usize, written: usize) -> Result<Resp
     })
 }
 
+/// One declared array, as the transport sees it.
+#[derive(Debug)]
+struct ArraySlot {
+    name: String,
+    /// Whether some statement writes it: the runner returns it, and it
+    /// is sent on every run.
+    written: bool,
+    /// For a read-only array, the stamp of the content the runner holds.
+    held: Option<NonZeroU64>,
+}
+
 /// A compiled kernel attached to its persistent runner process.
 ///
 /// Spawn once, [`run`](NativeKernel::run) many times: each run streams
-/// parameters and array contents down the pipe and reads the written
-/// arrays back, so repeated executions pay pipe I/O plus native speed —
-/// no process spawn, no rustc.
+/// parameters, the written arrays and any read-only array the runner
+/// does not already hold down the pipe and reads the written arrays
+/// back, so repeated executions pay pipe I/O plus native speed — no
+/// process spawn, no rustc.
 #[derive(Debug)]
 pub struct NativeKernel {
     /// The runner; its stdin stays inside, so waiting on it closes the
@@ -470,8 +514,8 @@ pub struct NativeKernel {
     /// Which cache entry backs this kernel.
     outcome: BuildOutcome,
     params: Vec<String>,
-    /// Declared arrays, and whether the runner returns each.
-    arrays: Vec<(String, bool)>,
+    /// Declared arrays, in declaration order.
+    arrays: Vec<ArraySlot>,
     costs: Vec<StmtCost>,
     /// The host's staging buffer, [`STAGE`] elements.
     stage: Vec<u8>,
@@ -495,13 +539,19 @@ impl NativeKernel {
             .stderr(Stdio::inherit())
             .spawn()?;
         let stdout = child.stdout.take().expect("piped stdout");
-        let names = program.arrays().iter().map(|a| a.name().to_string());
+        let arrays = program.arrays().iter().zip(written_arrays(program));
         Ok(Self {
             child,
             stdout,
             outcome,
             params: program.params().to_vec(),
-            arrays: names.zip(written_arrays(program)).collect(),
+            arrays: arrays
+                .map(|(a, written)| ArraySlot {
+                    name: a.name().to_string(),
+                    written,
+                    held: None,
+                })
+                .collect(),
             costs: program
                 .stmts()
                 .iter()
@@ -520,12 +570,13 @@ impl NativeKernel {
         &self.outcome
     }
 
-    /// Stream one request down the pipe; returns the bytes sent.
+    /// Stream one request down the pipe; returns the bytes sent and the
+    /// array bytes keep markers replaced.
     fn send_request(
         &mut self,
         workspace: &Workspace,
         params: &BTreeMap<String, i64>,
-    ) -> Result<u64, NativeError> {
+    ) -> Result<(u64, u64), NativeError> {
         let w = self.child.stdin.as_mut().expect("piped stdin");
         let mut head = Vec::with_capacity(8 * (self.params.len() + 2));
         head.extend_from_slice(&(self.params.len() as u64).to_le_bytes());
@@ -538,11 +589,18 @@ impl NativeKernel {
         head.extend_from_slice(&(self.arrays.len() as u64).to_le_bytes());
         w.write_all(&head)?;
         let mut sent = head.len();
-        for (name, _) in &self.arrays {
-            let data = workspace
-                .array(name)
-                .unwrap_or_else(|| panic!("unknown array {name}"))
-                .data();
+        let mut kept = 0;
+        for slot in &mut self.arrays {
+            let array = workspace
+                .array(&slot.name)
+                .unwrap_or_else(|| panic!("unknown array {}", slot.name));
+            let data = array.data();
+            if slot.held.is_some() && array.stamp() == slot.held {
+                w.write_all(&KEEP.to_le_bytes())?;
+                sent += 8;
+                kept += data.len() * 8;
+                continue;
+            }
             w.write_all(&(data.len() as u64).to_le_bytes())?;
             for chunk in data.chunks(STAGE) {
                 let bytes = &mut self.stage[..chunk.len() * 8];
@@ -552,8 +610,11 @@ impl NativeKernel {
                 w.write_all(bytes)?;
             }
             sent += 8 + data.len() * 8;
+            if !slot.written {
+                slot.held = array.stamp();
+            }
         }
-        Ok(sent as u64)
+        Ok((sent as u64, kept as u64))
     }
 
     /// Reconstruct exact [`ExecStats`] from the per-statement instance
@@ -571,8 +632,8 @@ impl NativeKernel {
 
     /// Names of the arrays the runner returns, in declaration order.
     fn written(&self) -> impl Iterator<Item = &str> {
-        let returned = self.arrays.iter().filter(|(_, written)| *written);
-        returned.map(|(name, _)| name.as_str())
+        let returned = self.arrays.iter().filter(|slot| slot.written);
+        returned.map(|slot| slot.name.as_str())
     }
 
     /// One request/response exchange; the workspace is only read.
@@ -580,14 +641,14 @@ impl NativeKernel {
         &mut self,
         workspace: &Workspace,
         params: &BTreeMap<String, i64>,
-    ) -> Result<(u64, Response), NativeError> {
-        let sent = self.send_request(workspace, params)?;
+    ) -> Result<(u64, u64, Response), NativeError> {
+        let (sent, kept) = self.send_request(workspace, params)?;
         let written = self
             .written()
             .map(|name| workspace.array(name).expect("array sent down").len())
             .sum();
         let response = read_response(&mut self.stdout, self.costs.len(), written)?;
-        Ok((sent, response))
+        Ok((sent, kept, response))
     }
 
     /// Reap the runner after `cause` and mark the kernel failed. The
@@ -621,7 +682,7 @@ impl NativeKernel {
         if let Some(why) = &self.failed {
             return Err(NativeError::RunnerFailed(why.clone()));
         }
-        let (sent, response) = match self.exchange(workspace, params) {
+        let (sent, kept, response) = match self.exchange(workspace, params) {
             Ok(done) => done,
             Err(cause) => return Err(self.fail(cause)),
         };
@@ -643,6 +704,7 @@ impl NativeKernel {
         crate::publish_exec_stats(&stats);
         shackle_probe::add("native.kernel_ns", response.kernel_ns);
         shackle_probe::add("native.bytes_down", sent);
+        shackle_probe::add("native.bytes_kept", kept);
         shackle_probe::add("native.bytes_up", response.bytes());
         Ok(stats)
     }

@@ -10,11 +10,28 @@
 //! sandbox.
 
 use proptest::prelude::*;
-use shackle_exec::native::{rustc_available, STAGE};
+use shackle_exec::native::{build, rustc_available, STAGE};
 use shackle_exec::{compile, execute, verify, NativeError, NativeKernel, NullObserver, Workspace};
 use shackle_ir::Program;
 use shackle_kernels::catalogue::{catalogue, Entry};
 use std::collections::BTreeMap;
+use std::sync::{RwLock, RwLockReadGuard};
+
+/// The probe counters are process-global. Every test that runs a
+/// native kernel holds a read share of this lock; the test that reads
+/// the transport counters holds it exclusively, so no other run lands
+/// in them meanwhile.
+static PROBE: RwLock<()> = RwLock::new(());
+
+/// A read share of [`PROBE`], or `None` (and a note) when `rustc` is
+/// unavailable.
+fn native() -> Option<RwLockReadGuard<'static, ()>> {
+    if !rustc_available() {
+        eprintln!("skipping: rustc unavailable");
+        return None;
+    }
+    Some(PROBE.read().unwrap_or_else(|e| e.into_inner()))
+}
 
 fn params(n: i64) -> BTreeMap<String, i64> {
     BTreeMap::from([("N".to_string(), n)])
@@ -72,10 +89,7 @@ fn assert_native_agrees_on(entry: &Entry, n: i64, seed: u64) {
 /// indistinguishable from interpreter and bytecode engine.
 #[test]
 fn native_matches_all_kernels() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
+    let Some(_probe) = native() else { return };
     for entry in catalogue() {
         assert_native_agrees_on(&entry, 7, 3);
     }
@@ -85,10 +99,7 @@ fn native_matches_all_kernels() {
 /// natively too.
 #[test]
 fn native_matches_scanned_cholesky() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
+    let Some(_probe) = native() else { return };
     use shackle_core::{scan::generate_scanned, Blocking, Shackle};
     let program = shackle_ir::kernels::cholesky_right();
     let s = Shackle::on_writes(&program, Blocking::square("A", 2, &[1, 0], 3));
@@ -101,10 +112,7 @@ fn native_matches_scanned_cholesky() {
 /// the property the bench harness leans on for its ≥5 timed runs.
 #[test]
 fn persistent_runner_many_runs() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
+    let Some(_probe) = native() else { return };
     let program = shackle_ir::kernels::matmul_ijk();
     let mut kernel = NativeKernel::spawn(&program).expect("native build");
     for n in [1i64, 3, 5, 8, 8, 2] {
@@ -155,13 +163,8 @@ fn assert_partial_return_is_exact(src: &str, read_only: &[&str], sizes: &[i64]) 
 /// declarations, while the runner's arrays shrink and grow in place.
 #[test]
 fn partial_return_is_exact() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
-    let read_only_first = "program scale\nparam N\narray R(N, N)\narray W(N, N)\n\n\
-        do J = 1 .. N\n  do I = 1 .. N\n    S1: W[I, J] = W[I, J] + 2 * R[J, I]\n";
-    assert_partial_return_is_exact(read_only_first, &["R"], &[9, 3, 17]);
+    let Some(_probe) = native() else { return };
+    assert_partial_return_is_exact(SCALE, &["R"], &[9, 3, 17]);
     let written_around_read_only = "program sums\nparam N\n\
         array X(N)\narray R(N, N)\narray Y(N)\n\n\
         do J = 1 .. N\n  do I = 1 .. N\n\
@@ -174,10 +177,7 @@ fn partial_return_is_exact() {
 /// and several: every chunk boundary round-trips.
 #[test]
 fn arrays_longer_than_the_staging_buffer_round_trip() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
+    let Some(_probe) = native() else { return };
     let axpy = "program axpy\nparam N\narray X(N)\narray Y(N)\n\n\
         do I = 1 .. N\n  S1: Y[I] = Y[I] + 2 * X[I]\n";
     let stage = STAGE as i64;
@@ -188,10 +188,7 @@ fn arrays_longer_than_the_staging_buffer_round_trip() {
 /// A program without statements still builds: it returns no arrays.
 #[test]
 fn program_without_statements_runs() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
+    let Some(_probe) = native() else { return };
     assert_partial_return_is_exact("program idle\nparam N\narray A(N)\n", &["A"], &[4]);
 }
 
@@ -199,10 +196,7 @@ fn program_without_statements_runs() {
 /// run and on every later one, and the workspace is never touched.
 #[test]
 fn dead_runner_is_an_error_that_says_so_for_good() {
-    if !rustc_available() {
-        eprintln!("skipping: rustc unavailable");
-        return;
-    }
+    let Some(_probe) = native() else { return };
     // the subscript runs one past the array: the runner panics
     let overrun = "program overrun\nparam N\narray A(N)\n\n\
         do I = 1 .. N\n  S1: A[I + 1] = A[I] + 1\n";
@@ -224,6 +218,114 @@ fn dead_runner_is_an_error_that_says_so_for_good() {
     assert_eq!(failures[0], failures[1]);
 }
 
+/// `R` is read-only, `W` written: `W ← W + 2·Rᵀ`.
+const SCALE: &str = "program scale\nparam N\narray R(N, N)\narray W(N, N)\n\n\
+    do J = 1 .. N\n  do I = 1 .. N\n    S1: W[I, J] = W[I, J] + 2 * R[J, I]\n";
+
+/// One run of `ws` on `kernel`, checked bit for bit against the tree
+/// interpreter on the same inputs. Returns the output and the
+/// `native.bytes_down` and `native.bytes_kept` the run added.
+fn counted_run(
+    kernel: &mut NativeKernel,
+    program: &Program,
+    mut ws: Workspace,
+    p: &BTreeMap<String, i64>,
+) -> (Workspace, u64, u64) {
+    let mut tree_ws = ws.clone();
+    execute(program, &mut tree_ws, p, &mut NullObserver);
+    let down = shackle_probe::counter("native.bytes_down");
+    let kept = shackle_probe::counter("native.bytes_kept");
+    let (down0, kept0) = (down.get(), kept.get());
+    kernel.run(&mut ws, p).expect("native run");
+    assert_bit_identical(&tree_ws, &ws, "native vs tree");
+    (ws, down.get() - down0, kept.get() - kept0)
+}
+
+/// A read-only input crosses the pipe once per content: a second run on
+/// a clone sends exactly its bytes fewer; a mutated copy, by either
+/// mutator, and an input of another size are sent again — and every
+/// run matches the tree interpreter, which it would not if a stamp
+/// outlived a mutation.
+#[test]
+fn read_only_inputs_cross_the_pipe_once_per_content() {
+    if !rustc_available() {
+        eprintln!("skipping: rustc unavailable");
+        return;
+    }
+    let _alone = PROBE.write().unwrap_or_else(|e| e.into_inner());
+    let was_enabled = shackle_probe::set_enabled(true);
+    let program = shackle_ir::parse::parse(SCALE).expect("test program parses");
+    let mut kernel = NativeKernel::spawn(&program).expect("native build");
+    let p = params(9);
+    let inputs = Workspace::for_program(&program, &p, verify::hash_init(9));
+    let read_only = 8 * 81;
+    // header: nparams, N, narrays; then per array a length word + data
+    let full = 8 * 3 + 2 * (8 + read_only);
+
+    let (first, down, kept) = counted_run(&mut kernel, &program, inputs.clone(), &p);
+    assert_eq!((down, kept), (full, 0), "first run sends everything");
+    let (second, down, kept) = counted_run(&mut kernel, &program, inputs.clone(), &p);
+    assert_eq!((down, kept), (full - read_only, read_only), "R is kept");
+    assert_eq!(first, second);
+
+    let mut by_slice = inputs.clone();
+    by_slice.array_mut("R").unwrap().data_mut()[4] += 1.0;
+    let (out, down, kept) = counted_run(&mut kernel, &program, by_slice, &p);
+    assert_eq!(
+        (down, kept),
+        (full, 0),
+        "R changed through data_mut is resent"
+    );
+    assert_ne!(out, first);
+
+    // the runner now holds the mutated R: the original is resent
+    let (_, down, _) = counted_run(&mut kernel, &program, inputs.clone(), &p);
+    assert_eq!(down, full);
+    let mut by_element = inputs.clone();
+    by_element.array_mut("R").unwrap().set(&[2, 3], -7.0);
+    let (out, down, kept) = counted_run(&mut kernel, &program, by_element, &p);
+    assert_eq!((down, kept), (full, 0), "R changed through set is resent");
+    assert_ne!(out, first);
+
+    // another size is another content, and so is the first one after it
+    let small = params(5);
+    let other = Workspace::for_program(&program, &small, verify::hash_init(9));
+    let (_, down, kept) = counted_run(&mut kernel, &program, other, &small);
+    assert_eq!((down, kept), (8 * 3 + 2 * (8 + 8 * 25), 0));
+    let (out, down, kept) = counted_run(&mut kernel, &program, inputs.clone(), &p);
+    assert_eq!((down, kept), (full, 0));
+    assert_eq!(out, first);
+    shackle_probe::set_enabled(was_enabled);
+}
+
+/// A keep marker for an array the runner was never sent is a protocol
+/// failure: the runner exits non-zero instead of running on nothing.
+#[test]
+fn a_keep_for_an_array_never_sent_stops_the_runner() {
+    let Some(_probe) = native() else { return };
+    let program = shackle_ir::parse::parse(SCALE).expect("test program parses");
+    let runner = build(&program).expect("native build").path;
+    let mut child = std::process::Command::new(runner)
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn the runner");
+    let request: Vec<u8> = [1u64, 4, 2, u64::MAX]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    std::io::Write::write_all(&mut stdin, &request).expect("request sent");
+    drop(stdin);
+    let out = child.wait_with_output().expect("runner ends");
+    assert_eq!(out.status.code(), Some(2), "{:?}", out.status);
+    assert!(
+        out.stdout.is_empty(),
+        "the runner answered a broken request"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -236,9 +338,7 @@ proptest! {
         n in 1i64..10,
         seed in 0u64..50,
     ) {
-        if !rustc_available() {
-            return;
-        }
+        let Some(_probe) = native() else { return };
         assert_native_agrees_on(&catalogue()[k], n, seed);
     }
 }

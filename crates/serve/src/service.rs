@@ -145,6 +145,15 @@ fn check_probe_n(probe_n: i64) -> Result<(), ServeError> {
     }
 }
 
+/// The refusal of a kernel that names a parameter the daemon does not
+/// bind: the kernel's fault whatever the request says.
+fn missing_parameter(param: &str) -> ServeError {
+    ServeError::new(
+        ErrorClass::Parse,
+        format!("missing parameter {param}: the daemon binds N, and only N"),
+    )
+}
+
 /// Refuse a kernel whose arrays cannot be laid out at `probe_n` — the
 /// simulation behind a score would unwind on it. A parameter the daemon
 /// does not bind is the kernel's fault whatever the request says
@@ -154,10 +163,7 @@ fn check_probe_n(probe_n: i64) -> Result<(), ServeError> {
 fn check_extents(program: &Program, probe_n: i64) -> Result<(), ServeError> {
     match array_extents(program, &probe_params(probe_n)) {
         Ok(_) => Ok(()),
-        Err(e @ ExtentError::MissingParameter { .. }) => Err(ServeError::new(
-            ErrorClass::Parse,
-            format!("{e}: the daemon binds N, and only N"),
-        )),
+        Err(ExtentError::MissingParameter { param }) => Err(missing_parameter(&param)),
         Err(e @ (ExtentError::NonPositive { .. } | ExtentError::Overflow { .. })) => Err(
             ServeError::new(ErrorClass::Internal, format!("{e} at probe_n {probe_n}")),
         ),
@@ -201,6 +207,12 @@ pub fn prepare_optimize(
 /// service budget. A candidate that pass leaves undecided would make
 /// the search's conservative rejection silent, so the request is
 /// refused — before any growth or scoring — with a structured error.
+/// So is a kernel that declares a parameter the daemon does not bind,
+/// once some candidate is legal: that candidate grows into a product,
+/// and scoring it runs the program, which binds every declared
+/// parameter. Without a legal candidate nothing is scored, and such a
+/// kernel (gauss_seidel_1d declares `S`) gets the "no legal product"
+/// answer.
 pub fn optimize(
     program: &Program,
     probe_n: i64,
@@ -213,34 +225,34 @@ pub fn optimize(
         width,
         ..Default::default()
     };
-    let refuse_undecided = |verdicts: &[(Shackle, Legality)]| {
+    let bound = probe_params(probe_n);
+    let unbound = program.params().iter().find(|p| !bound.contains_key(*p));
+    let admit = |verdicts: &[(Shackle, Legality)]| {
         let undecided = verdicts
             .iter()
             .filter(|(_, v)| *v == Legality::Undecided)
             .count();
-        if undecided == 0 {
-            return Ok(());
+        if undecided > 0 {
+            return Err(ServeError::new(
+                ErrorClass::Unknown,
+                format!(
+                    "legality not provable within the service budget: \
+                     {undecided} undecided candidate(s) of {}",
+                    verdicts.len()
+                ),
+            ));
         }
-        Err(ServeError::new(
-            ErrorClass::Unknown,
-            format!(
-                "legality not provable within the service budget: \
-                 {undecided} undecided candidate(s) of {}",
-                verdicts.len()
-            ),
-        ))
+        match unbound {
+            Some(p) if verdicts.iter().any(|(_, v)| *v == Legality::Legal) => {
+                Err(missing_parameter(p))
+            }
+            _ => Ok(()),
+        }
     };
     let init_fn = init.build(probe_n);
     let outcome = {
         let _span = shackle_probe::span("search");
-        search(
-            program,
-            &search_cfg,
-            probe_n,
-            &init_fn,
-            &cfg.budget,
-            &refuse_undecided,
-        )?
+        search(program, &search_cfg, probe_n, &init_fn, &cfg.budget, &admit)?
     };
     if outcome.products == 0 {
         return Err(ServeError::new(

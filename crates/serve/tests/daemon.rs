@@ -398,6 +398,52 @@ fn a_parameter_the_daemon_does_not_bind_is_a_parse_refusal() {
     );
 }
 
+/// A parameter only a loop bound names cannot be refused on the
+/// declaration alone — gauss_seidel_1d declares `S` that way and has no
+/// legal product to score — but once a product would be scored it is
+/// refused by name, not unwound on, and the worker answers the next
+/// request.
+#[test]
+fn a_parameter_only_a_loop_bound_names_is_refused_before_scoring() {
+    let _g = lock();
+    let server = Server::new().with_store(None);
+    let optimize = |source: String| Request::Optimize {
+        probe_n: 24,
+        width: 4,
+        init: "ones".into(),
+        source,
+    };
+    let bound_only = "program p\nparam N\nparam M\narray B(N, N)\narray A(N, N)\n\n\
+        do J = 1 .. N\n  do I = 1 .. M\n    S1: B[I, J] = A[I, J] + 1\n";
+    let answers = serve_in_memory(
+        &server,
+        &[
+            optimize(bound_only.to_string()),
+            optimize(to_source(&kernels::gauss_seidel_1d())),
+            optimize(to_source(&kernels::matmul_ijk())),
+        ],
+    );
+    match &answers[0] {
+        Response::Error { class, message } => {
+            assert_eq!(*class, ErrorClass::Parse, "{message}");
+            assert!(message.contains("parameter M"), "{message}");
+        }
+        r => panic!("unexpected response {r:?}"),
+    }
+    match &answers[1] {
+        Response::Error { class, message } => {
+            assert_eq!(*class, ErrorClass::Internal, "{message}");
+            assert!(message.contains("no legal blocking product"), "{message}");
+        }
+        r => panic!("unexpected response {r:?}"),
+    }
+    assert!(
+        matches!(answers[2], Response::Optimized { .. }),
+        "{:?}",
+        answers[2]
+    );
+}
+
 /// An extent that is not positive at the requested probe size is
 /// refused naming the array and the value.
 #[test]
