@@ -25,9 +25,10 @@
 //! `auto_shackle` example).
 
 use crate::{decide_legality, par, span, Blocking, CutSet, Legality, Shackle};
-use shackle_ir::deps::dependences;
-use shackle_ir::{ArrayRef, Program, StmtId};
-use shackle_polyhedra::Budget;
+use shackle_ir::deps::{dependences, Dependence};
+use shackle_ir::{ArrayDecl, ArrayRef, Program, StmtId};
+use shackle_polyhedra::lex::Direction;
+use shackle_polyhedra::{Budget, LinExpr};
 use std::sync::LazyLock;
 
 /// Candidates tested by [`candidate_verdicts`], published to the probe
@@ -95,14 +96,16 @@ pub struct Candidate {
 /// assert_eq!(legal.len(), 6);
 /// ```
 pub fn enumerate_legal(program: &Program, config: &SearchConfig) -> Vec<Candidate> {
-    let verdicts = candidate_verdicts(program, config, &Budget::default());
+    let deps = dependences(program);
+    let verdicts = candidate_verdicts(program, &deps, config, &Budget::default());
     legal_candidates(program, &verdicts)
 }
 
 /// Every raw candidate of [`candidate_shackles`] paired with its
 /// Theorem-1 verdict under `budget`, in enumeration order: the one
-/// legality pass of a search. The program's dependences are computed
-/// once and shared; candidates are decided in parallel over [`par`]
+/// legality pass of a search. The program's dependences `deps` are
+/// computed once by the caller and shared (the search's [`leaf_order`]
+/// reuses them); candidates are decided in parallel over [`par`]
 /// workers (one early-exit [`decide_legality`] each) and reassembled in
 /// order, so the result is identical at any `SHACKLE_THREADS` setting.
 /// The search pipeline (`shackle_serve::pipeline::auto_search`) reports
@@ -110,14 +113,14 @@ pub fn enumerate_legal(program: &Program, config: &SearchConfig) -> Vec<Candidat
 /// else wants [`legal_candidates`] of it.
 pub fn candidate_verdicts(
     program: &Program,
+    deps: &[Dependence],
     config: &SearchConfig,
     budget: &Budget,
 ) -> Vec<(Shackle, Legality)> {
-    let deps = dependences(program);
     let _phase = shackle_probe::span("enumerate");
     let worklist = candidate_shackles(program, config);
     let verdicts = par::map(&worklist, |shackle| {
-        decide_legality(program, std::slice::from_ref(shackle), &deps, budget)
+        decide_legality(program, std::slice::from_ref(shackle), deps, budget)
     });
     if shackle_probe::enabled() {
         CANDIDATES.add(worklist.len() as u64);
@@ -152,43 +155,8 @@ const MAX_CANDIDATES_PER_ARRAY: usize = 256;
 /// (array declaration order × dimension orders × per-statement
 /// reference cross product).
 pub fn candidate_shackles(program: &Program, config: &SearchConfig) -> Vec<Shackle> {
-    let arrays: Vec<String> = config.arrays.clone().unwrap_or_else(|| {
-        program
-            .arrays()
-            .iter()
-            .map(|a| a.name().to_string())
-            .collect()
-    });
     let mut out = Vec::new();
-    for array in arrays {
-        let Some(decl) = program.array(&array) else {
-            continue;
-        };
-        // candidate shackled references per statement
-        let mut choices: Vec<Vec<ArrayRef>> = Vec::new();
-        let mut feasible = true;
-        for s in program.stmts() {
-            let mut refs: Vec<ArrayRef> = Vec::new();
-            for r in s.refs_to(&array) {
-                if !refs.contains(r) {
-                    refs.push(r.clone());
-                }
-            }
-            if refs.is_empty() {
-                // no reference to the array: skip this array for the
-                // automatic search (a user-supplied dummy is needed)
-                feasible = false;
-                break;
-            }
-            choices.push(refs);
-        }
-        if !feasible {
-            continue;
-        }
-        let total: usize = choices.iter().map(Vec::len).product();
-        if total > MAX_CANDIDATES_PER_ARRAY {
-            continue;
-        }
+    for (decl, combos) in reference_choices(program, config) {
         // dimension orders: identity and reversed-order application
         let rank = decl.rank();
         let orders: Vec<Vec<usize>> = if rank == 1 {
@@ -196,33 +164,85 @@ pub fn candidate_shackles(program: &Program, config: &SearchConfig) -> Vec<Shack
         } else {
             vec![(0..rank).collect(), (0..rank).rev().collect()]
         };
-        // forward-direction cuts always; reversed-direction variants
-        // (all cuts Decreasing) appended per order when configured
-        let directions: &[bool] = if config.reversed_directions {
-            &[false, true]
-        } else {
-            &[false]
-        };
         for order in &orders {
-            for &reversed in directions {
-                for combo in cross_product(&choices) {
-                    let cuts: Vec<CutSet> = order
+            for &reversed in directions(config) {
+                for combo in &combos {
+                    let cuts = order
                         .iter()
-                        .map(|&d| {
-                            let cut = CutSet::axis(d, rank, config.width);
-                            if reversed {
-                                cut.reversed()
-                            } else {
-                                cut
-                            }
-                        })
+                        .map(|&d| axis_cut(d, rank, config.width, reversed))
                         .collect();
-                    out.push(Shackle::new(program, Blocking::new(&array, cuts), combo));
+                    out.push(Shackle::new(
+                        program,
+                        Blocking::new(decl.name(), cuts),
+                        combo.clone(),
+                    ));
                 }
             }
         }
     }
     out
+}
+
+/// The shackled-reference choices of both enumerations: for every array
+/// the configuration blocks, in declaration order, the cross product of
+/// each statement's distinct references to it (textual order, the last
+/// statement varying fastest). An array some statement does not
+/// reference is skipped (it needs a user-supplied dummy), and so is one
+/// whose cross product passes [`MAX_CANDIDATES_PER_ARRAY`].
+fn reference_choices<'p>(
+    program: &'p Program,
+    config: &SearchConfig,
+) -> Vec<(&'p ArrayDecl, Vec<Vec<ArrayRef>>)> {
+    let names: Vec<&str> = match &config.arrays {
+        Some(names) => names.iter().map(String::as_str).collect(),
+        None => program.arrays().iter().map(ArrayDecl::name).collect(),
+    };
+    let mut out = Vec::new();
+    'arrays: for name in names {
+        let Some(decl) = program.array(name) else {
+            continue;
+        };
+        let mut choices: Vec<Vec<ArrayRef>> = Vec::new();
+        for s in program.stmts() {
+            let mut refs: Vec<ArrayRef> = Vec::new();
+            for r in s.refs_to(name) {
+                if !refs.contains(r) {
+                    refs.push(r.clone());
+                }
+            }
+            if refs.is_empty() {
+                continue 'arrays;
+            }
+            choices.push(refs);
+        }
+        // checked: a long enough statement list overflows the count
+        let total = choices
+            .iter()
+            .try_fold(1usize, |acc, c| acc.checked_mul(c.len()));
+        if total.is_some_and(|t| t <= MAX_CANDIDATES_PER_ARRAY) {
+            out.push((decl, cross_product(&choices)));
+        }
+    }
+    out
+}
+
+/// Cut directions the rung enumerates: forward only, then forward and
+/// reversed (§8) in the retry.
+fn directions(config: &SearchConfig) -> &'static [bool] {
+    if config.reversed_directions {
+        &[false, true]
+    } else {
+        &[false]
+    }
+}
+
+fn axis_cut(dim: usize, rank: usize, width: i64, reversed: bool) -> CutSet {
+    let cut = CutSet::axis(dim, rank, width);
+    if reversed {
+        cut.reversed()
+    } else {
+        cut
+    }
 }
 
 fn cross_product(choices: &[Vec<ArrayRef>]) -> Vec<Vec<ArrayRef>> {
@@ -239,6 +259,218 @@ fn cross_product(choices: &[Vec<ArrayRef>]) -> Vec<Vec<ArrayRef>> {
         acc = next;
     }
     acc
+}
+
+/// The factors of the leaf-order search: every width-1 one-cut shackle
+/// over the reference choices of [`candidate_shackles`] — for each array
+/// the configuration blocks, one cut per array dimension, in each
+/// direction the rung enumerates, in that nesting order (array,
+/// dimension, direction, reference choice). A block of width 1 holds one
+/// value of its coordinate, so such a shackle is a loop permutation and
+/// the same Theorem 1 test decides it.
+fn order_factors(program: &Program, config: &SearchConfig) -> Vec<Shackle> {
+    let mut out = Vec::new();
+    for (decl, combos) in reference_choices(program, config) {
+        let rank = decl.rank();
+        for dim in 0..rank {
+            for &reversed in directions(config) {
+                for combo in &combos {
+                    let cut = axis_cut(dim, rank, 1, reversed);
+                    out.push(Shackle::new(
+                        program,
+                        Blocking::new(decl.name(), vec![cut]),
+                        combo.clone(),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The best loop order the search can prove legal, as a chain of at
+/// most two width-1 one-cut shackles over the reference choices of
+/// [`candidate_shackles`] (Definition 2: a product's inner factor orders
+/// the instances inside each block of the outer one), or `None` when no
+/// legal chain beats the input's order.
+///
+/// A chain orders a statement's loops by the loop variables of its
+/// coordinate under the first factor (the subscript of its shackled
+/// reference in the cut dimension), then those of its coordinate under
+/// the second, then the rest in nesting order; the last is the leaf.
+/// Each reference of the statement, the write and every read, scores +1
+/// when the leaf appears in its dimension 0 only (unit stride in the
+/// column-major layout), −1 when it appears in a later dimension, and 0
+/// when it does not appear. A chain's score is the vector of per-depth
+/// sums, deepest statements first, compared lexicographically.
+///
+/// Chains whose per-statement orders repeat the input's or an earlier
+/// chain's are dropped; the rest are taken by score (best first), then
+/// by factor count, then in enumeration order (singles, then ordered
+/// pairs). Each factor is decided alone, once, only when a chain needs
+/// it, under `budget` and over `deps` (the program's dependences), with
+/// an undecided verdict counted as illegal: by the product theorem a
+/// chain is legal when each of its factors is. The first chain whose
+/// factors are all legal and whose score strictly beats the input's is
+/// the answer.
+///
+/// # Examples
+///
+/// ```
+/// use shackle_core::search::{leaf_order, SearchConfig};
+/// use shackle_polyhedra::Budget;
+/// let p = shackle_ir::kernels::matmul_ijk();
+/// let deps = shackle_ir::deps::dependences(&p);
+/// let order = leaf_order(&p, &SearchConfig::default(), &deps, &Budget::default());
+/// // J, K and then I innermost: the I loop strides down the columns
+/// // of C and A
+/// assert_eq!(order.map(|chain| chain.len()), Some(2));
+/// ```
+pub fn leaf_order(
+    program: &Program,
+    config: &SearchConfig,
+    deps: &[Dependence],
+    budget: &Budget,
+) -> Option<Vec<Shackle>> {
+    let _phase = shackle_probe::span("enumerate");
+    let factors = order_factors(program, config);
+    let stmts: Vec<LeafStmt> = (0..program.stmts().len())
+        .map(|id| LeafStmt::new(program, id))
+        .collect();
+    let depth = stmts.iter().map(|s| s.vars.len()).max().unwrap_or(0);
+    if depth > 64 {
+        return None; // loop sets are bit sets of 64
+    }
+    // a factor is known by the loop variables it places per statement
+    // and its direction; factors alike in both give alike chains, so
+    // only the first of each kind is kept (its chains come first)
+    let mut kinds: Vec<(Vec<u64>, bool)> = Vec::new();
+    let mut kept: Vec<usize> = Vec::new();
+    for (f, factor) in factors.iter().enumerate() {
+        let cut = &factor.blocking().cuts()[0];
+        let masks = stmts
+            .iter()
+            .zip(factor.refs())
+            .map(|(s, r)| s.mask(&cut.project(r)))
+            .collect();
+        let kind = (masks, cut.direction == Direction::Decreasing);
+        if !kinds.contains(&kind) {
+            kinds.push(kind);
+            kept.push(f);
+        }
+    }
+    let chains = (0..kept.len())
+        .map(|a| vec![a])
+        .chain((0..kept.len()).flat_map(|a| {
+            (0..kept.len())
+                .filter(move |&b| b != a)
+                .map(move |b| vec![a, b])
+        }));
+    let rank = |chain: &[usize]| {
+        let mut order: Vec<u16> = Vec::new();
+        let mut score = vec![0i64; depth + 1];
+        for (s, stmt) in stmts.iter().enumerate() {
+            let start = order.len();
+            let mut placed = 0u64;
+            for &k in chain {
+                let (masks, reversed) = &kinds[k];
+                let new = masks[s] & !placed;
+                placed |= new;
+                order.extend(bits(new).map(|v| (v << 1) | u16::from(*reversed)));
+            }
+            order.extend(bits(stmt.all() & !placed).map(|v| v << 1));
+            if let Some(&leaf) = order[start..].last() {
+                score[depth - stmt.vars.len()] += stmt.leaf_scores[usize::from(leaf >> 1)];
+            }
+        }
+        (order, score)
+    };
+    let (input_order, input_score) = rank(&[]);
+    let mut seen = std::collections::HashSet::from([input_order]);
+    let mut better: Vec<(Vec<i64>, usize, usize, Vec<usize>)> = Vec::new();
+    for (index, chain) in chains.enumerate() {
+        let (order, score) = rank(&chain);
+        if seen.insert(order) && score > input_score {
+            better.push((score, chain.len(), index, chain));
+        }
+    }
+    better.sort_by(|a, b| b.0.cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+    let mut legal: Vec<Option<bool>> = vec![None; kept.len()];
+    let chain = better.into_iter().find_map(|(.., chain)| {
+        chain
+            .iter()
+            .all(|&k| {
+                *legal[k].get_or_insert_with(|| {
+                    let factor = std::slice::from_ref(&factors[kept[k]]);
+                    decide_legality(program, factor, deps, budget) == Legality::Legal
+                })
+            })
+            .then_some(chain)
+    })?;
+    Some(chain.iter().map(|&k| factors[kept[k]].clone()).collect())
+}
+
+/// What the leaf rule needs of one statement: its loop variables,
+/// outermost first, and the score each would earn as the leaf.
+struct LeafStmt {
+    vars: Vec<String>,
+    leaf_scores: Vec<i64>,
+}
+
+impl LeafStmt {
+    fn new(program: &Program, id: StmtId) -> Self {
+        let vars: Vec<String> = program
+            .context(id)
+            .iter_vars()
+            .into_iter()
+            .map(String::from)
+            .collect();
+        let refs = program.stmts()[id].refs();
+        let leaf_scores = vars
+            .iter()
+            .map(|v| {
+                refs.iter()
+                    .map(|(r, _)| {
+                        let mut used = r.indices().iter().map(|ix| ix.coeff(v) != 0);
+                        match (used.next() == Some(true), used.any(|u| u)) {
+                            (_, true) => -1,
+                            (true, false) => 1,
+                            (false, false) => 0,
+                        }
+                    })
+                    .sum()
+            })
+            .collect();
+        Self { vars, leaf_scores }
+    }
+
+    /// The loop variables `e` names, as a bit set over [`Self::vars`].
+    fn mask(&self, e: &LinExpr) -> u64 {
+        self.vars
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| e.coeff(v) != 0)
+            .fold(0, |m, (i, _)| m | 1 << i)
+    }
+
+    /// Every loop variable, as a bit set.
+    fn all(&self) -> u64 {
+        match self.vars.len() {
+            0 => 0,
+            n => u64::MAX >> (64 - n),
+        }
+    }
+}
+
+/// The members of a bit set, lowest (outermost loop) first.
+fn bits(mut m: u64) -> impl Iterator<Item = u16> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let b = m.trailing_zeros() as u16;
+            m &= m - 1;
+            b
+        })
+    })
 }
 
 /// Grow a product greedily until Theorem 2 reports no unconstrained
@@ -569,6 +801,9 @@ mod tests {
         assert_eq!(candidate_shackles(&chain(8), &cfg).len(), 256);
         assert!(candidate_shackles(&chain(9), &cfg).is_empty());
         assert!(enumerate_legal(&chain(9), &cfg).is_empty());
+        // 2^64 choices: the count overflows, and the array is still
+        // skipped rather than enumerated
+        assert!(candidate_shackles(&chain(64), &cfg).is_empty());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Emit compilable source code (Rust or C) from a [`Program`].
+//! Emit compilable Rust source from a [`Program`].
 //!
 //! The interpreter is the semantics of record, but a source-to-source
 //! blocking tool ultimately exists to hand its output to a compiler;
@@ -14,16 +14,16 @@ use shackle_polyhedra::{Constraint, LinExpr, Rel};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-/// Target language for emission.
+/// Target language for emission. Rust is the one language emitted; the
+/// type survives because the frozen `benchmark/` crate names
+/// `Dialect::Rust`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dialect {
     /// Safe Rust (a `pub fn` over `&mut [f64]` slices).
     Rust,
-    /// C99 (a `void` function over `double*` pointers).
-    C,
 }
 
-/// Instrumentation options for [`emit_with`] (Rust dialect only).
+/// Instrumentation options for [`emit_with`].
 ///
 /// Both knobs exist for the native execution tier:
 ///
@@ -57,7 +57,7 @@ pub const TRACE_FLUSH_CODES: usize = 65_536;
 /// `-` replaced by `_`).
 ///
 /// Array arguments appear in declaration order; every symbolic parameter
-/// becomes a leading `i64`/`long` argument. Arrays are column-major with
+/// becomes a leading `i64` argument. Arrays are column-major with
 /// the extents of their declarations; subscripts in the IR are 1-based
 /// and are translated to 0-based offsets.
 ///
@@ -71,38 +71,18 @@ pub const TRACE_FLUSH_CODES: usize = 65_536;
 /// assert!(src.contains("for i_ in"));
 /// ```
 pub fn emit(program: &Program, dialect: Dialect) -> String {
-    Emitter {
-        program,
-        dialect,
-        options: EmitOptions::default(),
-    }
-    .emit()
+    emit_with(program, dialect, EmitOptions::default())
 }
 
 /// [`emit`] with instrumentation options — the entry point the native
 /// execution tier uses to render runnable, observable kernels.
-///
-/// # Panics
-///
-/// Panics if instrumentation is requested for [`Dialect::C`]: the
-/// native tier compiles Rust, and the C emission exists for structural
-/// comparison only.
 pub fn emit_with(program: &Program, dialect: Dialect, options: EmitOptions) -> String {
-    assert!(
-        dialect == Dialect::Rust || (!options.trace && !options.counters),
-        "instrumented emission is Rust-only"
-    );
-    Emitter {
-        program,
-        dialect,
-        options,
-    }
-    .emit()
+    let Dialect::Rust = dialect;
+    Emitter { program, options }.emit()
 }
 
 struct Emitter<'a> {
     program: &'a Program,
-    dialect: Dialect,
     options: EmitOptions,
 }
 
@@ -127,10 +107,7 @@ impl Emitter<'_> {
 
     fn emit(&self) -> String {
         let mut out = String::new();
-        match self.dialect {
-            Dialect::Rust => self.prelude_rust(&mut out),
-            Dialect::C => self.prelude_c(&mut out),
-        }
+        self.prelude(&mut out);
         self.signature(&mut out);
         self.strides(&mut out);
         self.nodes(self.program.body(), 1, &mut out);
@@ -138,7 +115,7 @@ impl Emitter<'_> {
         out
     }
 
-    fn prelude_rust(&self, out: &mut String) {
+    fn prelude(&self, out: &mut String) {
         let _ = writeln!(
             out,
             "// Generated by data-shackle from program `{}`.\n\
@@ -149,88 +126,43 @@ impl Emitter<'_> {
         );
     }
 
-    fn prelude_c(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "/* Generated by data-shackle from program `{}`. */\n\
-             #include <math.h>\n\
-             static long floord(long a, long b) {{\n\
-             \tlong q = a / b, r = a % b;\n\
-             \treturn (r != 0 && ((r < 0) != (b < 0))) ? q - 1 : q;\n\
-             }}\n\
-             static long ceild(long a, long b) {{ return -floord(-a, b); }}\n\
-             static double signf(double x) {{ return x < 0.0 ? -1.0 : 1.0; }}\n",
-            self.program.name()
-        );
-    }
-
     fn signature(&self, out: &mut String) {
         let written = self.written_arrays();
-        match self.dialect {
-            Dialect::Rust => {
-                let _ = write!(out, "pub fn {}(", self.fn_name());
-                let mut first = true;
-                for p in self.program.params() {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{}: i64", self.var(p));
-                    first = false;
-                }
-                for a in self.program.arrays() {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    let m = if written.contains(a.name()) {
-                        "mut "
-                    } else {
-                        ""
-                    };
-                    let _ = write!(out, "{}: &{m}[f64]", self.array_param(a.name()));
-                    first = false;
-                }
-                if self.options.counters {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    out.push_str("cnt_: &mut [u64]");
-                    first = false;
-                }
-                if self.options.trace {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    out.push_str("tr_: &mut Vec<u64>");
-                    first = false;
-                }
-                let _ = first;
-                out.push_str(") {\n");
+        let _ = write!(out, "pub fn {}(", self.fn_name());
+        let mut first = true;
+        for p in self.program.params() {
+            if !first {
+                out.push_str(", ");
             }
-            Dialect::C => {
-                let _ = write!(out, "void {}(", self.fn_name());
-                let mut first = true;
-                for p in self.program.params() {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "long {}", self.var(p));
-                    first = false;
-                }
-                for a in self.program.arrays() {
-                    if !first {
-                        out.push_str(", ");
-                    }
-                    let c = if written.contains(a.name()) {
-                        ""
-                    } else {
-                        "const "
-                    };
-                    let _ = write!(out, "{c}double *{}", self.array_param(a.name()));
-                    first = false;
-                }
-                out.push_str(") {\n");
-            }
+            let _ = write!(out, "{}: i64", self.var(p));
+            first = false;
         }
+        for a in self.program.arrays() {
+            if !first {
+                out.push_str(", ");
+            }
+            let m = if written.contains(a.name()) {
+                "mut "
+            } else {
+                ""
+            };
+            let _ = write!(out, "{}: &{m}[f64]", self.array_param(a.name()));
+            first = false;
+        }
+        if self.options.counters {
+            if !first {
+                out.push_str(", ");
+            }
+            out.push_str("cnt_: &mut [u64]");
+            first = false;
+        }
+        if self.options.trace {
+            if !first {
+                out.push_str(", ");
+            }
+            out.push_str("tr_: &mut Vec<u64>");
+        }
+        out.push_str(") {\n");
     }
 
     fn array_param(&self, name: &str) -> String {
@@ -239,17 +171,13 @@ impl Emitter<'_> {
 
     /// Per-array stride locals: `let s1_A = extent0; let s2_A = s1_A * extent1; …`
     fn strides(&self, out: &mut String) {
-        let kw = match self.dialect {
-            Dialect::Rust => "let",
-            Dialect::C => "long",
-        };
         for a in self.program.arrays() {
             let mut stride = "1".to_string();
             for (d, extent) in a.dims().iter().enumerate().skip(1) {
                 let _ = extent;
                 let prev = a.dims()[d - 1].clone();
                 let name = self.stride_name(a.name(), d);
-                let _ = writeln!(out, "    {kw} {name} = {stride} * ({});", self.lin(&prev));
+                let _ = writeln!(out, "    let {name} = {stride} * ({});", self.lin(&prev));
                 stride = name;
             }
         }
@@ -311,26 +239,13 @@ impl Emitter<'_> {
         };
         let mut terms = b.terms.iter().map(term);
         let firstt = terms.next().expect("bounds are non-empty");
-        match self.dialect {
-            Dialect::Rust => terms.fold(firstt, |acc, t| {
-                if lower {
-                    format!("({acc}).max({t})")
-                } else {
-                    format!("({acc}).min({t})")
-                }
-            }),
-            Dialect::C => {
-                // C has no min/max on longs; emit nested ternaries via
-                // helper-free comparisons
-                terms.fold(firstt, |acc, t| {
-                    if lower {
-                        format!("(({acc}) > ({t}) ? ({acc}) : ({t}))")
-                    } else {
-                        format!("(({acc}) < ({t}) ? ({acc}) : ({t}))")
-                    }
-                })
+        terms.fold(firstt, |acc, t| {
+            if lower {
+                format!("({acc}).max({t})")
+            } else {
+                format!("({acc}).min({t})")
             }
-        }
+        })
     }
 
     fn constraint(&self, c: &Constraint) -> String {
@@ -359,14 +274,11 @@ impl Emitter<'_> {
     }
 
     fn load(&self, r: &crate::ArrayRef) -> String {
-        match self.dialect {
-            Dialect::Rust => format!(
-                "{}[({}) as usize]",
-                self.array_param(r.array()),
-                self.offset(r)
-            ),
-            Dialect::C => format!("{}[{}]", self.array_param(r.array()), self.offset(r)),
-        }
+        format!(
+            "{}[({}) as usize]",
+            self.array_param(r.array()),
+            self.offset(r)
+        )
     }
 
     fn scalar(&self, e: &ScalarExpr) -> String {
@@ -383,10 +295,7 @@ impl Emitter<'_> {
             ScalarExpr::Sub(a, b) => format!("({} - {})", self.scalar(a), self.scalar(b)),
             ScalarExpr::Mul(a, b) => format!("({} * {})", self.scalar(a), self.scalar(b)),
             ScalarExpr::Div(a, b) => format!("({} / {})", self.scalar(a), self.scalar(b)),
-            ScalarExpr::Sqrt(a) => match self.dialect {
-                Dialect::Rust => format!("({}).sqrt()", self.scalar(a)),
-                Dialect::C => format!("sqrt({})", self.scalar(a)),
-            },
+            ScalarExpr::Sqrt(a) => format!("({}).sqrt()", self.scalar(a)),
             ScalarExpr::Neg(a) => format!("(-{})", self.scalar(a)),
             ScalarExpr::Sign(a) => format!("signf({})", self.scalar(a)),
         }
@@ -520,15 +429,7 @@ impl Emitter<'_> {
                     let v = self.var(&l.var);
                     let lo = self.bound(&l.lower, true);
                     let hi = self.bound(&l.upper, false);
-                    match self.dialect {
-                        Dialect::Rust => {
-                            let _ = writeln!(out, "{pad}for {v} in {lo}..=({hi}) {{");
-                        }
-                        Dialect::C => {
-                            let _ =
-                                writeln!(out, "{pad}for (long {v} = {lo}; {v} <= {hi}; {v}++) {{");
-                        }
-                    }
+                    let _ = writeln!(out, "{pad}for {v} in {lo}..=({hi}) {{");
                     self.nodes(&l.body, depth + 1, out);
                     let _ = writeln!(out, "{pad}}}");
                 }
@@ -550,26 +451,6 @@ mod tests {
         assert!(src.contains("a_a: &[f64]"), "{src}");
         assert!(src.contains("for i_ in (1)..=((n_)) {"), "{src}");
         assert!(src.matches('{').count() == src.matches('}').count());
-    }
-
-    #[test]
-    fn c_cholesky_structure() {
-        let src = emit(&kernels::cholesky_right(), Dialect::C);
-        assert!(
-            src.contains("void cholesky_right(long n_, double *a_a)"),
-            "{src}"
-        );
-        assert!(src.contains("sqrt("), "{src}");
-        assert!(src.contains("for (long j_ = "), "{src}");
-        assert!(src.matches('{').count() == src.matches('}').count());
-    }
-
-    #[test]
-    fn read_only_arrays_are_const_in_c() {
-        let src = emit(&kernels::matmul_ijk(), Dialect::C);
-        assert!(src.contains("const double *a_a"), "{src}");
-        assert!(src.contains("const double *b_a"), "{src}");
-        assert!(!src.contains("const double *c_a"), "{src}");
     }
 
     #[test]
@@ -595,9 +476,6 @@ mod tests {
         let r = emit(&p, Dialect::Rust);
         assert!(r.contains("ceild(1, 4)"), "{r}");
         assert!(r.contains(".min(floord(n_ + 3, 4))"), "{r}");
-        let c = emit(&p, Dialect::C);
-        assert!(c.contains("floord(n_ + 3, 4)"), "{c}");
-        assert!(c.contains("? "), "{c}");
     }
 
     #[test]
@@ -653,18 +531,5 @@ mod tests {
             "{src}"
         );
         assert!(src.matches('{').count() == src.matches('}').count());
-    }
-
-    #[test]
-    #[should_panic(expected = "instrumented emission is Rust-only")]
-    fn instrumented_c_emission_panics() {
-        emit_with(
-            &kernels::matmul_ijk(),
-            Dialect::C,
-            EmitOptions {
-                counters: true,
-                trace: false,
-            },
-        );
     }
 }

@@ -30,6 +30,7 @@ mod expr;
 mod program;
 mod stmt;
 
+pub mod bounds;
 pub mod deps;
 pub mod emit;
 pub mod kernels;

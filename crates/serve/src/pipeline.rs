@@ -17,15 +17,20 @@
 //! by §6. Two-phase scoring follows (the `shackle-model` analytical
 //! predictor ranks every product, the exact probe-cache simulator
 //! re-scores only the top [`TOP_K`]), and the winner's code is the
-//! program its score was simulated from. Enumeration, growth and
-//! scoring fan out over [`shackle_core::par`]; the textual report is
-//! byte-identical at any thread count and whatever the polyhedral cache
-//! already holds.
+//! program its score was simulated from. When the leaf rule
+//! ([`shackle_core::search::leaf_order`]) finds a legal loop order
+//! better than the input's, that order takes the second exact slot: the
+//! simulator referees the model's best blocking against the best loop
+//! order, and a search still simulates at most [`TOP_K`] programs.
+//! Enumeration, growth and scoring fan out over [`shackle_core::par`];
+//! the textual report is byte-identical at any thread count and
+//! whatever the polyhedral cache already holds.
 
 use shackle_core::search::{
-    candidate_verdicts, complete_product, legal_candidates, two_phase, SearchConfig,
+    candidate_verdicts, complete_product, leaf_order, legal_candidates, two_phase, SearchConfig,
 };
 use shackle_core::{scan, span, Legality, Shackle};
+use shackle_ir::deps::{dependences, Dependence};
 use shackle_ir::Program;
 use shackle_kernels::trace::trace_execution;
 use shackle_memsim::{ground_truth, CacheConfig};
@@ -54,10 +59,11 @@ pub struct SearchOutcome {
     pub legal: usize,
     /// Fully-blocking distinct products grown from the legal seeds.
     pub products: usize,
-    /// Products re-scored with the exact simulator (the analytical
-    /// model ranks all of them; only the top [`TOP_K`] are simulated).
+    /// Programs scored with the exact simulator: the top [`TOP_K`]
+    /// products of the analytical ranking, or the top one and the leaf
+    /// order when the search has one.
     pub rescored: usize,
-    /// Simulated memory cycles of the selected product.
+    /// Simulated memory cycles of the selected program.
     pub winner_cycles: u64,
     /// Full textual report: every verdict, product, score and the
     /// winner's generated code. Byte-identical across thread counts.
@@ -122,9 +128,24 @@ pub(crate) fn search<E>(
     budget: &Budget,
     admit: &impl Fn(&[(Shackle, Legality)]) -> Result<(), E>,
 ) -> Result<SearchOutcome, E> {
+    let deps = dependences(program);
+    search_rung(program, &deps, cfg, probe_n, init, budget, admit)
+}
+
+/// One rung of [`search`]: the forward space, or the reversed-cut retry
+/// it re-enters. `deps` are the program's dependences, computed once.
+fn search_rung<E>(
+    program: &Program,
+    deps: &[Dependence],
+    cfg: &SearchConfig,
+    probe_n: i64,
+    init: &(impl Fn(&str, &[usize]) -> f64 + Sync),
+    budget: &Budget,
+    admit: &impl Fn(&[(Shackle, Legality)]) -> Result<(), E>,
+) -> Result<SearchOutcome, E> {
     // 1. legality verdict per raw candidate; the legal ones, deduped in
     //    enumeration order, seed the growth
-    let verdicts = candidate_verdicts(program, cfg, budget);
+    let verdicts = candidate_verdicts(program, deps, cfg, budget);
     admit(&verdicts)?;
     let legal = legal_candidates(program, &verdicts);
 
@@ -156,7 +177,7 @@ pub(crate) fn search<E>(
             reversed_directions: true,
             ..cfg.clone()
         };
-        let mut out = search(program, &cfg2, probe_n, init, budget, admit)?;
+        let mut out = search_rung(program, deps, &cfg2, probe_n, init, budget, admit)?;
         out.report = format!(
             "no fully-blocking forward product; retrying with reversed cut sets\n{}",
             out.report
@@ -177,28 +198,46 @@ pub(crate) fn search<E>(
         partially_blocking = true;
     }
 
-    // 3. two-phase scoring: the analytical model ranks every product,
+    // 3. the leaf-order candidate: the best legal loop order the leaf
+    //    rule finds, as a chain of width-1 factors. Only a search that
+    //    has a product to beat looks for one.
+    let order = if products.is_empty() {
+        None
+    } else {
+        leaf_order(program, cfg, deps, budget)
+    };
+
+    // 4. two-phase scoring: the analytical model ranks every product,
     //    then only the top-K survivors get the exact probe-cache
     //    simulation. Both phases tie-break by product index, so the
     //    outcome is deterministic. A survivor's generated code stays in
     //    its slot: the winner's is printed from there, not generated a
-    //    second time.
+    //    second time. The order takes the second exact slot: the model
+    //    cannot rank width-1 blocks, so it is simulated on its own
+    //    beside the model's best product, and wins only with strictly
+    //    fewer cycles.
     let params = probe_params(probe_n);
     let geom = KernelGeometry::new(program, &params);
+    let simulate = |code: &Program| {
+        ground_truth(&[PROBE_CACHE], 60, |h| {
+            trace_execution(code, &params, init, h);
+        })
+        .cycles
+    };
     let scored: Vec<(&Vec<Shackle>, OnceLock<Program>)> =
         products.iter().map(|p| (p, OnceLock::new())).collect();
     let outcome = two_phase(
         &scored,
-        TOP_K,
+        if order.is_some() { 1 } else { TOP_K },
         |(product, _)| predict(&geom, product, &[PROBE_CACHE], 60).cycles,
-        |(product, code)| {
-            let code = code.get_or_init(|| scan::generate_scanned(program, product));
-            ground_truth(&[PROBE_CACHE], 60, |h| {
-                trace_execution(code, &params, init, h);
-            })
-            .cycles
-        },
+        |(product, code)| simulate(code.get_or_init(|| scan::generate_scanned(program, product))),
     );
+    let order = order.map(|chain| {
+        let _phase = shackle_probe::span("search.topk_rescore");
+        let code = scan::generate_scanned(program, &chain);
+        let cycles = simulate(&code);
+        (chain, code, cycles)
+    });
 
     let mut report = String::new();
     let _ = writeln!(report, "candidates {}", verdicts.len());
@@ -221,8 +260,7 @@ pub(crate) fn search<E>(
         );
     }
     for (i, p) in products.iter().enumerate() {
-        let text: Vec<String> = p.iter().map(|s| s.to_string()).collect();
-        let _ = writeln!(report, "product {i}: {}", text.join(" x "));
+        let _ = writeln!(report, "product {i}: {}", chain_text(p));
     }
     let (rescored, winner_cycles) = match &outcome {
         Some(o) => {
@@ -233,8 +271,20 @@ pub(crate) fn search<E>(
                 let _ = writeln!(report, "rescore {i}: {cycles} cycles at N={probe_n}");
             }
             let code = scored[o.winner].1.get().expect("the winner was rescored");
-            let _ = writeln!(report, "winner {}\n{}", o.winner, code);
-            (o.rescored.len(), o.winner_score)
+            let mut winner = (o.winner.to_string(), code, o.winner_score);
+            if let Some((chain, code, cycles)) = &order {
+                let _ = writeln!(
+                    report,
+                    "order {}: {cycles} cycles at N={probe_n}",
+                    chain_text(chain)
+                );
+                if *cycles < o.winner_score {
+                    winner = ("order".to_string(), code, *cycles);
+                }
+            }
+            let (name, code, cycles) = winner;
+            let _ = writeln!(report, "winner {name}\n{code}");
+            (o.rescored.len() + usize::from(order.is_some()), cycles)
         }
         None => {
             let _ = writeln!(report, "winner none");
@@ -250,4 +300,11 @@ pub(crate) fn search<E>(
         winner_cycles,
         report,
     })
+}
+
+/// A product or chain as the report prints it: its factors, outermost
+/// first, joined by ` x `.
+fn chain_text(factors: &[Shackle]) -> String {
+    let text: Vec<String> = factors.iter().map(Shackle::to_string).collect();
+    text.join(" x ")
 }

@@ -10,6 +10,7 @@ use crate::pipeline::{probe_params, search, PROBE_CACHE};
 use crate::proto::{ErrorClass, Response};
 use shackle_core::search::SearchConfig;
 use shackle_core::{Legality, Shackle};
+use shackle_ir::bounds;
 use shackle_ir::parse::{parse, to_source};
 use shackle_ir::Program;
 use shackle_kernels::gen::spd_ws_init;
@@ -170,10 +171,22 @@ fn check_extents(program: &Program, probe_n: i64) -> Result<(), ServeError> {
     }
 }
 
+/// Refuse a kernel with a subscript not proven to stay inside its
+/// array for every parameter value
+/// ([`shackle_ir::bounds::check_subscripts`]): scoring would run it out
+/// of bounds. The kernel's fault ([`ErrorClass::Parse`]); the message
+/// names the reference and, when the solver finds one, a point where it
+/// leaves the array.
+fn check_subscripts(program: &Program) -> Result<(), ServeError> {
+    bounds::check_subscripts(program, &Budget::default())
+        .map_err(|e| ServeError::new(ErrorClass::Parse, e.to_string()))
+}
+
 /// Validate and parse an optimize request's pieces (everything up to
 /// the expensive search). The server calls this *before* coalescing so
 /// that invalid requests answer immediately and the in-flight key can
-/// use the canonical hash.
+/// use the canonical hash. The static checks on the kernel run under
+/// the `preflight` probe span.
 pub fn prepare_optimize(
     probe_n: i64,
     width: i64,
@@ -188,7 +201,11 @@ pub fn prepare_optimize(
         ));
     }
     let program = parse_kernel(source)?;
-    check_extents(&program, probe_n)?;
+    {
+        let _span = shackle_probe::span("preflight");
+        check_extents(&program, probe_n)?;
+        check_subscripts(&program)?;
+    }
     let init = InitSpec::parse(init).map_err(|m| ServeError::new(ErrorClass::Internal, m))?;
     if let InitSpec::Spd { array, .. } = &init {
         if program.array(array).is_none() {
@@ -330,6 +347,15 @@ mod tests {
         assert_eq!(err.class, ErrorClass::Parse);
         let err = prepare_optimize(24, 8, "ones", "nonsense").unwrap_err();
         assert_eq!(err.class, ErrorClass::Parse);
+    }
+
+    #[test]
+    fn an_out_of_bounds_subscript_is_the_kernels_fault() {
+        let src =
+            "program overrun\nparam N\narray A(N)\n\ndo I = 1 .. N\n  S1: A[I + 1] = A[I] + 1\n";
+        let err = prepare_optimize(24, 8, "ones", src).unwrap_err();
+        assert_eq!(err.class, ErrorClass::Parse);
+        assert!(err.message.contains("A[I + 1]"), "{}", err.message);
     }
 
     #[test]

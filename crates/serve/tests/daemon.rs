@@ -171,9 +171,11 @@ fn undecidable_legality_refuses_with_unknown() {
 }
 
 /// One pass per request, seen through the product's own counters: a
-/// served optimize decides each enumerated candidate once and generates
-/// each rescored product's code once (the winner's is printed from
-/// there), and answers what the batch path answers.
+/// served optimize decides each enumerated candidate once, decides the
+/// factors of the leaf order its report prints (its best-ranked chain
+/// is legal, so no other factor is asked about), generates each
+/// rescored program's code once (the winner's is printed from there),
+/// and answers what the batch path answers.
 #[test]
 fn optimize_decides_each_candidate_once_and_generates_each_survivor_once() {
     let _g = lock();
@@ -199,9 +201,20 @@ fn optimize_decides_each_candidate_once_and_generates_each_survivor_once() {
     let counted = (legality.get() - before.0, codegen.get() - before.1);
     shackle_probe::set_enabled(was_enabled);
 
-    // the forward space blocks cholesky_right fully: one enumerated list
+    // the forward space blocks cholesky_right fully: one enumerated
+    // list, then the one-factor left-looking column order
     let candidates = candidate_shackles(&program, &cfg).len();
-    assert_eq!(counted, (candidates as u64, batch.rescored as u64));
+    let order = batch
+        .report
+        .lines()
+        .find_map(|l| l.strip_prefix("order "))
+        .expect("cholesky_right has an improving leaf order");
+    let order_factors = order.matches("shackle[").count();
+    assert_eq!(order_factors, 1, "{order}");
+    assert_eq!(
+        counted,
+        ((candidates + order_factors) as u64, batch.rescored as u64)
+    );
     match response {
         Response::Optimized {
             winner_cycles,
@@ -326,6 +339,57 @@ fn semantically_invalid_kernels_are_parse_refusals() {
     accept.join().unwrap();
 }
 
+/// A kernel whose subscript leaves its array is refused before any
+/// search runs it: a `Parse` frame naming the reference and a point
+/// where it overruns, and the worker answers the next request on the
+/// same connection.
+#[test]
+fn an_out_of_bounds_kernel_gets_a_frame_and_the_worker_answers_on() {
+    let _g = lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::new().with_store(None));
+    let srv = Arc::clone(&server);
+    let accept = std::thread::spawn(move || srv.serve_tcp(listener).unwrap());
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let overrun = Request::Optimize {
+        probe_n: 24,
+        width: 8,
+        init: "ones".into(),
+        source: "program overrun\nparam N\narray A(N)\n\n\
+                 do I = 1 .. N\n  S1: A[I + 1] = A[I] + 1\n"
+            .into(),
+    };
+    send_request(&mut stream, &overrun).unwrap();
+    match read_response(&mut stream).unwrap() {
+        Response::Error { class, message } => {
+            assert_eq!(class, ErrorClass::Parse, "{message}");
+            assert!(message.contains("A[I + 1]"), "{message}");
+            assert!(message.contains("N = "), "a witness: {message}");
+        }
+        r => panic!("unexpected response {r:?}"),
+    }
+    let optimize = Request::Optimize {
+        probe_n: 24,
+        width: 8,
+        init: "ones".into(),
+        source: to_source(&kernels::matmul_ijk()),
+    };
+    send_request(&mut stream, &optimize).unwrap();
+    match read_response(&mut stream).unwrap() {
+        Response::Optimized { winner_cycles, .. } => assert!(winner_cycles > 0),
+        r => panic!("unexpected response {r:?}"),
+    }
+    send_request(&mut stream, &Request::Shutdown).unwrap();
+    assert!(matches!(
+        read_response(&mut stream).unwrap(),
+        Response::ShuttingDown
+    ));
+    drop(stream);
+    accept.join().unwrap();
+}
+
 /// Send `requests` down one in-memory connection and decode what comes
 /// back. The call returning at all is the worker surviving: a panic in
 /// a handler unwinds through `serve_connection`.
@@ -402,7 +466,8 @@ fn a_parameter_the_daemon_does_not_bind_is_a_parse_refusal() {
 /// declaration alone — gauss_seidel_1d declares `S` that way and has no
 /// legal product to score — but once a product would be scored it is
 /// refused by name, not unwound on, and the worker answers the next
-/// request.
+/// request. (The kernel caps `I` at `N` as well as `M`, so it stays in
+/// bounds for every `M` and reaches the search.)
 #[test]
 fn a_parameter_only_a_loop_bound_names_is_refused_before_scoring() {
     let _g = lock();
@@ -414,7 +479,7 @@ fn a_parameter_only_a_loop_bound_names_is_refused_before_scoring() {
         source,
     };
     let bound_only = "program p\nparam N\nparam M\narray B(N, N)\narray A(N, N)\n\n\
-        do J = 1 .. N\n  do I = 1 .. M\n    S1: B[I, J] = A[I, J] + 1\n";
+        do J = 1 .. N\n  do I = 1 .. min(M, N)\n    S1: B[I, J] = A[I, J] + 1\n";
     let answers = serve_in_memory(
         &server,
         &[

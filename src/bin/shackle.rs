@@ -1,7 +1,7 @@
 //! `shackle` — command-line driver for the data-shackling toolchain.
 //!
 //! ```text
-//! shackle <kernel> [--width W] [--emit input|naive|scanned|rust|c]
+//! shackle <kernel> [--width W] [--emit input|naive|scanned|rust]
 //!                  [--product] [--verify N] [--search] [--deps]
 //! ```
 //!
@@ -22,7 +22,9 @@
 use data_shackle::core::search::{enumerate_legal, SearchConfig};
 use data_shackle::core::{check_legality, naive::generate_naive, scan::generate_scanned, Shackle};
 use data_shackle::exec::verify::{check_equivalence, hash_init};
+use data_shackle::ir::bounds::check_subscripts;
 use data_shackle::kernels::catalogue::{self, Entry};
+use data_shackle::polyhedra::Budget;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
@@ -47,7 +49,7 @@ fn usage() -> ExitCode {
         "usage: shackle <kernel|-> [--width W] [--emit MODE] [--product] \
          [--verify N] [--search] [--deps]\n\
          \x20      [--file PROG.ds [--block ARRAY --refs 'R1;R2;…' [--order DIGITS]]]\n\
-         emit modes: input naive scanned rust c\n\
+         emit modes: input naive scanned rust\n\
          built-in kernels: {}\n\
          with --file, the kernel name is ignored (use `-`); --block/--refs build a\n\
          shackle on the parsed program (one reference per statement, textual order;\n\
@@ -84,7 +86,7 @@ fn parse(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
             }
             "--emit" => {
                 opts.emit = args.next().ok_or("--emit needs a value")?;
-                if !["input", "naive", "scanned", "rust", "c"].contains(&opts.emit.as_str()) {
+                if !["input", "naive", "scanned", "rust"].contains(&opts.emit.as_str()) {
                     return Err(format!("unknown emit mode {}", opts.emit));
                 }
             }
@@ -261,14 +263,14 @@ fn main() -> ExitCode {
             "{}",
             data_shackle::ir::emit::emit(&transformed, data_shackle::ir::emit::Dialect::Rust)
         ),
-        "c" => print!(
-            "{}",
-            data_shackle::ir::emit::emit(&transformed, data_shackle::ir::emit::Dialect::C)
-        ),
         _ => print!("{transformed}"),
     }
 
     if let Some(n) = opts.verify {
+        if let Err(e) = check_subscripts(&program, &Budget::default()) {
+            eprintln!("shackle: cannot verify: {e}");
+            return ExitCode::FAILURE;
+        }
         // a parsed program has size `N` and no ill-conditioned pivots
         let plain = || BTreeMap::from([("N".to_string(), n)]);
         let params = entry.map_or_else(plain, |e| e.params(n));
@@ -341,6 +343,8 @@ mod tests {
         assert!(parse_vec(&["matmul", "--width"]).is_err());
         assert!(parse_vec(&["matmul", "--width", "abc"]).is_err());
         assert!(parse_vec(&["matmul", "--emit", "fortran"]).is_err());
+        // the C dialect is gone: Rust is the one emitted language
+        assert!(parse_vec(&["matmul", "--emit", "c"]).is_err());
         assert!(parse_vec(&["matmul", "--bogus"]).is_err());
     }
 }

@@ -58,3 +58,21 @@ fn a_semantically_invalid_file_is_a_parse_error() {
     assert!(stderr.contains("out-of-scope variable Q"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// `--verify` on a program whose subscript leaves its array is refused
+/// with a message naming the reference (exit 1), before anything runs
+/// it.
+#[test]
+fn an_out_of_bounds_file_is_refused_by_verify() {
+    let path = std::env::temp_dir().join(format!("shackle-cli-overrun-{}.ds", std::process::id()));
+    let src = "program overrun\nparam N\narray A(N)\n\ndo I = 1 .. N\n  S1: A[I + 1] = A[I] + 1\n";
+    std::fs::write(&path, src).expect("write the test program");
+    let file = path.to_str().expect("utf-8 temp path");
+    let args = ["-", "--file", file, "--block", "A", "--refs", "A[I + 1]"];
+    let out = shackle(&[&args[..], &["--verify", "24"]].concat());
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("A[I + 1]"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -3,8 +3,10 @@
 
 use data_shackle::core::{check_legality, scan::generate_scanned, Blocking, CutSet, Shackle};
 use data_shackle::exec::verify::{check_equivalence, hash_init};
+use data_shackle::ir::bounds::check_subscripts;
 use data_shackle::ir::parse::parse;
 use data_shackle::ir::ArrayRef;
+use data_shackle::polyhedra::Budget;
 use std::collections::BTreeMap;
 
 fn load(name: &str) -> data_shackle::ir::Program {
@@ -49,4 +51,15 @@ fn wavefront_forward_legal_reversed_refuted() {
     assert!(!rep.is_legal());
     // every violation carries a materializable witness
     assert!(rep.violations.iter().all(|v| v.witness_point(64).is_some()));
+}
+
+#[test]
+fn shipped_programs_stay_in_bounds() {
+    for name in ["smooth.ds", "wavefront.ds"] {
+        assert_eq!(
+            check_subscripts(&load(name), &Budget::default()),
+            Ok(()),
+            "{name}"
+        );
+    }
 }

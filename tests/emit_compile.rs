@@ -116,26 +116,25 @@ fn main() {{
 }
 
 #[test]
-fn emitted_c_is_wellformed_for_every_kernel() {
-    // No C compiler is assumed; check structural well-formedness of the
-    // C emission for every kernel in the registry (including the rank-3
-    // tensor contraction) and their shackled forms.
+fn emitted_rust_is_wellformed_for_every_kernel() {
+    // Structural well-formedness of the emission for every kernel in
+    // the registry (including the rank-3 tensor contraction); the test
+    // above compiles and runs one of them.
     for (_, mk) in kernels::all() {
         let p = mk();
-        for src in [emit(&p, Dialect::C), emit(&p, Dialect::Rust)] {
-            assert_eq!(
-                src.matches('{').count(),
-                src.matches('}').count(),
-                "unbalanced braces in emission of {}",
-                p.name()
-            );
-            assert_eq!(src.matches('(').count(), src.matches(')').count());
-        }
+        let src = emit(&p, Dialect::Rust);
+        assert_eq!(
+            src.matches('{').count(),
+            src.matches('}').count(),
+            "unbalanced braces in emission of {}",
+            p.name()
+        );
+        assert_eq!(src.matches('(').count(), src.matches(')').count());
     }
     // and a shackled form with guards + divided bounds
     let p = kernels::matmul_ijk();
     let blocked = data_shackle::core::naive::generate_naive(&p, &shackles::matmul_c(&p, 25));
-    let src = emit(&blocked, Dialect::C);
+    let src = emit(&blocked, Dialect::Rust);
     assert!(src.contains("if ("), "{src}");
     assert!(src.contains("floord("), "{src}");
 }
