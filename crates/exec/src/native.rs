@@ -90,6 +90,7 @@ use std::io::{Read, Write};
 use std::num::NonZeroU64;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdout, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::LazyLock;
 
 /// Elements per staging buffer: 8192 × 8 bytes = 64 KiB, the capacity
@@ -385,7 +386,14 @@ pub fn build_in(cache_dir: &Path, program: &Program) -> Result<BuildOutcome, Nat
         });
     }
     CACHE_MISSES.add(1);
-    let scratch = cache_dir.join(format!(".build-{hash:016x}-{}", std::process::id()));
+    // Unique per build, not only per process: two threads building the
+    // same kernel must not share (and rename away) one scratch dir.
+    static BUILDS: AtomicU64 = AtomicU64::new(0);
+    let scratch = cache_dir.join(format!(
+        ".build-{hash:016x}-{}-{}",
+        std::process::id(),
+        BUILDS.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&scratch)?;
     let src_path = scratch.join("kernel.rs");
     std::fs::write(&src_path, &source)?;

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use shackle_exec::native::{build, rustc_available, STAGE};
 use shackle_exec::{compile, execute, verify, NativeError, NativeKernel, NullObserver, Workspace};
 use shackle_ir::Program;
-use shackle_kernels::catalogue::{catalogue, Entry};
+use shackle_kernels::catalogue::{catalogue, Entry, Init};
 use std::collections::BTreeMap;
 use std::sync::{RwLock, RwLockReadGuard};
 
@@ -106,6 +106,42 @@ fn native_matches_scanned_cholesky() {
     let scanned = generate_scanned(&program, &[s]);
     let init = verify::spd_init("A", 8, 5);
     assert_native_agrees(&scanned, &params(8), &init);
+}
+
+/// Sizes 1, 2 and 3 give empty and single-trip loops and blocks, where
+/// a half-open range that slipped by one would show: every catalogue
+/// kernel and the scanned Cholesky above, each on one persistent
+/// runner, match the tree interpreter bit for bit with identical stats.
+#[test]
+fn native_matches_at_sizes_one_to_three() {
+    let Some(_probe) = native() else { return };
+    let agrees_at_each_size =
+        |program: &Program, setup: &dyn Fn(i64) -> (BTreeMap<String, i64>, Init)| {
+            let mut kernel = NativeKernel::spawn(program).expect("native build");
+            for n in 1..=3 {
+                let (p, init) = setup(n);
+                let mut tree_ws = Workspace::for_program(program, &p, &init);
+                let tree_stats = execute(program, &mut tree_ws, &p, &mut NullObserver);
+                let mut ws = Workspace::for_program(program, &p, &init);
+                let stats = kernel.run(&mut ws, &p).expect("native run");
+                let what = format!("{} at n={n}", program.name());
+                assert_eq!(stats, tree_stats, "{what}");
+                assert_bit_identical(&tree_ws, &ws, &what);
+            }
+        };
+    for entry in catalogue() {
+        agrees_at_each_size(&(entry.build)(), &|n| {
+            let p = entry.params(n);
+            let init = entry.init(&p, 3);
+            (p, init)
+        });
+    }
+    use shackle_core::{scan::generate_scanned, Blocking, Shackle};
+    let program = shackle_ir::kernels::cholesky_right();
+    let s = Shackle::on_writes(&program, Blocking::square("A", 2, &[1, 0], 3));
+    agrees_at_each_size(&generate_scanned(&program, &[s]), &|n| {
+        (params(n), Box::new(verify::spd_init("A", n as usize, 5)))
+    });
 }
 
 /// A persistent runner survives many runs with varying parameters —

@@ -28,9 +28,13 @@ pub enum Dialect {
 /// Both knobs exist for the native execution tier:
 ///
 /// * `counters` threads a `cnt_: &mut [u64]` argument through the
-///   generated function and increments `cnt_[stmt_id]` once per executed
-///   statement instance, so the host can reconstruct exact
-///   instance/load/store/flop statistics without observing each access;
+///   generated function, so the host can reconstruct exact
+///   instance/load/store/flop statistics without observing each access.
+///   Each statement counts its instances in a local `u64` (`c{id}`),
+///   which the body adds to `cnt_[stmt_id]` once, after its last loop:
+///   a counter the optimizer may keep in a register, or fold into a
+///   trip count, does not stop it from vectorising the nest the way a
+///   store to `cnt_` on every instance would;
 /// * `trace` flattens every statement so its loads happen in the tree
 ///   interpreter's left-to-right depth-first order, and pushes one
 ///   packed code per access — `(offset << 8) | (array_index << 1) |
@@ -110,7 +114,20 @@ impl Emitter<'_> {
         self.prelude(&mut out);
         self.signature(&mut out);
         self.strides(&mut out);
+        // Counter locals `c{id}` have no trailing `_`, so no loop
+        // variable or parameter (`{v}_`) can shadow them.
+        let nstmts = if self.options.counters {
+            self.program.stmts().len()
+        } else {
+            0
+        };
+        for id in 0..nstmts {
+            let _ = writeln!(out, "    let mut c{id}: u64 = 0;");
+        }
         self.nodes(self.program.body(), 1, &mut out);
+        for id in 0..nstmts {
+            let _ = writeln!(out, "    cnt_[{id}] += c{id};");
+        }
         out.push_str("}\n");
         out
     }
@@ -327,9 +344,9 @@ impl Emitter<'_> {
     /// Traced statement emission: loads flattened into temporaries in
     /// the tree interpreter's left-to-right depth-first order (each
     /// followed by its trace push), then the store and its push, then
-    /// the instance counter. The expression over the temporaries keeps
-    /// the exact floating-point operation tree, so results stay
-    /// bit-identical to the uninstrumented emission.
+    /// the bump of the statement's counter local. The expression over
+    /// the temporaries keeps the exact floating-point operation tree,
+    /// so results stay bit-identical to the uninstrumented emission.
     fn stmt_traced(&self, id: usize, pad: &str, out: &mut String) {
         let s = &self.program.stmts()[id];
         let mut loads: Vec<&crate::ArrayRef> = Vec::new();
@@ -353,7 +370,7 @@ impl Emitter<'_> {
         );
         self.trace_push("ow", s.write().array(), true, &inner, out);
         if self.options.counters {
-            let _ = writeln!(out, "{inner}cnt_[{id}] += 1;");
+            let _ = writeln!(out, "{inner}c{id} += 1;");
         }
         let _ = writeln!(out, "{pad}}}");
     }
@@ -396,6 +413,12 @@ impl Emitter<'_> {
         }
     }
 
+    /// Loops are half-open, `for v in lo..(hi) + 1`: a `Range` has a
+    /// trip count the optimizer can compute, where the inclusive
+    /// `lo..=hi` it replaces keeps an exhaustion flag that blocks
+    /// vectorisation. `hi + 1` overflows only when `hi == i64::MAX`,
+    /// and such a loop runs 2⁶³ iterations, so no run that finishes
+    /// reaches that bound.
     fn nodes(&self, nodes: &[Node], depth: usize, out: &mut String) {
         let pad = "    ".repeat(depth);
         for n in nodes {
@@ -406,7 +429,7 @@ impl Emitter<'_> {
                     } else {
                         let s = &self.program.stmts()[*id];
                         let count = if self.options.counters {
-                            format!(" cnt_[{id}] += 1;")
+                            format!(" c{id} += 1;")
                         } else {
                             String::new()
                         };
@@ -429,7 +452,7 @@ impl Emitter<'_> {
                     let v = self.var(&l.var);
                     let lo = self.bound(&l.lower, true);
                     let hi = self.bound(&l.upper, false);
-                    let _ = writeln!(out, "{pad}for {v} in {lo}..=({hi}) {{");
+                    let _ = writeln!(out, "{pad}for {v} in {lo}..({hi}) + 1 {{");
                     self.nodes(&l.body, depth + 1, out);
                     let _ = writeln!(out, "{pad}}}");
                 }
@@ -449,7 +472,7 @@ mod tests {
         assert!(src.contains("pub fn matmul_ijk(n_: i64"), "{src}");
         assert!(src.contains("c_a: &mut [f64]"), "{src}");
         assert!(src.contains("a_a: &[f64]"), "{src}");
-        assert!(src.contains("for i_ in (1)..=((n_)) {"), "{src}");
+        assert!(src.contains("for i_ in (1)..((n_)) + 1 {"), "{src}");
         assert!(src.matches('{').count() == src.matches('}').count());
     }
 
@@ -496,7 +519,13 @@ mod tests {
             },
         );
         assert!(src.contains("cnt_: &mut [u64]"), "{src}");
-        assert!(src.contains("cnt_[0] += 1;"), "{src}");
+        // One register local per statement, bumped per instance and
+        // added to `cnt_` once, after the nest.
+        assert!(src.contains("let mut c0: u64 = 0;"), "{src}");
+        assert!(src.contains("c0 += 1;"), "{src}");
+        let flush = src.find("cnt_[0] += c0;").expect("counter flush");
+        assert_eq!(src.matches("cnt_[0]").count(), 1, "{src}");
+        assert!(flush > src.rfind("for ").unwrap(), "{src}");
         // Uninstrumented emission is untouched.
         let plain = emit(&kernels::matmul_ijk(), Dialect::Rust);
         assert!(!plain.contains("cnt_"), "{plain}");
@@ -518,6 +547,8 @@ mod tests {
         assert!(src.contains("let t1 = a_a[o1];"), "{src}");
         assert!(src.contains("let t2 = b_a[o2];"), "{src}");
         assert!(src.contains("c_a[ow] = (t0 + (t1 * t2));"), "{src}");
+        assert!(src.contains("c0 += 1;"), "{src}");
+        assert!(src.contains("cnt_[0] += c0;"), "{src}");
         // Arrays declare as C, A, B → C=0, A=1, B=2; load codes are
         // idx<<1, the C write is (0<<1)|1 = 1.
         assert!(src.contains("((o0 as u64) << 8) | 0"), "{src}");

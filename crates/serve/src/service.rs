@@ -286,13 +286,19 @@ pub fn optimize(
 /// The fast path: analytical-model cycles for the *naive* (unblocked)
 /// nest on the standard probe cache. No legality, no codegen, no
 /// simulation — microseconds, in the spirit of latency-based tiling's
-/// approximate-but-instant answers.
+/// approximate-but-instant answers. A kernel that declares a parameter
+/// the daemon does not bind is refused, as optimize refuses it: the
+/// model would read the unbound parameter as 0 and price another
+/// program.
 pub fn quote(source: &str, probe_n: i64) -> Result<Response, ServeError> {
     let _span = shackle_probe::span("quote");
     check_probe_n(probe_n)?;
     let program = parse_kernel(source)?;
-    check_extents(&program, probe_n)?;
     let params = probe_params(probe_n);
+    if let Some(p) = program.params().iter().find(|p| !params.contains_key(*p)) {
+        return Err(missing_parameter(p));
+    }
+    check_extents(&program, probe_n)?;
     let geom = KernelGeometry::new(&program, &params);
     let predicted = predict(&geom, &[], &[PROBE_CACHE], 60).cycles;
     Ok(Response::Quoted {
@@ -338,6 +344,22 @@ mod tests {
         match quote(&src, 24).unwrap() {
             Response::Quoted { predicted_cycles } => assert!(predicted_cycles > 0),
             r => panic!("unexpected response {r:?}"),
+        }
+    }
+
+    #[test]
+    fn quote_refuses_a_kernel_with_an_unbound_parameter() {
+        for (program, param) in [
+            (kernels::gauss_seidel_1d(), "S"),
+            (kernels::banded_cholesky(), "P"),
+        ] {
+            let err = quote(&to_source(&program), 24).unwrap_err();
+            assert_eq!(err.class, ErrorClass::Parse, "{}", program.name());
+            assert!(
+                err.message.contains(&format!("missing parameter {param}")),
+                "{}",
+                err.message
+            );
         }
     }
 

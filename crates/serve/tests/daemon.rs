@@ -282,6 +282,55 @@ fn protocol_errors_keep_the_connection_alive() {
     accept.join().unwrap();
 }
 
+/// A quote for a kernel that declares a parameter the daemon does not
+/// bind (`S` of gauss_seidel_1d, `P` of banded Cholesky) is a `Parse`
+/// refusal naming it, not the price of the program with it at 0, and
+/// the worker answers the next request.
+#[test]
+fn quote_refuses_an_unbound_parameter() {
+    let _g = lock();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = Arc::new(Server::new().with_store(None));
+    let srv = Arc::clone(&server);
+    let accept = std::thread::spawn(move || srv.serve_tcp(listener).unwrap());
+
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    for (program, param) in [
+        (kernels::gauss_seidel_1d(), "S"),
+        (kernels::banded_cholesky(), "P"),
+    ] {
+        let quote = Request::Quote {
+            probe_n: 24,
+            source: to_source(&program),
+        };
+        send_request(&mut stream, &quote).unwrap();
+        match read_response(&mut stream).unwrap() {
+            Response::Error { class, message } => {
+                assert_eq!(class, ErrorClass::Parse, "{message}");
+                assert!(message.contains(param), "{message}");
+            }
+            r => panic!("{}: unexpected response {r:?}", program.name()),
+        }
+    }
+    let quote = Request::Quote {
+        probe_n: 24,
+        source: to_source(&kernels::matmul_ijk()),
+    };
+    send_request(&mut stream, &quote).unwrap();
+    match read_response(&mut stream).unwrap() {
+        Response::Quoted { predicted_cycles } => assert!(predicted_cycles > 0),
+        r => panic!("unexpected response {r:?}"),
+    }
+    send_request(&mut stream, &Request::Shutdown).unwrap();
+    assert!(matches!(
+        read_response(&mut stream).unwrap(),
+        Response::ShuttingDown
+    ));
+    drop(stream);
+    accept.join().unwrap();
+}
+
 /// Kernels that are well-formed text but semantically invalid — an
 /// unbound subscript variable, a rank mismatch, an undeclared array —
 /// are `Parse` refusals naming the offender, not worker panics, and the

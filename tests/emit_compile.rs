@@ -138,3 +138,40 @@ fn emitted_rust_is_wellformed_for_every_kernel() {
     assert!(src.contains("if ("), "{src}");
     assert!(src.contains("floord("), "{src}");
 }
+
+/// The shape the native tier times, for every catalogue kernel and its
+/// canonical scanned forms: loops are half-open ranges (never `..=`),
+/// and the counted emission adds to each `cnt_[k]` exactly once, after
+/// the last loop, so no statement instance stores to memory to count
+/// itself.
+#[test]
+fn emission_is_half_open_and_counts_in_locals() {
+    use data_shackle::ir::emit::{emit_with, EmitOptions};
+    use data_shackle::kernels::catalogue::catalogue;
+    let counted = EmitOptions {
+        trace: false,
+        counters: true,
+    };
+    for e in catalogue() {
+        let program = (e.build)();
+        let shackled = [e.single, e.product]
+            .into_iter()
+            .flatten()
+            .map(|shackle| generate_scanned(&program, &shackle(&program, 4)));
+        for p in std::iter::once(program.clone()).chain(shackled) {
+            let plain = emit(&p, Dialect::Rust);
+            assert!(!plain.contains("..="), "{}:\n{plain}", p.name());
+            let src = emit_with(&p, Dialect::Rust, counted);
+            assert!(!src.contains("..="), "{}:\n{src}", p.name());
+            let last_loop = src.rfind("for ").expect("every kernel loops");
+            for k in 0..p.stmts().len() {
+                let slot = format!("cnt_[{k}]");
+                assert_eq!(src.matches(&slot).count(), 1, "{} {slot}:\n{src}", p.name());
+                let at = src
+                    .find(&format!("{slot} += c{k};"))
+                    .expect("counter flush");
+                assert!(at > last_loop, "{} {slot} inside a loop:\n{src}", p.name());
+            }
+        }
+    }
+}
